@@ -174,10 +174,13 @@ def alignment_defect(space, c1, c2):
 
 def default_fit_radius(space, chart, i, min_members=None):
     """Smallest radius whose ball holds the default chart-member count."""
-    d = chart.chart_dim
+    return _fit_radius(space.dist_subset(int(i), chart.indices), chart, i, min_members)
+
+
+def _fit_radius(dists, chart, i, min_members=None):
+    """``default_fit_radius`` from the distances of ``i`` to the chart members."""
     if min_members is None:
-        min_members = _FIT_NEIGHBOR_FACTOR * (d + 1)
-    dists = space.dist_subset(int(i), chart.indices)
+        min_members = _FIT_NEIGHBOR_FACTOR * (chart.chart_dim + 1)
     dists = np.sort(dists[dists > 0])
     if dists.shape[0] < min_members:
         raise FitError(
@@ -235,9 +238,9 @@ def fit_metric_differential(space, chart, u, target, i, radius=None, family=QUAD
     if not chart.contains(i):
         raise FitError(f"point {i} is not a chart member", index=i)
     d = chart.chart_dim
-    if radius is None:
-        radius = default_fit_radius(space, chart, i)
     dists = space.dist_subset(int(i), chart.indices)
+    if radius is None:
+        radius = _fit_radius(dists, chart, i)
     sel = (dists > 0) & (dists < radius)
     members = chart.indices[sel]
     if members.shape[0] < d + 1:
@@ -247,7 +250,7 @@ def fit_metric_differential(space, chart, u, target, i, radius=None, family=QUAD
         )
     pi = chart.phi[chart.position(i)]
     v = np.stack([chart.phi[chart.position(j)] for j in members]) - pi
-    dy = target.dist_block(u.values[int(i)], [u.values[int(j)] for j in members])
+    dy = target.dists(u.packed[int(i)], u.packed[members])
     if family == QUADRATIC:
         n = _fit_quadratic(v, dy, i)
     elif family == POLYHEDRAL:
@@ -342,5 +345,5 @@ def aplip_estimate(space, u, target, i, radius):
     if idx.shape[0] == 0:
         return 0.0
     dom = space.dist_subset(int(i), idx)
-    tar = target.dist_block(u.values[int(i)], [u.values[int(j)] for j in idx])
+    tar = target.dists(u.packed[int(i)], u.packed[idx])
     return float((tar / dom).max())

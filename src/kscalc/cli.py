@@ -301,9 +301,12 @@ def main(argv=None):
         # ValidationError subclasses ValueError; bad JSON raises ValueError
         sys.stderr.write(f"validation error: {exc}\n")
         return EXIT_VALIDATION
-    except (AuditError, ConvergenceError) as exc:
+    except AuditError as exc:
         sys.stderr.write(f"audit failure: {exc}\n")
         return EXIT_VALIDATION
+    except ConvergenceError as exc:
+        sys.stderr.write(f"non-convergence: {exc}\n")
+        return EXIT_NONCONVERGED
 
 
 if __name__ == "__main__":

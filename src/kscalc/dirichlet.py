@@ -97,25 +97,32 @@ class DirichletProblem:
                     continue  # interior-interior pairs counted once
                 pa.append(int(x))
                 pb.append(j)
-        self._pair_a = np.asarray(pa, dtype=int)
-        self._pair_b = np.asarray(pb, dtype=int)
-        self._pair_w = w[self._pair_a] * w[self._pair_b] / self.scale**2
-        self._euclid = isinstance(target, EuclideanTarget)
-        if self._euclid:
-            self._flat_nbr = np.concatenate(self.balls)
-            self._flat_ptr = np.concatenate(
-                [[0], np.cumsum([b.shape[0] for b in self.balls])]
-            )
-            nc = [b[b != x] for x, b in zip(self.interior, self.balls)]
-            self._nbrx = np.concatenate(nc)
-            self._nbrx_ptr = np.concatenate([[0], np.cumsum([b.shape[0] for b in nc])])
-            self._nbrx_w = w[self._nbrx]
-            self._nbrx_wsum = np.add.reduceat(self._nbrx_w, self._nbrx_ptr[:-1])
+        pa = np.asarray(pa, dtype=int)
+        pb = np.asarray(pb, dtype=int)
+        self._pair_w = w[pa] * w[pb] / self.scale**2
+        # the energies read values packed at the referenced indices: the
+        # rows of each ball's center and members and of the pair ends
+        sizes = [b.shape[0] for b in self.balls]
+        self._flat_nbr = np.concatenate(self.balls)
+        self._flat_ptr = np.concatenate([[0], np.cumsum(sizes)])
+        ref = self.referenced
+        self._ball_rows = (
+            np.searchsorted(ref, np.repeat(self.interior, sizes)),
+            np.searchsorted(ref, self._flat_nbr),
+        )
+        self._pair_rows = (np.searchsorted(ref, pa), np.searchsorted(ref, pb))
+        # every interior point's ball without the point: the barycenter's
+        # inputs, flattened for the Euclidean Jacobi average
+        self._nbrs = [b[b != x] for x, b in zip(self.interior, self.balls)]
+        self._nbrx = np.concatenate(self._nbrs)
+        self._nbrx_ptr = np.concatenate([[0], np.cumsum([b.shape[0] for b in self._nbrs])])
+        self._nbrx_w = w[self._nbrx]
+        self._nbrx_wsum = np.add.reduceat(self._nbrx_w, self._nbrx_ptr[:-1])
 
     # -- value containers -------------------------------------------------
 
     def blank_values(self):
-        if self._euclid:
+        if isinstance(self.target, EuclideanTarget):
             return np.zeros((self.space.n, self.target.dim))
         return [None] * self.space.n
 
@@ -149,15 +156,18 @@ class DirichletProblem:
             if values[j] is None or self.target.dist(values[j], v) != 0.0:
                 raise ValidationError(f"boundary value altered at index {j}")
 
-    def _value_block(self, values, idx):
+    def _pack(self, values, idx, target=None):
+        """The values at ``idx`` packed by the target, rows in ``idx`` order.
+
+        An array of values (the Euclidean container) holds packed rows.
+        """
         if isinstance(values, np.ndarray):
             return values[idx]
-        out = []
-        for j in idx:
-            if values[j] is None:
+        vals = [values[int(j)] for j in idx]
+        for j, v in zip(idx, vals):
+            if v is None:
                 raise ValidationError(f"missing value at referenced index {int(j)}")
-            out.append(values[j])
-        return out
+        return (target or self.target).pack(vals)
 
 
 def discrete_energy(prob, values, target=None):
@@ -167,23 +177,12 @@ def discrete_energy(prob, values, target=None):
     map in the midpoint test reuses the same ball structure).
     """
     target = target or prob.target
+    packed = prob._pack(values, prob.referenced, target)
+    centers, members = prob._ball_rows
+    d2 = target.dists(packed[centers], packed[members], squared=True)
     w = prob.space.weights
-    if prob._euclid and isinstance(values, np.ndarray) and isinstance(target, EuclideanTarget):
-        delta = values[prob._flat_nbr] - np.repeat(
-            values[prob.interior], np.diff(prob._flat_ptr), axis=0
-        )
-        d2 = np.einsum("ij,ij->i", delta, delta)
-        per = np.add.reduceat(w[prob._flat_nbr] * d2, prob._flat_ptr[:-1])
-        return float(np.dot(prob._coef, per))
-    total = 0.0
-    for c, x, idx in zip(prob._coef, prob.interior, prob.balls):
-        vals = prob._value_block(values, idx)
-        vx = values[int(x)]
-        if vx is None:
-            raise ValidationError(f"missing value at referenced index {int(x)}")
-        dy = target.dist_block(vx, vals)
-        total += c * float(np.dot(w[idx], dy**2))
-    return total
+    per = np.add.reduceat(w[prob._flat_nbr] * d2, prob._flat_ptr[:-1])
+    return float(np.dot(prob._coef, per))
 
 
 def relaxation_energy(prob, values):
@@ -196,19 +195,10 @@ def relaxation_energy(prob, values):
     sum of ``discrete_energy`` normalizes by ball masses instead and can
     fluctuate near the boundary layer along the same iteration.
     """
-    a, b = prob._pair_a, prob._pair_b
-    if isinstance(values, np.ndarray) and prob._euclid:
-        delta = values[a] - values[b]
-        d2 = np.einsum("ij,ij->i", delta, delta)
-        return float(np.dot(prob._pair_w, d2))
-    t = prob.target
-    total = 0.0
-    for wab, i, j in zip(prob._pair_w, a, b):
-        vi, vj = values[int(i)], values[int(j)]
-        if vi is None or vj is None:
-            raise ValidationError("missing value at a referenced index")
-        total += wab * t.dist(vi, vj) ** 2
-    return total
+    packed = prob._pack(values, prob.referenced)
+    a, b = prob._pair_rows
+    d2 = prob.target.dists(packed[a], packed[b], squared=True)
+    return float(np.dot(prob._pair_w, d2))
 
 
 def relax_sweep(prob, values, mode=JACOBI, bary_tol=1e-10, check_energy=True):
@@ -233,28 +223,19 @@ def relax_sweep(prob, values, mode=JACOBI, bary_tol=1e-10, check_energy=True):
 
 def _sweep(prob, values, mode, bary_tol):
     target = prob.target
-    if prob._euclid and mode == JACOBI:
-        out = values.copy()
+    out = values.copy()
+    if mode == JACOBI and isinstance(target, EuclideanTarget):
+        # the closed-form barycenters of all interior balls at once
         num = np.add.reduceat(
             prob._nbrx_w[:, None] * values[prob._nbrx], prob._nbrx_ptr[:-1], axis=0
         )
         out[prob.interior] = num / prob._nbrx_wsum[:, None]
         return out
-    if isinstance(values, np.ndarray):
-        out = values.copy()
-        src = values if mode == JACOBI else out
-        for x, idx in zip(prob.interior, prob.balls):
-            nbr = idx[idx != x]
-            out[int(x)] = barycenter(
-                target, list(src[nbr]), prob.space.weights[nbr], tol=bary_tol
-            )
-        return out
-    out = list(values)
     src = values if mode == JACOBI else out
-    for x, idx in zip(prob.interior, prob.balls):
-        nbr = idx[idx != x]
+    w = prob.space.weights
+    for x, nbr in zip(prob.interior, prob._nbrs):
         pts = [src[int(j)] for j in nbr]
-        out[int(x)] = barycenter(target, pts, prob.space.weights[nbr], tol=bary_tol)
+        out[int(x)] = barycenter(target, pts, w[nbr], tol=bary_tol)
     return out
 
 
@@ -287,12 +268,10 @@ class SolveReport:
 
 
 def _displacement(prob, old, new):
-    if isinstance(old, np.ndarray):
-        delta = new[prob.interior] - old[prob.interior]
-        return float(np.sqrt(np.einsum("ij,ij->i", delta, delta)).max())
-    return max(
-        prob.target.dist(old[int(x)], new[int(x)]) for x in prob.interior
-    )
+    """Largest target distance between two value assignments over the interior."""
+    a = prob._pack(old, prob.interior)
+    b = prob._pack(new, prob.interior)
+    return float(prob.target.dists(a, b).max())
 
 
 def default_tolerance(target):
@@ -373,10 +352,8 @@ def solve(
             bary_tol=bary_tol,
             uniqueness_audit=False,
         )
-        gap = max(
-            prob.target.dist(values[int(x)], values2[int(x)]) for x in prob.interior
-        )
-        report.uniqueness_gap = float(gap)
+        gap = _displacement(prob, values, values2)
+        report.uniqueness_gap = gap
         if gap > 10.0 * tol:
             raise AuditError(
                 f"uniqueness audit failed: seeded restart differs by {gap}"

@@ -22,7 +22,7 @@ from .charts import default_fit_radius, fit_metric_differential
 from .errors import ValidationError
 from .parallel import parallel_map
 from .seminorms import QUADRATIC, QuadratureSpec, hs_norm, size_p
-from .targets import EuclideanTarget, HyperbolicTarget
+from .targets import EuclideanTarget
 
 RELIABLE_SPACING_FACTOR = 3.0
 
@@ -36,40 +36,28 @@ class MetricMap:
         self.space = space
         self.target = target
         self.values = [target.canonical(v) for v in values]
-        if isinstance(target, (EuclideanTarget, HyperbolicTarget)):
-            self.values_array = np.asarray(self.values, dtype=float)
-        else:
-            self.values_array = None
-        self._pack = None
+        self._packed = None
 
-    def pack(self):
-        """Cached packed value representation for block distances."""
-        if self._pack is None:
-            self._pack = self.target.values_pack(self.values)
-        return self._pack
+    @property
+    def packed(self):
+        """The values packed by the target, built on first use.
+
+        Building is deterministic, so threads that race on the first use
+        at worst build it twice.
+        """
+        if self._packed is None:
+            self._packed = self.target.pack(self.values)
+        return self._packed
 
     def dist_to_many(self, i, idx):
         """Target distances from value i to the values at ``idx``."""
-        if self.values_array is not None:
-            arr = self.values_array
-            if isinstance(self.target, EuclideanTarget):
-                delta = arr[idx] - arr[i]
-                return np.sqrt(np.einsum("ij,ij->i", delta, delta))
-            m = (
-                arr[idx, 0] * arr[i, 0]
-                - arr[idx, 1] * arr[i, 1]
-                - arr[idx, 2] * arr[i, 2]
-            )
-            return np.arccosh(np.maximum(m, 1.0))
-        return self.target.dist_block(self.values[i], [self.values[j] for j in idx])
+        return self.target.dists(self.packed[i], self.packed[idx])
 
     def distance_to(self, other):
         """Pointwise target distances to another map on the same domain."""
         if other.space is not self.space:
             raise ValidationError("maps live on different domains")
-        return np.asarray(
-            [self.target.dist(a, b) for a, b in zip(self.values, other.values)]
-        )
+        return self.target.dists(self.packed, other.packed)
 
     def compose(self, fn):
         return MetricMap(self.space, self.target, [fn(v) for v in self.values])
@@ -91,29 +79,6 @@ class MetricMap:
         return {"values": [self.target.point_to_json(v) for v in self.values]}
 
 
-def _target_dist_block(u, rows, cols, squared=False):
-    """Target distances between the values at two index sets."""
-    arr = u.values_array
-    if arr is not None:
-        if isinstance(u.target, EuclideanTarget):
-            delta = arr[rows][:, None, :] - arr[cols][None, :, :]
-            d2 = np.einsum("ijk,ijk->ij", delta, delta)
-            return d2 if squared else np.sqrt(d2)
-        m = (
-            arr[rows][:, None, 0] * arr[cols][None, :, 0]
-            - arr[rows][:, None, 1] * arr[cols][None, :, 1]
-            - arr[rows][:, None, 2] * arr[cols][None, :, 2]
-        )
-        d = np.arccosh(np.maximum(m, 1.0))
-        return d**2 if squared else d
-    pack = u.pack()
-    if pack is not None:
-        return u.target.packed_block(pack, rows, cols, squared=squared)
-    col_vals = [u.values[int(j)] for j in cols]
-    d = np.stack([u.target.dist_block(u.values[int(i)], col_vals) for i in rows])
-    return d**2 if squared else d
-
-
 def ks_profile(u, p, scales, omega=None):
     """ks values at several scales in one blocked pass.
 
@@ -132,9 +97,12 @@ def ks_profile(u, p, scales, omega=None):
     w = space.weights
     out = np.zeros((len(scales), space.n))
     rmax = max(scales)
+    packed = u.packed
     for pts, cand in space.cell_partition(rmax):
         dom2 = space.pair_dist_block(pts, cand, squared=True)
-        tar_p = _target_dist_block(u, pts, cand, squared=(p == 2.0))
+        tar_p = u.target.dists(
+            packed[pts][:, None], packed[cand][None, :], squared=(p == 2.0)
+        )
         if p != 2.0:
             tar_p = tar_p**p
         wc = w[cand]

@@ -308,6 +308,7 @@ def build_space(spec):
             weights=weights,
             period=spec.get("period") if kind == TORUS else None,
         )
+        _reject_duplicates(space)
         return space
     if kind == MATRIX:
         m = np.asarray(spec["matrix"], dtype=float)
@@ -332,6 +333,23 @@ def build_space(spec):
         _audit_triangles(m, seed=int(spec.get("seed", 0)))
         return PointCloudSpace(MATRIX, matrix=m, weights=weights)
     raise ValidationError(f"unknown metric kind {kind!r}")
+
+
+def _reject_duplicates(space):
+    """Reject coordinate rows that coincide (modulo the period on a torus).
+
+    Names the first pair: the smallest ``j`` repeating an earlier ``i``.
+    """
+    rows = space.coords
+    if space.kind == TORUS:
+        rows = np.mod(rows, space.period)
+        rows[rows == space.period] = 0.0  # mod rounds tiny negatives up to the period
+    _, first, inverse = np.unique(rows, axis=0, return_index=True, return_inverse=True)
+    first = first[inverse.reshape(-1)]
+    dup = np.nonzero(first != np.arange(space.n))[0]
+    if dup.size:
+        i, j = int(first[dup[0]]), int(dup[0])
+        raise ValidationError(f"duplicate points ({i}, {j})", detail=(i, j))
 
 
 def _audit_triangles(m, seed=0):

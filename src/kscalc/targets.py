@@ -34,8 +34,22 @@ class TreePoint:
         return self.vertex is not None
 
 
+def _columns(P):
+    """The columns of packed rows, each contiguous, for broadcasting.
+
+    Taken before the operands broadcast, so the copy is of the rows only.
+    """
+    return np.ascontiguousarray(np.moveaxis(P, -1, 0))
+
+
 class GeodesicTarget:
-    """Base interface: distance, constant-speed geodesics, sampling."""
+    """Base interface: distance, constant-speed geodesics, sampling.
+
+    Besides the scalar ``dist`` on point objects, every kind packs a value
+    list into one ``(n, width)`` float array (``pack``) and measures
+    packed rows in one batched kernel (``dists``) that computes, pair for
+    pair, what ``dist`` computes.
+    """
 
     kind = "abstract"
     is_cat0 = True
@@ -55,15 +69,19 @@ class GeodesicTarget:
     def random_point(self, rng):
         raise NotImplementedError
 
-    def dist_block(self, a, pts):
-        """Distances from one point to a sequence of points."""
-        return np.asarray([self.dist(a, q) for q in pts])
+    def pack(self, values):
+        """Canonical values as one ``(n, width)`` float array.
 
-    def values_pack(self, values):
-        """Opaque packed form of a value list for block distances."""
-        return None
+        Coordinate kinds pack their coordinates.
+        """
+        return np.asarray(values, dtype=float).reshape(len(values), self.width)
 
-    def packed_block(self, pack, rows, cols, squared=False):
+    def dists(self, A, B, squared=False):
+        """Distances between packed rows whose leading shapes broadcast.
+
+        ``P[rows][:, None]`` against ``P[cols][None, :]`` gives a block,
+        one row against many gives a vector, equal shapes give pairs.
+        """
         raise NotImplementedError
 
     def equal(self, a, b):
@@ -83,6 +101,7 @@ class EuclideanTarget(GeodesicTarget):
         if dim < 1:
             raise ValidationError("euclidean dimension must be >= 1")
         self.dim = int(dim)
+        self.width = self.dim
 
     def canonical(self, p):
         p = np.asarray(p, dtype=float).reshape(-1)
@@ -93,10 +112,10 @@ class EuclideanTarget(GeodesicTarget):
     def dist(self, a, b):
         return float(np.linalg.norm(np.asarray(a, float) - np.asarray(b, float)))
 
-    def dist_block(self, a, pts):
-        arr = np.asarray(pts, dtype=float).reshape(-1, self.dim)
-        delta = arr - np.asarray(a, float)
-        return np.sqrt(np.einsum("ij,ij->i", delta, delta))
+    def dists(self, A, B, squared=False):
+        delta = A - B
+        d2 = np.einsum("...k,...k->...", delta, delta)
+        return d2 if squared else np.sqrt(d2)
 
     def geodesic_point(self, a, b, s):
         a = np.asarray(a, float)
@@ -117,6 +136,7 @@ class TreeTarget(GeodesicTarget):
     """A metric tree given by vertices and positively weighted edges."""
 
     kind = "tree"
+    width = 6
 
     def __init__(self, n_vertices, edges):
         self.n_vertices = int(n_vertices)
@@ -248,47 +268,32 @@ class TreeTarget(GeodesicTarget):
         t = float(rng.uniform(0.0, self.edges[e][2]))
         return self.canonical(TreePoint(edge=e, t=t))
 
-    def values_pack(self, values):
-        """Anchor arrays (vertices and leg distances) for block distances."""
-        n = len(values)
-        va = np.empty(n, dtype=int)
-        vb = np.empty(n, dtype=int)
-        da = np.empty(n)
-        db = np.empty(n)
-        edge = np.full(n, -1, dtype=int)
-        t = np.zeros(n)
+    def pack(self, values):
+        """Rows (anchor u, anchor v, leg to u, leg to v, edge, offset).
+
+        A vertex packs as both anchors with zero legs and edge -1.
+        """
+        out = np.empty((len(values), self.width))
         for k, p in enumerate(values):
             if p.is_vertex():
-                va[k] = vb[k] = p.vertex
-                da[k] = db[k] = 0.0
+                out[k] = (p.vertex, p.vertex, 0.0, 0.0, -1.0, 0.0)
             else:
                 u, v, l = self.edges[p.edge]
-                va[k], vb[k] = u, v
-                da[k], db[k] = p.t, l - p.t
-                edge[k] = p.edge
-                t[k] = p.t
-        return {"va": va, "vb": vb, "da": da, "db": db, "edge": edge, "t": t}
+                out[k] = (u, v, p.t, l - p.t, p.edge, p.t)
+        return out
 
-    def packed_block(self, pack, rows, cols, squared=False):
+    def dists(self, A, B, squared=False):
         D = self._vdist
-        va_r = pack["va"][rows][:, None]
-        vb_r = pack["vb"][rows][:, None]
-        da_r = pack["da"][rows][:, None]
-        db_r = pack["db"][rows][:, None]
-        va_c = pack["va"][cols][None, :]
-        vb_c = pack["vb"][cols][None, :]
-        da_c = pack["da"][cols][None, :]
-        db_c = pack["db"][cols][None, :]
-        best = da_r + D[va_r, va_c] + da_c
-        best = np.minimum(best, da_r + D[va_r, vb_c] + db_c)
-        best = np.minimum(best, db_r + D[vb_r, va_c] + da_c)
-        best = np.minimum(best, db_r + D[vb_r, vb_c] + db_c)
-        e_r = pack["edge"][rows][:, None]
-        e_c = pack["edge"][cols][None, :]
-        same = (e_r == e_c) & (e_r >= 0)
+        ua, va, lua, lva, ea, ta = _columns(A)
+        ub, vb, lub, lvb, eb, tb = _columns(B)
+        ua, va, ub, vb = (x.astype(np.intp) for x in (ua, va, ub, vb))
+        best = lua + D[ua, ub] + lub
+        best = np.minimum(best, lua + D[ua, vb] + lvb)
+        best = np.minimum(best, lva + D[va, ub] + lub)
+        best = np.minimum(best, lva + D[va, vb] + lvb)
+        same = (ea == eb) & (ea >= 0)
         if np.any(same):
-            diff = np.abs(pack["t"][rows][:, None] - pack["t"][cols][None, :])
-            best = np.where(same, diff, best)
+            best = np.where(same, np.abs(ta - tb), best)
         return best**2 if squared else best
 
     def point_to_json(self, p):
@@ -307,6 +312,7 @@ class HyperbolicTarget(GeodesicTarget):
     """Hyperbolic plane on the upper hyperboloid x0^2 - x1^2 - x2^2 = 1."""
 
     kind = "hyperbolic"
+    width = 3
 
     @staticmethod
     def _mink(a, b):
@@ -335,10 +341,11 @@ class HyperbolicTarget(GeodesicTarget):
         m = self._mink(a, b)
         return float(np.arccosh(max(m, 1.0)))
 
-    def dist_block(self, a, pts):
-        arr = np.asarray(pts, dtype=float).reshape(-1, 3)
-        m = self._mink(arr, np.asarray(a, float))
-        return np.arccosh(np.maximum(m, 1.0))
+    def dists(self, A, B, squared=False):
+        (a0, a1, a2), (b0, b1, b2) = _columns(A), _columns(B)
+        m = a0 * b0 - a1 * b1 - a2 * b2
+        d = np.where((a1 == b1) & (a2 == b2), 0.0, np.arccosh(np.maximum(m, 1.0)))
+        return d**2 if squared else d
 
     def geodesic_point(self, a, b, s):
         a = np.asarray(a, float)
@@ -371,6 +378,9 @@ class ProductTarget(GeodesicTarget):
             raise ValidationError("product needs at least one component")
         self.components = list(components)
         self.is_cat0 = all(c.is_cat0 for c in self.components)
+        widths = [c.width for c in self.components]
+        self.width = sum(widths)
+        self._offsets = np.cumsum([0] + widths[:-1]).tolist()
 
     def canonical(self, p):
         if len(p) != len(self.components):
@@ -390,34 +400,18 @@ class ProductTarget(GeodesicTarget):
     def random_point(self, rng):
         return tuple(c.random_point(rng) for c in self.components)
 
-    def values_pack(self, values):
-        packs = []
-        for k, c in enumerate(self.components):
-            comp_vals = [v[k] for v in values]
-            pk = c.values_pack(comp_vals)
-            if pk is None:
-                if isinstance(c, (EuclideanTarget, HyperbolicTarget)):
-                    pk = np.asarray(comp_vals, dtype=float)
-                else:
-                    return None
-            packs.append((c, pk))
-        return packs
+    def pack(self, values):
+        """The components' packed columns side by side."""
+        return np.concatenate(
+            [c.pack([v[k] for v in values]) for k, c in enumerate(self.components)],
+            axis=1,
+        )
 
-    def packed_block(self, pack, rows, cols, squared=False):
+    def dists(self, A, B, squared=False):
         total = None
-        for c, pk in pack:
-            if isinstance(pk, np.ndarray) and isinstance(c, EuclideanTarget):
-                delta = pk[rows][:, None, :] - pk[cols][None, :, :]
-                d2 = np.einsum("ijk,ijk->ij", delta, delta)
-            elif isinstance(pk, np.ndarray) and isinstance(c, HyperbolicTarget):
-                m = (
-                    pk[rows][:, None, 0] * pk[cols][None, :, 0]
-                    - pk[rows][:, None, 1] * pk[cols][None, :, 1]
-                    - pk[rows][:, None, 2] * pk[cols][None, :, 2]
-                )
-                d2 = np.arccosh(np.maximum(m, 1.0)) ** 2
-            else:
-                d2 = c.packed_block(pk, rows, cols, squared=True)
+        for c, lo in zip(self.components, self._offsets):
+            cols = slice(lo, lo + c.width)
+            d2 = c.dists(A[..., cols], B[..., cols], squared=True)
             total = d2 if total is None else total + d2
         return total if squared else np.sqrt(total)
 
@@ -438,6 +432,7 @@ class SphereTarget(GeodesicTarget):
 
     kind = "sphere"
     is_cat0 = False
+    width = 3
 
     def canonical(self, p):
         p = np.asarray(p, dtype=float).reshape(-1)
@@ -451,6 +446,10 @@ class SphereTarget(GeodesicTarget):
     def dist(self, a, b):
         d = float(np.clip(np.dot(a, b), -1.0, 1.0))
         return math.acos(d)
+
+    def dists(self, A, B, squared=False):
+        d = np.arccos(np.clip(np.einsum("...k,...k->...", A, B), -1.0, 1.0))
+        return d**2 if squared else d
 
     def geodesic_point(self, a, b, s):
         theta = self.dist(a, b)

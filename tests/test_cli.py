@@ -65,7 +65,7 @@ class TestSerializationRoundTrips:
 
     def test_map_resolves_references(self, workdir):
         u = load_map(workdir / "map.json")
-        assert u.values_array.shape == (11, 1)
+        assert u.packed.shape == (11, 1)
 
     def test_problem(self, workdir):
         prob, options = load_problem(workdir / "problem.json")
@@ -246,6 +246,40 @@ class TestExitCodes:
         )
         assert code == 3
         assert (workdir / "solve_short.report.json").exists()
+
+    def test_barycenter_nonconvergence_exit_3(self, workdir):
+        # three unit-weight values at offset 0.5 on the tripod's three legs:
+        # the tree barycenter of the interior point never converges
+        write_json(
+            workdir / "fan_space.json",
+            {"kind": "euclidean",
+             "points": [[0, 0], [1, 0], [-0.5, 0.866], [-0.5, -0.866]]},
+        )
+        write_json(
+            workdir / "tripod.json",
+            {"kind": "tree", "vertices": 4, "edges": [[0, 1, 1], [0, 2, 1], [0, 3, 1]]},
+        )
+        write_json(
+            workdir / "fan_problem.json",
+            {
+                "space": "fan_space.json",
+                "target": "tripod.json",
+                "interior": [0],
+                "boundary_values": [[k + 1, {"edge": k, "t": 0.5}] for k in range(3)],
+                "scale": 1.5,
+            },
+        )
+        code, _, err = run_cli("dirichlet", "--problem", workdir / "fan_problem.json")
+        assert code == 3
+        assert "did not converge" in err
+
+    def test_duplicate_points_exit_2(self, workdir):
+        write_json(
+            workdir / "dup.json", {"kind": "euclidean", "points": [[0], [0], [0.5], [1]]}
+        )
+        code, _, err = run_cli("space-check", "--space", workdir / "dup.json")
+        assert code == 2
+        assert "(0, 1)" in err
 
     def test_dirichlet_infeasible_exit_2(self, workdir):
         obj = json.loads((workdir / "problem.json").read_text())

@@ -6,6 +6,7 @@ import pytest
 from kscalc import (
     DirichletProblem,
     EuclideanTarget,
+    HyperbolicTarget,
     MetricMap,
     TreePoint,
     SphereTarget,
@@ -15,6 +16,7 @@ from kscalc import (
     midpoint_test,
     poincare_estimate,
     relax_sweep,
+    relaxation_energy,
     solve,
 )
 
@@ -126,6 +128,56 @@ class TestDiscreteEnergy:
         vals = prob.blank_values()
         with pytest.raises(ValidationError, match="missing value"):
             discrete_energy(prob, vals)
+
+
+def hyperbolic_grid_problem():
+    g = np.linspace(0.0, 1.0, 6)
+    gx, gy = np.meshgrid(g, g, indexing="ij")
+    pts = np.stack([gx.ravel(), gy.ravel()], axis=1)
+    sp = build_space({"kind": "euclidean", "points": pts.tolist()})
+    inner = np.all((pts > 0.1) & (pts < 0.9), axis=1)
+    rng = np.random.default_rng(11)
+    data = {
+        int(k): HyperbolicTarget.lift(rng.normal(0.0, 0.5, 2))
+        for k in np.nonzero(~inner)[0]
+    }
+    return sp, DirichletProblem(
+        sp, HyperbolicTarget(), np.nonzero(inner)[0], data, scale=0.3
+    )
+
+
+class TestEnergiesAgainstScalarDist:
+    """The vectorized energies against per-pair sums of the scalar dist."""
+
+    @staticmethod
+    def oracles(prob, values):
+        t, w, r = prob.target, prob.space.weights, prob.scale
+        inside = set(int(x) for x in prob.interior)
+        scale_sum = 0.0
+        pair_sum = 0.0
+        for x, idx in zip(prob.interior, prob.balls):
+            x = int(x)
+            ball = sum(w[j] * t.dist(values[x], values[int(j)]) ** 2 for j in idx)
+            scale_sum += w[x] / (w[idx].sum() * r**2) * ball
+            for j in map(int, idx):
+                if j != x and not (j in inside and j < x):
+                    pair_sum += w[x] * w[j] * t.dist(values[x], values[j]) ** 2 / r**2
+        return scale_sum, pair_sum
+
+    @pytest.mark.parametrize("kind", ["tree", "hyperbolic"])
+    def test_matches_per_pair_sums(self, kind, tripod):
+        if kind == "tree":
+            _, prob = tripod_path_problem(tripod)
+        else:
+            _, prob = hyperbolic_grid_problem()
+        rng = np.random.default_rng(5)
+        values = prob.assemble(
+            [prob.target.random_point(rng) for _ in range(prob.interior.shape[0])]
+        )
+        scale_sum, pair_sum = self.oracles(prob, values)
+        assert scale_sum > 0 and pair_sum > 0
+        assert discrete_energy(prob, values) == pytest.approx(scale_sum, rel=1e-12)
+        assert relaxation_energy(prob, values) == pytest.approx(pair_sum, rel=1e-12)
 
 
 class TestRelaxSweep:

@@ -317,7 +317,7 @@ class TestLocality:
 
     def test_empty_agreement_vacuous(self, pair):
         xs, sp, u, v = pair
-        w = MetricMap(sp, EuclideanTarget(1), u.values_array + 5.0)
+        w = MetricMap(sp, EuclideanTarget(1), u.packed + 5.0)
         assert locality_check(u, w, 2.0, r=0.1, source="ks") == 0.0
 
 

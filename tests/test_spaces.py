@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -51,6 +52,20 @@ class TestBuildSpace:
     def test_non_symmetric_matrix_rejected(self):
         with pytest.raises(ValidationError, match="non-symmetric"):
             build_space({"kind": "matrix", "matrix": [[0, 1], [2, 0]]})
+
+    def test_duplicate_points_rejected_with_pair(self):
+        t0 = time.perf_counter()
+        with pytest.raises(ValidationError, match=r"\(0, 1\)") as exc:
+            build_space({"kind": "euclidean", "points": [[0], [0], [0.5], [1]]})
+        assert exc.value.detail == (0, 1)
+        assert time.perf_counter() - t0 < 1.0
+
+    def test_torus_duplicates_modulo_period_rejected(self):
+        spec = {"kind": "torus", "points": [[0.5, 0.0], [0.25, 0.5], [1.25, -0.5]],
+                "period": [1.0, 1.0]}
+        with pytest.raises(ValidationError) as exc:
+            build_space(spec)
+        assert exc.value.detail == (1, 2)
 
     def test_non_positive_weight_rejected(self):
         with pytest.raises(ValidationError, match="weight"):

@@ -274,3 +274,69 @@ class TestSerialKinds:
         t = HyperbolicTarget()
         with pytest.raises(ValidationError):
             t.canonical([1.5, 0.0, 0.0])
+
+
+KERNEL_KINDS = ["euclidean", "tree", "hyperbolic", "product", "sphere"]
+
+
+def kernel_case(kind, tripod, seed, n):
+    """A target of the kind and n seeded points, vertices included on trees."""
+    target = {
+        "euclidean": lambda: EuclideanTarget(3),
+        "tree": lambda: tripod,
+        "hyperbolic": HyperbolicTarget,
+        "product": lambda: ProductTarget(
+            [EuclideanTarget(2), tripod, HyperbolicTarget()]
+        ),
+        "sphere": SphereTarget,
+    }[kind]()
+    rng = np.random.default_rng(seed)
+    pts = [target.random_point(rng) for _ in range(n)]
+    if kind == "tree":
+        pts[:4] = [TreePoint(vertex=v) for v in range(4)]
+    if kind == "product":
+        for k in range(2):
+            pts[k] = (pts[k][0], TreePoint(vertex=k), pts[k][2])
+    return target, pts
+
+
+@pytest.mark.parametrize("kind", KERNEL_KINDS)
+class TestPackedDists:
+    """The batched kernel against the scalar ``dist``, in all three shapes."""
+
+    def test_block(self, kind, tripod):
+        t, xs = kernel_case(kind, tripod, 1, 12)
+        _, ys = kernel_case(kind, tripod, 2, 9)
+        px, py = t.pack(xs), t.pack(ys)
+        assert px.shape == (12, t.width)
+        oracle = np.asarray([[t.dist(a, b) for b in ys] for a in xs])
+        block = t.dists(px[:, None], py[None, :])
+        assert block.shape == (12, 9)
+        assert np.abs(block - oracle).max() <= 1e-12
+        sq = t.dists(px[:, None], py[None, :], squared=True)
+        assert np.allclose(sq, oracle**2, rtol=1e-12, atol=1e-12)
+
+    def test_one_to_many(self, kind, tripod):
+        t, xs = kernel_case(kind, tripod, 3, 10)
+        p = t.pack(xs)
+        for i in (0, 5, 9):
+            others = [k for k in range(10) if k != i]
+            oracle = np.asarray([t.dist(xs[i], xs[k]) for k in others])
+            assert np.abs(t.dists(p[i], p[others]) - oracle).max() <= 1e-12
+
+    def test_elementwise(self, kind, tripod):
+        t, xs = kernel_case(kind, tripod, 4, 10)
+        _, ys = kernel_case(kind, tripod, 5, 10)
+        oracle = np.asarray([t.dist(a, b) for a, b in zip(xs, ys)])
+        assert np.abs(t.dists(t.pack(xs), t.pack(ys)) - oracle).max() <= 1e-12
+
+
+@pytest.mark.parametrize("kind", ["euclidean", "tree", "hyperbolic", "product"])
+def test_packed_dists_exactly_zero_on_identical_points(kind, tripod):
+    # the sphere is left out: its scalar dist, the arccos of a rounded dot
+    # product, is up to 3e-8 on equal points
+    t, xs = kernel_case(kind, tripod, 6, 10)
+    p = t.pack(xs)
+    assert np.all(t.dists(p, p) == 0.0)
+    assert np.all(np.diag(t.dists(p[:, None], p[None, :])) == 0.0)
+    assert all(t.dist(a, a) == 0.0 for a in xs)
