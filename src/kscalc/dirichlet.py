@@ -17,7 +17,7 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 from .errors import AuditError, ValidationError
-from .targets import EuclideanTarget, barycenter
+from .targets import EuclideanTarget, barycenter, convert_at
 
 JACOBI = "jacobi"
 GAUSS_SEIDEL = "gauss-seidel"
@@ -67,7 +67,7 @@ class DirichletProblem:
             k = int(k)
             if inside[k]:
                 raise ValidationError(f"boundary value given at interior index {k}")
-            data[k] = target.canonical(v)
+            data[k] = convert_at(target.canonical, k, v)
         missing = [int(j) for j in self.boundary_layer if j not in data]
         if missing:
             raise ValidationError(

@@ -22,7 +22,7 @@ from .charts import default_fit_radius, fit_metric_differential
 from .errors import ValidationError
 from .parallel import parallel_map
 from .seminorms import QUADRATIC, QuadratureSpec, hs_norm, size_p
-from .targets import EuclideanTarget
+from .targets import EuclideanTarget, convert_at
 
 RELIABLE_SPACING_FACTOR = 3.0
 
@@ -35,7 +35,7 @@ class MetricMap:
             raise ValidationError("one value per domain index required")
         self.space = space
         self.target = target
-        self.values = [target.canonical(v) for v in values]
+        self.values = [convert_at(target.canonical, k, v) for k, v in enumerate(values)]
         self._packed = None
 
     @property

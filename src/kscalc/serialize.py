@@ -16,7 +16,7 @@ from .dirichlet import DirichletProblem
 from .energy import MetricMap
 from .errors import ValidationError
 from .spaces import build_space
-from .targets import build_target, target_to_json
+from .targets import build_target, convert_at, target_to_json
 
 
 def canonical_json(obj):
@@ -71,7 +71,7 @@ def load_map(path, space=None, target=None):
         if "target" not in obj:
             raise ValidationError("map file lacks a target reference")
         target = load_target(base / obj["target"])
-    values = [target.point_from_json(v) for v in obj["values"]]
+    values = [convert_at(target.point_from_json, k, v) for k, v in enumerate(obj["values"])]
     return MetricMap(space, target, values)
 
 
@@ -126,7 +126,8 @@ def load_problem(path):
     space = load_space(base / obj["space"])
     target = load_target(base / obj["target"])
     boundary = {
-        int(k): target.point_from_json(v) for k, v in obj["boundary_values"]
+        int(k): convert_at(target.point_from_json, int(k), v)
+        for k, v in obj["boundary_values"]
     }
     prob = DirichletProblem(
         space,

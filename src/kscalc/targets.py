@@ -42,13 +42,33 @@ def _columns(P):
     return np.ascontiguousarray(np.moveaxis(P, -1, 0))
 
 
+def _norm(P):
+    """Euclidean norms of rows, keeping the last axis for broadcasting."""
+    return np.sqrt(np.einsum("...k,...k->...", P, P))[..., None]
+
+
+def _finite_coordinates(p):
+    if not np.all(np.isfinite(p)):
+        raise ValidationError("point coordinates must be finite")
+    return p
+
+
+def convert_at(convert, k, v):
+    """``convert(v)``; a rejected value names its index ``k``."""
+    try:
+        return convert(v)
+    except ValidationError as exc:
+        raise ValidationError(f"value at index {k}: {exc}", detail=k) from exc
+
+
 class GeodesicTarget:
     """Base interface: distance, constant-speed geodesics, sampling.
 
-    Besides the scalar ``dist`` on point objects, every kind packs a value
-    list into one ``(n, width)`` float array (``pack``) and measures
-    packed rows in one batched kernel (``dists``) that computes, pair for
-    pair, what ``dist`` computes.
+    Besides the scalar ``dist`` and ``geodesic_point`` on point objects,
+    every kind packs a value list into one ``(n, width)`` float array
+    (``pack``) and works on packed rows in batched kernels that compute,
+    pair for pair, what the scalar methods compute: ``dists``,
+    ``geodesics`` and ``random_points``.
     """
 
     kind = "abstract"
@@ -67,7 +87,19 @@ class GeodesicTarget:
         return self.canonical(p)
 
     def random_point(self, rng):
-        raise NotImplementedError
+        """One random point: coordinate kinds draw it as one packed row.
+
+        Every kind overrides this or ``random_points``.
+        """
+        return self.random_points(rng, 1)[0]
+
+    def random_points(self, rng, k):
+        """``k`` random points as packed rows.
+
+        Consumes ``rng`` exactly as ``k`` calls of ``random_point`` do and
+        gives the same points.
+        """
+        return self.pack([self.random_point(rng) for _ in range(k)])
 
     def pack(self, values):
         """Canonical values as one ``(n, width)`` float array.
@@ -82,6 +114,24 @@ class GeodesicTarget:
         ``P[rows][:, None]`` against ``P[cols][None, :]`` gives a block,
         one row against many gives a vector, equal shapes give pairs.
         """
+        raise NotImplementedError
+
+    def geodesics(self, A, B, s):
+        """Packed geodesic points at parameter ``s`` from rows A to rows B.
+
+        The leading shapes broadcast as in ``dists``.  Row for row this is
+        ``geodesic_point``: ``s <= 0`` gives A, ``s >= 1`` gives B and a
+        pair at distance zero gives A.
+        """
+        A, B = np.broadcast_arrays(A, B)
+        if s <= 0.0:
+            return A.copy()
+        if s >= 1.0:
+            return B.copy()
+        return self._geodesics(A, B, s)
+
+    def _geodesics(self, A, B, s):
+        """``geodesics`` for ``0 < s < 1`` on rows of equal shape."""
         raise NotImplementedError
 
     def equal(self, a, b):
@@ -107,7 +157,7 @@ class EuclideanTarget(GeodesicTarget):
         p = np.asarray(p, dtype=float).reshape(-1)
         if p.shape[0] != self.dim:
             raise ValidationError(f"point dimension {p.shape[0]} != {self.dim}")
-        return p
+        return _finite_coordinates(p)
 
     def dist(self, a, b):
         return float(np.linalg.norm(np.asarray(a, float) - np.asarray(b, float)))
@@ -120,10 +170,14 @@ class EuclideanTarget(GeodesicTarget):
     def geodesic_point(self, a, b, s):
         a = np.asarray(a, float)
         b = np.asarray(b, float)
+        s = min(max(s, 0.0), 1.0)
         return (1.0 - s) * a + s * b
 
-    def random_point(self, rng):
-        return rng.normal(0.0, 1.0, self.dim)
+    def _geodesics(self, A, B, s):
+        return (1.0 - s) * A + s * B
+
+    def random_points(self, rng, k):
+        return rng.normal(0.0, 1.0, (k, self.dim))
 
     def point_to_json(self, p):
         return [float(x) for x in np.asarray(p).reshape(-1)]
@@ -143,19 +197,24 @@ class TreeTarget(GeodesicTarget):
         self.edges = [(int(u), int(v), float(l)) for u, v, l in edges]
         if len(self.edges) != self.n_vertices - 1:
             raise ValidationError("a tree on n vertices has exactly n-1 edges")
-        for u, v, l in self.edges:
-            if l <= 0:
-                raise ValidationError("edge lengths must be positive")
+        for e, (u, v, l) in enumerate(self.edges):
+            if not (math.isfinite(l) and l > 0):
+                raise ValidationError(
+                    f"edge {e}: length {l} is not positive and finite", detail=e
+                )
             if not (0 <= u < self.n_vertices and 0 <= v < self.n_vertices):
                 raise ValidationError("edge endpoint out of range")
         self._adj = [[] for _ in range(self.n_vertices)]
         for e, (u, v, l) in enumerate(self.edges):
             self._adj[u].append((v, e, l))
             self._adj[v].append((u, e, l))
-        self._edge_of = {}
-        for e, (u, v, _) in enumerate(self.edges):
-            self._edge_of[(u, v)] = e
-            self._edge_of[(v, u)] = e
+        ends = np.asarray([(u, v) for u, v, _ in self.edges], dtype=np.intp)
+        self._eu, self._ev = ends.reshape(-1, 2).T
+        self._len = np.asarray([l for _, _, l in self.edges], dtype=float)
+        # edge joining two adjacent vertices, -1 elsewhere
+        self._edge_index = np.full((self.n_vertices, self.n_vertices), -1, dtype=np.intp)
+        self._edge_index[self._eu, self._ev] = np.arange(len(self.edges))
+        self._edge_index[self._ev, self._eu] = np.arange(len(self.edges))
         self._vdist, self._next_hop = self._vertex_tables()
 
     def _vertex_tables(self):
@@ -223,12 +282,12 @@ class TreeTarget(GeodesicTarget):
     def geodesic_point(self, a, b, s):
         a = self.canonical(a)
         b = self.canonical(b)
-        total = self.dist(a, b)
-        if total == 0.0 or s <= 0.0:
+        walk = s * self.dist(a, b)
+        if walk <= 0.0:
+            # zero length, s <= 0, or a step that underflows
             return a
         if s >= 1.0:
             return b
-        walk = s * total
         if not a.is_vertex() and not b.is_vertex() and a.edge == b.edge:
             t = a.t + math.copysign(walk, b.t - a.t)
             return self.canonical(TreePoint(edge=a.edge, t=t))
@@ -249,14 +308,14 @@ class TreeTarget(GeodesicTarget):
         u = va
         while u != vb and walk > 0.0:
             v = int(self._next_hop[u, vb])
-            e = self._edge_of[(u, v)]
+            e = int(self._edge_index[u, v])
             eu, ev, l = self.edges[e]
             if walk < l:
                 t = walk if u == eu else l - walk
                 return self.canonical(TreePoint(edge=e, t=t))
             walk -= l
             u = v
-        if u == vb and walk > 0.0:
+        if u == vb and walk > 0.0 and not b.is_vertex():
             # inside b's edge, moving away from vb
             eu, ev, l = self.edges[b.edge]
             t = walk if vb == eu else l - walk
@@ -296,6 +355,82 @@ class TreeTarget(GeodesicTarget):
             best = np.where(same, np.abs(ta - tb), best)
         return best**2 if squared else best
 
+    def _geodesics(self, A, B, s):
+        shape = A.shape
+        A = A.reshape(-1, self.width)
+        B = B.reshape(-1, self.width)
+        walk = s * self.dists(A, B)
+        ua, va, lua, lva, ea, ta = A.T
+        ub, vb, lub, lvb, eb, tb = B.T
+        ua, va, ub, vb, ea, eb = (x.astype(np.intp) for x in (ua, va, ub, vb, ea, eb))
+        # exit and entry anchors of the shortest route; as in geodesic_point,
+        # a later route wins only when shorter by more than 1e-15
+        D = self._vdist
+        best, xa, da, xb = lua + D[ua, ub] + lub, ua, lua, ub
+        for x, dx, y, dy in ((ua, lua, vb, lvb), (va, lva, ub, lub), (va, lva, vb, lvb)):
+            length = dx + D[x, y] + dy
+            better = length < best - 1e-15
+            best = np.where(better, length, best)
+            xa, da, xb = (np.where(better, new, old) for new, old in ((x, xa), (dx, da), (y, xb)))
+        # result per row: edge and offset, or vertex where the edge is -1
+        res_e = np.full(A.shape[0], -1, dtype=np.intp)
+        res_t = np.zeros(A.shape[0])
+        res_w = np.zeros(A.shape[0], dtype=np.intp)
+        moving = walk > 0.0
+        same = moving & (ea == eb) & (ea >= 0)
+        res_e[same] = ea[same]
+        res_t[same] = (ta + np.copysign(walk, tb - ta))[same]
+        # still on a's edge, moving toward the exit anchor
+        own = moving & ~same & (walk <= da)
+        res_e[own] = ea[own]
+        res_t[own] = np.where(xa == ua, ta - walk, ta + walk)[own]
+        # walk the vertex path from the exit anchor toward the entry anchor,
+        # one vertex per pass, so at most n_vertices passes
+        rows = np.flatnonzero(moving & ~same & ~own)
+        u, left, goal = xa[rows], (walk - da)[rows], xb[rows]
+        while rows.size:
+            go = (u != goal) & (left > 0.0)
+            # past the entry anchor: inside b's edge, moving away from it
+            beyond = ~go & (left > 0.0) & (eb[rows] >= 0)
+            r = rows[beyond]
+            res_e[r] = eb[r]
+            res_t[r] = np.where(goal[beyond] == ub[r], left[beyond],
+                                self._len[eb[r]] - left[beyond])
+            stop = ~go & ~beyond
+            res_w[rows[stop]] = u[stop]
+            rows, u, left, goal = rows[go], u[go], left[go], goal[go]
+            v = self._next_hop[u, goal]
+            e = self._edge_index[u, v]
+            l = self._len[e]
+            hit = left < l
+            r = rows[hit]
+            res_e[r] = e[hit]
+            res_t[r] = np.where(u == self._eu[e], left, l - left)[hit]
+            rows, u, left, goal = rows[~hit], v[~hit], (left - l)[~hit], goal[~hit]
+        # canonicalize as ``canonical`` does: clamp the offset to its edge,
+        # and an edge end becomes its vertex
+        on = np.flatnonzero(res_e >= 0)
+        e, t = res_e[on], res_t[on]
+        l = self._len[e]
+        if not np.all((t >= -1e-12) & (t <= l + 1e-12)):
+            raise ValidationError("edge offset outside the edge length")
+        t = np.minimum(np.maximum(t, 0.0), l)
+        at_u, at_v = t == 0.0, t == l
+        res_w[on[at_u]] = self._eu[e[at_u]]
+        res_w[on[at_v]] = self._ev[e[at_v]]
+        res_e[on[at_u | at_v]] = -1
+        res_t[on] = t
+        out = np.zeros((A.shape[0], self.width))
+        vertex = res_e < 0
+        out[vertex, 0] = out[vertex, 1] = res_w[vertex]
+        out[vertex, 4] = -1.0
+        e, t = res_e[~vertex], res_t[~vertex]
+        out[~vertex] = np.stack(
+            [self._eu[e], self._ev[e], t, self._len[e] - t, e, t], axis=-1
+        )
+        out[~moving] = A[~moving]
+        return out.reshape(shape)
+
     def point_to_json(self, p):
         p = self.canonical(p)
         if p.is_vertex():
@@ -319,7 +454,7 @@ class HyperbolicTarget(GeodesicTarget):
         return a[..., 0] * b[..., 0] - a[..., 1] * b[..., 1] - a[..., 2] * b[..., 2]
 
     def canonical(self, p):
-        p = np.asarray(p, dtype=float).reshape(-1)
+        p = _finite_coordinates(np.asarray(p, dtype=float).reshape(-1))
         if p.shape[0] != 3 or p[0] <= 0:
             raise ValidationError("hyperboloid point needs (x0, x1, x2), x0 > 0")
         if abs(self._mink(p, p) - 1.0) > 1e-9:
@@ -334,32 +469,56 @@ class HyperbolicTarget(GeodesicTarget):
         return np.concatenate([x0[..., None], x12], axis=-1)
 
     def dist(self, a, b):
-        a = np.asarray(a, float)
-        b = np.asarray(b, float)
-        if a[1] == b[1] and a[2] == b[2]:
-            return 0.0
-        m = self._mink(a, b)
-        return float(np.arccosh(max(m, 1.0)))
+        # chord form 2 asinh(|a - b| / 2) of the Minkowski norm |a - b|:
+        # exact zero on equal points, and it resolves distances far below
+        # the 2e-8 that arccosh of the Minkowski product can
+        d0, d1, d2 = np.subtract(a, b, dtype=float).tolist()
+        q = d1 * d1 + d2 * d2 - d0 * d0
+        return 2.0 * math.asinh(math.sqrt(max(q, 0.0)) * 0.5)
 
     def dists(self, A, B, squared=False):
         (a0, a1, a2), (b0, b1, b2) = _columns(A), _columns(B)
-        m = a0 * b0 - a1 * b1 - a2 * b2
-        d = np.where((a1 == b1) & (a2 == b2), 0.0, np.arccosh(np.maximum(m, 1.0)))
-        return d**2 if squared else d
+        # dist's arithmetic, in place in two arrays of the broadcast shape
+        q = np.empty(np.broadcast_shapes(np.shape(a0), np.shape(b0)))
+        d = np.empty_like(q)
+        np.subtract(a1, b1, out=q)
+        q *= q
+        np.subtract(a2, b2, out=d)
+        d *= d
+        q += d
+        np.subtract(a0, b0, out=d)
+        d *= d
+        q -= d
+        np.maximum(q, 0.0, out=q)
+        np.sqrt(q, out=q)
+        q *= 0.5
+        np.arcsinh(q, out=q)
+        q *= 2.0
+        return q**2 if squared else q
 
     def geodesic_point(self, a, b, s):
         a = np.asarray(a, float)
         b = np.asarray(b, float)
         theta = self.dist(a, b)
-        if theta < 1e-12:
+        if theta < 1e-12 or s <= 0.0:
             return a.copy()
+        if s >= 1.0:
+            return b.copy()
         v = (b - math.cosh(theta) * a) / math.sinh(theta)
         out = math.cosh(s * theta) * a + math.sinh(s * theta) * v
         out[0] = math.sqrt(1.0 + out[1] ** 2 + out[2] ** 2)
         return out
 
-    def random_point(self, rng):
-        return self.lift(rng.normal(0.0, 1.0, 2))
+    def _geodesics(self, A, B, s):
+        theta = self.dists(A, B)[..., None]
+        near = theta < 1e-12
+        V = (B - np.cosh(theta) * A) / np.where(near, 1.0, np.sinh(theta))
+        out = np.cosh(s * theta) * A + np.sinh(s * theta) * V
+        out[..., 0] = np.sqrt(1.0 + out[..., 1] ** 2 + out[..., 2] ** 2)
+        return np.where(near, A, out)
+
+    def random_points(self, rng, k):
+        return self.lift(rng.normal(0.0, 1.0, (k, 2)))
 
     def point_to_json(self, p):
         return [float(x) for x in np.asarray(p).reshape(-1)]
@@ -378,9 +537,11 @@ class ProductTarget(GeodesicTarget):
             raise ValidationError("product needs at least one component")
         self.components = list(components)
         self.is_cat0 = all(c.is_cat0 for c in self.components)
-        widths = [c.width for c in self.components]
-        self.width = sum(widths)
-        self._offsets = np.cumsum([0] + widths[:-1]).tolist()
+        self.width = 0
+        self._slices = []
+        for c in self.components:
+            self._slices.append(slice(self.width, self.width + c.width))
+            self.width += c.width
 
     def canonical(self, p):
         if len(p) != len(self.components):
@@ -409,11 +570,17 @@ class ProductTarget(GeodesicTarget):
 
     def dists(self, A, B, squared=False):
         total = None
-        for c, lo in zip(self.components, self._offsets):
-            cols = slice(lo, lo + c.width)
+        for c, cols in zip(self.components, self._slices):
             d2 = c.dists(A[..., cols], B[..., cols], squared=True)
             total = d2 if total is None else total + d2
         return total if squared else np.sqrt(total)
+
+    def _geodesics(self, A, B, s):
+        return np.concatenate(
+            [c._geodesics(A[..., cols], B[..., cols], s)
+             for c, cols in zip(self.components, self._slices)],
+            axis=-1,
+        )
 
     def point_to_json(self, p):
         return [c.point_to_json(q) for c, q in zip(self.components, p)]
@@ -435,7 +602,7 @@ class SphereTarget(GeodesicTarget):
     width = 3
 
     def canonical(self, p):
-        p = np.asarray(p, dtype=float).reshape(-1)
+        p = _finite_coordinates(np.asarray(p, dtype=float).reshape(-1))
         if p.shape[0] != 3:
             raise ValidationError("sphere point needs 3 coordinates")
         n = np.linalg.norm(p)
@@ -444,35 +611,73 @@ class SphereTarget(GeodesicTarget):
         return p / n
 
     def dist(self, a, b):
-        d = float(np.clip(np.dot(a, b), -1.0, 1.0))
-        return math.acos(d)
+        # atan2(|a x b|, a . b): exact zero on equal points, and accurate
+        # near antipodes, where acos of the dot product is not; numpy's
+        # arctan2, as in ``dists``, since geodesics near antipodes amplify
+        # a last-bit difference in the angle a millionfold
+        a0, a1, a2 = np.asarray(a, dtype=float).tolist()
+        b0, b1, b2 = np.asarray(b, dtype=float).tolist()
+        c0 = a1 * b2 - a2 * b1
+        c1 = a2 * b0 - a0 * b2
+        c2 = a0 * b1 - a1 * b0
+        return float(
+            np.arctan2(math.sqrt(c0 * c0 + c1 * c1 + c2 * c2), a0 * b0 + a1 * b1 + a2 * b2)
+        )
 
     def dists(self, A, B, squared=False):
-        d = np.arccos(np.clip(np.einsum("...k,...k->...", A, B), -1.0, 1.0))
+        (a0, a1, a2), (b0, b1, b2) = _columns(A), _columns(B)
+        c0 = a1 * b2 - a2 * b1
+        c1 = a2 * b0 - a0 * b2
+        c2 = a0 * b1 - a1 * b0
+        d = np.arctan2(np.sqrt(c0 * c0 + c1 * c1 + c2 * c2), a0 * b0 + a1 * b1 + a2 * b2)
         return d**2 if squared else d
 
     def geodesic_point(self, a, b, s):
         theta = self.dist(a, b)
-        if theta < 1e-12:
+        if theta < 1e-12 or s <= 0.0:
             return np.asarray(a, float).copy()
+        if s >= 1.0:
+            # the tie-break below would move an antipodal b by 1e-9
+            return np.asarray(b, float).copy()
         if theta > math.pi - 1e-9:
             # antipodal tie-break: nudge b toward a deterministic normal
             k = int(np.argmin(np.abs(a)))
             w = np.zeros(3)
             w[k] = 1.0
             w = w - np.dot(w, a) * a
-            b = np.asarray(b, float) + 1e-9 * w / np.linalg.norm(w)
-            b = b / np.linalg.norm(b)
+            b = np.asarray(b, float) + 1e-9 * w / _norm(w)
+            b = b / _norm(b)
             theta = self.dist(a, b)
         out = (
             math.sin((1 - s) * theta) * np.asarray(a, float)
             + math.sin(s * theta) * np.asarray(b, float)
         ) / math.sin(theta)
-        return out / np.linalg.norm(out)
+        return out / _norm(out)
 
-    def random_point(self, rng):
-        v = rng.normal(0.0, 1.0, 3)
-        return v / np.linalg.norm(v)
+    def _geodesics(self, A, B, s):
+        theta = self.dists(A, B)
+        far = theta > math.pi - 1e-9
+        if np.any(far):
+            # antipodal tie-break of geodesic_point, row by row
+            B = B.copy()
+            a = A[far]
+            k = np.argmin(np.abs(a), axis=-1)
+            pick = np.arange(a.shape[0])
+            w = -(a[pick, k][:, None] * a)
+            w[pick, k] += 1.0
+            b = B[far] + 1e-9 * w / _norm(w)
+            B[far] = b / _norm(b)
+            theta = np.where(far, self.dists(A, B), theta)
+        theta = theta[..., None]
+        near = theta < 1e-12
+        out = (np.sin((1 - s) * theta) * A + np.sin(s * theta) * B) / np.where(
+            near, 1.0, np.sin(theta)
+        )
+        return np.where(near, A, out / np.where(near, 1.0, _norm(out)))
+
+    def random_points(self, rng, k):
+        v = rng.normal(0.0, 1.0, (k, 3))
+        return v / _norm(v)
 
     def point_to_json(self, p):
         return [float(x) for x in np.asarray(p).reshape(-1)]
@@ -529,44 +734,53 @@ class Cat0Report:
         return max(self.max_point_violation, self.max_geodesic_violation)
 
 
+# samples per block of the audit: its memory does not grow with n_samples
+_AUDIT_CHUNK = 1024
+
+
 def cat0_audit(target, n_samples, seed=0, s_steps=9):
     """Sampled audit of the two quadratic comparison inequalities.
 
     Over seeded random configurations and an s-grid, evaluates the
     point-to-geodesic inequality and the two-geodesic inequality; for
     CAT(0) kinds both maxima stay at numerical-noise level.
+
+    Each sample draws its five points g0, g1, y, h0, h1 in that order,
+    sample after sample, so a seed gives the same samples whatever the
+    block size; blocks of samples run through the batched kernels.
     """
     if n_samples < 1:
         raise ValidationError("n_samples must be >= 1")
+    if s_steps < 0:
+        raise ValidationError("s_steps must be >= 0")
     rng = np.random.default_rng(seed)
     svals = np.linspace(0.0, 1.0, s_steps + 2)
+    dist = target.dists
     worst_pt = -np.inf
     worst_geo = -np.inf
-    for _ in range(n_samples):
-        g0 = target.random_point(rng)
-        g1 = target.random_point(rng)
-        y = target.random_point(rng)
-        h0 = target.random_point(rng)
-        h1 = target.random_point(rng)
-        d01 = target.dist(g0, g1)
-        dy0 = target.dist(y, g0)
-        dy1 = target.dist(y, g1)
-        dh = target.dist(h0, h1)
-        d00 = target.dist(g0, h0)
-        d11 = target.dist(g1, h1)
+    for start in range(0, n_samples, _AUDIT_CHUNK):
+        k = min(_AUDIT_CHUNK, n_samples - start)
+        rows = target.random_points(rng, 5 * k).reshape(k, 5, target.width)
+        g0, g1, y, h0, h1 = np.ascontiguousarray(rows.swapaxes(0, 1))
+        d01 = dist(g0, g1)
+        dy0 = dist(y, g0)
+        dy1 = dist(y, g1)
+        dh = dist(h0, h1)
+        d00 = dist(g0, h0)
+        d11 = dist(g1, h1)
         for s in svals:
-            gs = target.geodesic_point(g0, g1, s)
-            lhs = target.dist(y, gs) ** 2
+            gs = target.geodesics(g0, g1, s)
+            lhs = dist(y, gs) ** 2
             rhs = (1 - s) * dy0**2 + s * dy1**2 - s * (1 - s) * d01**2
-            worst_pt = max(worst_pt, lhs - rhs)
-            hs = target.geodesic_point(h0, h1, s)
-            lhs2 = target.dist(gs, hs) ** 2
+            worst_pt = max(worst_pt, float(np.max(lhs - rhs)))
+            hs = target.geodesics(h0, h1, s)
+            lhs2 = dist(gs, hs) ** 2
             rhs2 = (1 - s) * d00**2 + s * d11**2 - s * (1 - s) * (d01 - dh) ** 2
-            worst_geo = max(worst_geo, lhs2 - rhs2)
+            worst_geo = max(worst_geo, float(np.max(lhs2 - rhs2)))
     return Cat0Report(
         n_samples=n_samples,
-        max_point_violation=float(worst_pt),
-        max_geodesic_violation=float(worst_geo),
+        max_point_violation=worst_pt,
+        max_geodesic_violation=worst_geo,
     )
 
 

@@ -1,22 +1,28 @@
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kscalc import (
     ConvergenceError,
     EuclideanTarget,
     HyperbolicTarget,
+    MetricMap,
     ProductTarget,
     SphereTarget,
     TreePoint,
     TreeTarget,
     ValidationError,
     barycenter,
+    build_space,
     build_target,
     cat0_audit,
     kuratowski_embed,
 )
+from kscalc import targets as targets_module
 
 
 class TestDist:
@@ -331,12 +337,238 @@ class TestPackedDists:
         assert np.abs(t.dists(t.pack(xs), t.pack(ys)) - oracle).max() <= 1e-12
 
 
-@pytest.mark.parametrize("kind", ["euclidean", "tree", "hyperbolic", "product"])
+@pytest.mark.parametrize("kind", KERNEL_KINDS)
 def test_packed_dists_exactly_zero_on_identical_points(kind, tripod):
-    # the sphere is left out: its scalar dist, the arccos of a rounded dot
-    # product, is up to 3e-8 on equal points
     t, xs = kernel_case(kind, tripod, 6, 10)
     p = t.pack(xs)
     assert np.all(t.dists(p, p) == 0.0)
     assert np.all(np.diag(t.dists(p[:, None], p[None, :])) == 0.0)
     assert all(t.dist(a, a) == 0.0 for a in xs)
+
+
+class TestSmallDistances:
+    def test_hyperbolic_resolves_tiny_distances(self):
+        # a and b lie exactly on the hyperboloid (up to 4e-21 in x0), so
+        # cosh d = 1 + h^2/2 and d = h to first order
+        t = HyperbolicTarget()
+        a = np.array([1.25, 0.75, 0.0])
+        for h in (1e-10, 1e-12, 3e-9):
+            b = np.array([1.25, 0.75, h])
+            assert t.dist(a, b) == pytest.approx(h, rel=1e-6)
+            assert t.dists(a, b) == pytest.approx(h, rel=1e-6)
+
+    def test_hyperbolic_equal_points_exactly_zero(self):
+        t = HyperbolicTarget()
+        p = t.random_points(np.random.default_rng(3), 50)
+        assert np.all(t.dists(p, p) == 0.0)
+        assert all(t.dist(x, x) == 0.0 for x in p)
+
+    def test_sphere_accurate_near_antipodes(self):
+        t = SphereTarget()
+        for eps in (1e-9, 1e-12):
+            b = np.array([-math.cos(eps), math.sin(eps), 0.0])
+            assert t.dist(np.array([1.0, 0.0, 0.0]), b) == pytest.approx(math.pi - eps, abs=1e-15)
+
+
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("length", [float("nan"), float("inf")])
+    def test_tree_edge_length(self, length):
+        with pytest.raises(ValidationError, match="edge 1"):
+            TreeTarget(3, [(0, 1, 1.0), (1, 2, length)])
+
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity"])
+    def test_tree_spec_from_json(self, literal):
+        spec = json.loads(f'{{"kind": "tree", "vertices": 2, "edges": [[0, 1, {literal}]]}}')
+        with pytest.raises(ValidationError):
+            build_target(spec)
+
+    @pytest.mark.parametrize(
+        "target, point",
+        [
+            (EuclideanTarget(2), [0.0, float("nan")]),
+            (EuclideanTarget(2), [float("inf"), 0.0]),
+            (HyperbolicTarget(), [float("nan"), 0.0, 0.0]),
+            (HyperbolicTarget(), [1.0, float("nan"), 0.0]),
+            (SphereTarget(), [float("nan"), 0.0, 0.0]),
+        ],
+    )
+    def test_canonical_rejects(self, target, point):
+        with pytest.raises(ValidationError):
+            target.canonical(point)
+
+    def test_map_value_names_its_index(self):
+        space = build_space({"kind": "euclidean", "points": [[0.0], [0.5], [1.0]]})
+        values = [[0.0, 0.0], [1.0, 1.0], [float("nan"), 2.0]]
+        with pytest.raises(ValidationError, match="index 2") as exc:
+            MetricMap(space, EuclideanTarget(2), values)
+        assert exc.value.detail == 2
+
+
+# -- batched geodesics and random points ------------------------------------
+
+SPIDER = TreeTarget(
+    7, [(0, 1, 1.0), (1, 2, 0.5), (1, 3, 2.0), (0, 4, 0.75), (4, 5, 1.25), (4, 6, 0.3)]
+)
+
+
+def _tree_point(e, frac):
+    return SPIDER.canonical(TreePoint(edge=e, t=frac * SPIDER.edges[e][2]))
+
+
+_coord = st.floats(-3.0, 3.0)
+_unit = st.floats(0.0, 1.0)
+_points = {
+    "euclidean": st.lists(_coord, min_size=3, max_size=3).map(np.array),
+    "tree": st.one_of(
+        st.integers(0, 6).map(lambda v: TreePoint(vertex=v)),
+        st.builds(_tree_point, st.integers(0, 5), _unit),
+    ),
+    "hyperbolic": st.lists(st.floats(-2.0, 2.0), min_size=2, max_size=2).map(
+        lambda x: HyperbolicTarget.lift(np.array(x))
+    ),
+    "sphere": st.lists(_coord, min_size=3, max_size=3)
+    .map(np.array)
+    .filter(lambda v: np.linalg.norm(v) > 0.1)
+    .map(lambda v: v / np.linalg.norm(v)),
+}
+_points["product"] = st.tuples(
+    st.lists(_coord, min_size=2, max_size=2).map(np.array),
+    _points["tree"],
+    _points["hyperbolic"],
+)
+_same_edge = st.builds(
+    lambda e, f, g: (_tree_point(e, f), _tree_point(e, g)), st.integers(0, 5), _unit, _unit
+)
+_special = {
+    "tree": _same_edge,
+    "sphere": _points["sphere"].map(lambda a: (a, -a)),  # antipodes
+    "product": st.tuples(_same_edge, _points["hyperbolic"]).map(
+        lambda p: ((np.zeros(2), p[0][0], p[1]), (np.ones(2), p[0][1], p[1]))
+    ),
+}
+_GEO_TARGETS = {
+    "euclidean": EuclideanTarget(3),
+    "tree": SPIDER,
+    "hyperbolic": HyperbolicTarget(),
+    "product": ProductTarget([EuclideanTarget(2), SPIDER, HyperbolicTarget()]),
+    "sphere": SphereTarget(),
+}
+
+
+def _pairs(kind):
+    p = _points[kind]
+    options = [st.tuples(p, p), p.map(lambda a: (a, a))]
+    if kind in _special:
+        options.append(_special[kind])
+    return st.lists(st.one_of(*options), min_size=1, max_size=6)
+
+
+_s = st.one_of(st.sampled_from([0.0, 1.0]), _unit)
+# parameters beyond the ends clamp to them
+_s_any = st.one_of(_s, st.sampled_from([-0.5, 1.5]))
+
+
+@pytest.mark.parametrize("kind", KERNEL_KINDS)
+class TestBatchedGeodesics:
+    """``geodesics`` against the scalar ``geodesic_point``, row for row."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_matches_geodesic_point(self, kind, data):
+        t = _GEO_TARGETS[kind]
+        pairs = data.draw(_pairs(kind))
+        s = data.draw(_s_any)
+        A = t.pack([a for a, _ in pairs])
+        B = t.pack([b for _, b in pairs])
+        G = t.geodesics(A, B, s)
+        oracle = t.pack([t.geodesic_point(a, b, s) for a, b in pairs])
+        assert G.shape == A.shape
+        assert np.abs(t.dists(G, oracle)).max() <= 1e-12
+        if kind == "tree":
+            # canonical rows: vertices as vertices, offsets as the scalar has them
+            assert np.array_equal(G, oracle)
+
+    def test_broadcasts_one_row_against_many(self, kind, tripod):
+        t, xs = kernel_case(kind, tripod, 11, 8)
+        p = t.pack(xs)
+        G = t.geodesics(p[0], p[1:], 0.3)
+        assert G.shape == (7, t.width)
+        oracle = t.pack([t.geodesic_point(xs[0], x, 0.3) for x in xs[1:]])
+        assert np.abs(t.dists(G, oracle)).max() <= 1e-12
+
+
+@pytest.mark.parametrize("kind", ["euclidean", "tree", "hyperbolic", "product"])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_geodesics_constant_speed(kind, data):
+    t = _GEO_TARGETS[kind]
+    pairs = data.draw(_pairs(kind))
+    s = data.draw(_s)
+    A = t.pack([a for a, _ in pairs])
+    B = t.pack([b for _, b in pairs])
+    d = t.dists(A, B)
+    G = t.geodesics(A, B, s)
+    assert np.allclose(t.dists(A, G), s * d, rtol=1e-9, atol=1e-9)
+    assert np.allclose(t.dists(G, B), (1 - s) * d, rtol=1e-9, atol=1e-9)
+
+
+@pytest.mark.parametrize("kind", KERNEL_KINDS)
+def test_random_points_reproduce_sequential_draws(kind, tripod):
+    t, _ = kernel_case(kind, tripod, 0, 2)
+    r1, r2 = np.random.default_rng(21), np.random.default_rng(21)
+    block = t.random_points(r1, 37)
+    seq = t.pack([t.random_point(r2) for _ in range(37)])
+    assert np.array_equal(block, seq)
+    # the generators were left in the same state
+    assert r1.random() == r2.random()
+
+
+def _cat0_oracle(target, n_samples, seed, s_steps):
+    """The audit as one scalar loop over samples."""
+    rng = np.random.default_rng(seed)
+    svals = np.linspace(0.0, 1.0, s_steps + 2)
+    worst_pt = -np.inf
+    worst_geo = -np.inf
+    for _ in range(n_samples):
+        g0 = target.random_point(rng)
+        g1 = target.random_point(rng)
+        y = target.random_point(rng)
+        h0 = target.random_point(rng)
+        h1 = target.random_point(rng)
+        d01 = target.dist(g0, g1)
+        dy0 = target.dist(y, g0)
+        dy1 = target.dist(y, g1)
+        dh = target.dist(h0, h1)
+        d00 = target.dist(g0, h0)
+        d11 = target.dist(g1, h1)
+        for s in svals:
+            gs = target.geodesic_point(g0, g1, s)
+            lhs = target.dist(y, gs) ** 2
+            rhs = (1 - s) * dy0**2 + s * dy1**2 - s * (1 - s) * d01**2
+            worst_pt = max(worst_pt, lhs - rhs)
+            hs = target.geodesic_point(h0, h1, s)
+            lhs2 = target.dist(gs, hs) ** 2
+            rhs2 = (1 - s) * d00**2 + s * d11**2 - s * (1 - s) * (d01 - dh) ** 2
+            worst_geo = max(worst_geo, lhs2 - rhs2)
+    return worst_pt, worst_geo
+
+
+@pytest.mark.parametrize("kind", KERNEL_KINDS)
+def test_cat0_audit_matches_scalar_loop(kind, tripod, monkeypatch):
+    t, _ = kernel_case(kind, tripod, 0, 2)
+    # 150 samples in blocks of 64: two full blocks and a partial one
+    monkeypatch.setattr(targets_module, "_AUDIT_CHUNK", 64)
+    rep = cat0_audit(t, 150, seed=17, s_steps=4)
+    pt, geo = _cat0_oracle(t, 150, 17, 4)
+    assert abs(rep.max_point_violation - pt) <= 1e-12
+    assert abs(rep.max_geodesic_violation - geo) <= 1e-12
+    monkeypatch.undo()
+    whole = cat0_audit(t, 150, seed=17, s_steps=4)
+    assert whole == rep
+
+
+def test_cat0_audit_rejects_negative_s_steps():
+    with pytest.raises(ValidationError):
+        cat0_audit(EuclideanTarget(2), 10, s_steps=-2)
+    rep = cat0_audit(EuclideanTarget(2), 10, s_steps=0)
+    assert np.isfinite(rep.max_violation)
