@@ -17,6 +17,7 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 from .errors import AuditError, ValidationError
+from .spaces import check_radius
 from .targets import EuclideanTarget, barycenter, convert_at
 
 JACOBI = "jacobi"
@@ -36,11 +37,9 @@ class DirichletProblem:
     def __init__(self, space, target, interior, boundary_data, scale):
         if not target.is_cat0:
             raise ValidationError("Dirichlet problems need a CAT(0) target kind")
-        if scale <= 0:
-            raise ValidationError("scale must be positive")
         self.space = space
         self.target = target
-        self.scale = float(scale)
+        self.scale = check_radius(scale, "scale")
         self.p = 2.0
         self.interior = np.unique(np.asarray(interior, dtype=int))
         if self.interior.size == 0:
@@ -50,16 +49,14 @@ class DirichletProblem:
         inside = np.zeros(space.n, dtype=bool)
         inside[self.interior] = True
         self._inside = inside
-        self.balls = []
+        self.balls = space.all_balls(self.scale, self.interior)
         layer = set()
-        for x in self.interior:
-            idx = space.ball_indices(int(x), self.scale)
+        for x, idx in zip(self.interior, self.balls):
             if idx.shape[0] < 2:
                 raise ValidationError(
                     f"interior point {int(x)} has an empty ball at the scale",
                     detail=int(x),
                 )
-            self.balls.append(idx)
             layer.update(int(j) for j in idx if not inside[j])
         self.boundary_layer = np.asarray(sorted(layer), dtype=int)
         data = {}

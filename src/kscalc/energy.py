@@ -22,6 +22,7 @@ from .charts import default_fit_radius, fit_metric_differential
 from .errors import ValidationError
 from .parallel import parallel_map
 from .seminorms import QUADRATIC, QuadratureSpec, hs_norm, size_p
+from .spaces import check_radius
 from .targets import EuclideanTarget, convert_at
 
 RELIABLE_SPACING_FACTOR = 3.0
@@ -86,9 +87,7 @@ def ks_profile(u, p, scales, omega=None):
     target distances are shared across scales, so sweeps cost one
     neighbor pass.
     """
-    scales = [float(r) for r in scales]
-    if any(r <= 0 for r in scales):
-        raise ValidationError("scale r must be positive")
+    scales = [check_radius(r, "scale") for r in scales]
     space = u.space
     mask = None
     if omega is not None:
@@ -176,8 +175,9 @@ def energy_sweep(u, p, scales, omega=None):
     per-point density is the one at the smallest reliable scale.
     """
     scales = np.asarray(scales, dtype=float)
-    if scales.ndim != 1 or scales.shape[0] == 0 or np.any(scales <= 0):
-        raise ValidationError("scales must be a nonempty positive list")
+    valid = np.isfinite(scales) & (scales > 0)
+    if scales.ndim != 1 or scales.shape[0] == 0 or not np.all(valid):
+        raise ValidationError("scales must be a nonempty list of finite positive numbers")
     if np.any(np.diff(scales) >= 0):
         raise ValidationError("scales must be sorted strictly decreasing")
     spacing = u.space.median_nn_spacing()

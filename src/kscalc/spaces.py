@@ -11,8 +11,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from .errors import ValidationError
 
@@ -24,6 +26,13 @@ _TRIANGLE_TOL = 1e-9
 _TRIANGLE_SAMPLES = 10_000
 _EXHAUSTIVE_LIMIT = 200
 _RADIUS_RATIO = 1.1
+# relative inflation of tree query radii: far above the tree's rounding
+_QUERY_SLACK = 1e-9
+# most rows times candidates in one ``cell_partition`` block
+CELL_PAIR_BUDGET = 1 << 18
+# fewest points per cell on average: a block costs about as much as a
+# thousand candidate pairs, so sparse cells are merged into larger ones
+_CELL_ROWS = 16
 
 
 @dataclass(frozen=True)
@@ -47,7 +56,8 @@ class PointCloudSpace:
         a period vector, distance minimized over translates) or
         ``"matrix"`` (explicit symmetric distance table).
     coords : array or None
-        Per-point coordinates for the coordinate kinds.
+        Per-point coordinates for the coordinate kinds; torus coordinates
+        are wrapped into ``[0, period)``.
     weights : array
         Strictly positive point masses.
     period : array or None
@@ -69,20 +79,28 @@ class PointCloudSpace:
             self.n = self.matrix.shape[0]
             self.ambient_dim = None
         else:
-            self.coords = np.atleast_2d(np.asarray(coords, dtype=float))
-            if self.coords.ndim != 2:
+            coords = np.atleast_2d(np.asarray(coords, dtype=float))
+            if coords.ndim != 2:
                 raise ValidationError("coordinates must form an (n, d) array")
+            bad = np.flatnonzero(~np.isfinite(coords).all(axis=1))
+            if bad.size:
+                raise ValidationError(
+                    f"non-finite coordinates at index {bad[0]}", detail=int(bad[0])
+                )
             self.matrix = None
-            self.n = self.coords.shape[0]
-            self.ambient_dim = self.coords.shape[1]
+            self.n = coords.shape[0]
+            self.ambient_dim = coords.shape[1]
             if kind == TORUS:
                 self.period = np.asarray(period, dtype=float).reshape(-1)
                 if self.period.shape[0] != self.ambient_dim:
                     raise ValidationError("period vector length must match dimension")
-                if np.any(self.period <= 0):
-                    raise ValidationError("torus periods must be positive")
+                if not np.all(np.isfinite(self.period) & (self.period > 0)):
+                    raise ValidationError("torus periods must be finite and positive")
+                coords = np.mod(coords, self.period)
+                coords[coords == self.period] = 0.0  # mod rounds tiny negatives up
             else:
                 self.period = None
+            self.coords = coords
         if weights is None:
             w = np.full(self.n, 1.0 / self.n)
         else:
@@ -94,78 +112,77 @@ class PointCloudSpace:
             raise ValidationError(f"non-positive weight at index {bad}", detail=bad)
         self.weights = w
         self.total_mass = float(w.sum())
-        self._nn_cache = None
-        self._bucket_cache = {}
+        self._nn = None
+        self._tree = None
 
     # -- metric oracle -------------------------------------------------
 
+    def _dists(self, i, idx, squared=False):
+        """Distances from ``i`` to ``idx``; index arrays broadcast."""
+        if self.kind == MATRIX:
+            d = self.matrix[i, idx]
+            return d * d if squared else d
+        delta = self.coords[idx] - self.coords[i]
+        if self.kind == TORUS:
+            delta = np.abs(delta)  # below the period: coordinates are wrapped
+            delta = np.minimum(delta, self.period - delta)
+        d2 = np.einsum("...k,...k->...", delta, delta)
+        return d2 if squared else np.sqrt(d2)
+
     def dist_row(self, i):
         """Distances from point ``i`` to every point (including itself)."""
-        if self.kind == MATRIX:
-            return self.matrix[i]
-        delta = self.coords - self.coords[i]
-        if self.kind == TORUS:
-            delta = np.abs(delta)
-            delta = np.minimum(delta, self.period - delta)
-        return np.sqrt(np.einsum("ij,ij->i", delta, delta))
+        return self._dists(i, slice(None))
 
     def dist(self, i, j):
-        if self.kind == MATRIX:
-            return float(self.matrix[i, j])
-        delta = self.coords[j] - self.coords[i]
-        if self.kind == TORUS:
-            delta = np.abs(delta)
-            delta = np.minimum(delta, self.period - delta)
-        return float(np.sqrt(np.dot(delta, delta)))
+        return float(self._dists(i, j))
 
     def dist_subset(self, i, idx):
         """Distances from ``i`` to the points listed in ``idx``."""
-        if self.kind == MATRIX:
-            return self.matrix[i, idx]
-        delta = self.coords[idx] - self.coords[i]
-        if self.kind == TORUS:
-            delta = np.abs(delta)
-            delta = np.minimum(delta, self.period - delta)
-        return np.sqrt(np.einsum("ij,ij->i", delta, delta))
+        return self._dists(i, idx)
+
+    def pair_dist_block(self, rows, cols, squared=False):
+        """Distance matrix between two index sets."""
+        return self._dists(np.asarray(rows)[:, None], np.asarray(cols)[None, :], squared)
 
     # -- neighbor structure --------------------------------------------
 
-    def nn_distances(self):
-        """Nearest positive-distance neighbor distance of every point."""
-        if self._nn_cache is None:
-            if self.kind == MATRIX:
-                m = self.matrix + np.diag(np.full(self.n, np.inf))
-                self._nn_cache = m.min(axis=1)
-            elif self.n <= 4096:
-                out = np.empty(self.n)
-                for i in range(self.n):
-                    row = self.dist_row(i)
-                    row[i] = np.inf
-                    out[i] = row.min()
-                self._nn_cache = out
-            else:
-                self._nn_cache = self._nn_distances_bucketed()
-        return self._nn_cache
+    @property
+    def _kdtree(self):
+        """k-d tree of the coordinates (periodic on the torus), built on
+        first use: the only neighbor cache of a coordinate space."""
+        if self._tree is None:
+            self._tree = cKDTree(self.coords, boxsize=self.period)
+        return self._tree
 
-    def _nn_distances_bucketed(self):
-        out = np.full(self.n, np.inf)
-        span = self.coords.max(axis=0) - self.coords.min(axis=0)
-        vol = float(np.prod(np.maximum(span, 1e-300)))
-        r = max((vol / self.n) ** (1.0 / self.ambient_dim), 1e-12)
-        pending = np.arange(self.n)
-        while pending.size:
-            balls = self._bucket_query(r, pending)
-            still = []
-            for i, idx in zip(pending, balls):
-                d = self.dist_subset(i, idx)
-                d = d[d > 0]
-                if d.size:
-                    out[i] = d.min()
-                else:
-                    still.append(i)
-            pending = np.asarray(still, dtype=int)
-            r *= 2.0
-        return out
+    def _candidates(self, points, radii):
+        """Tree candidates within ``radii`` of coordinate rows ``points``.
+
+        Returns the candidate count per row and the candidates, sorted
+        within each row.  The radii are inflated to cover the tree's own
+        rounding, so every index within ``radii`` by :meth:`dist` is a
+        candidate; callers filter with the exact distances.
+        """
+        radii = np.asarray(radii, dtype=float) * (1.0 + _QUERY_SLACK)
+        if self.kind == TORUS:  # the wrap rounds in units of the period
+            radii = radii + _QUERY_SLACK * float(self.period.max())
+        lists = self._kdtree.query_ball_point(points, radii, return_sorted=True)
+        sizes = np.fromiter(map(len, lists), dtype=np.intp, count=len(lists))
+        flat = np.fromiter(chain.from_iterable(lists), dtype=np.intp, count=int(sizes.sum()))
+        return sizes, flat
+
+    def nn_distances(self):
+        """Distance from every point to its nearest other point (inf alone)."""
+        if self._nn is None:
+            if self.kind == MATRIX:
+                self._nn = (self.matrix + np.diag(np.full(self.n, np.inf))).min(axis=1)
+            else:
+                near = self._kdtree.query(self.coords, k=2)[0][:, 1]
+                sizes, flat = self._candidates(self.coords, near)
+                owner = np.repeat(np.arange(self.n), sizes)
+                d = self._dists(owner, flat)
+                d[flat == owner] = np.inf
+                self._nn = np.minimum.reduceat(d, np.cumsum(sizes) - sizes)
+        return self._nn
 
     def min_spacing(self):
         return float(self.nn_distances().min())
@@ -175,8 +192,8 @@ class PointCloudSpace:
 
     def radius_grid(self, R, r_min=None):
         """Geometric radius grid with ratio 1.1 from ``r_min`` up to ``R``."""
-        if r_min is None:
-            r_min = 2.0 * self.min_spacing()
+        R = check_radius(R, "R")
+        r_min = 2.0 * self.min_spacing() if r_min is None else check_radius(r_min, "r_min")
         radii = []
         r = r_min
         while r <= R * (1 + 1e-12):
@@ -186,109 +203,76 @@ class PointCloudSpace:
             radii = [R]
         return np.asarray(radii)
 
-    def _bucket_query(self, r, centers):
-        """Candidate neighbor lists within ``r`` using a grid bucket index."""
-        coords = self.coords
-        dim = self.ambient_dim
-        key = round(math.log(max(r, 1e-300)) / math.log(1.25))
-        cell = 1.25 ** key
-        cache = self._bucket_cache.get(key)
-        if cache is None:
-            cells = np.floor(coords / cell).astype(np.int64)
-            table = {}
-            for i, c in enumerate(map(tuple, cells)):
-                table.setdefault(c, []).append(i)
-            table = {k: np.asarray(v, dtype=int) for k, v in table.items()}
-            cache = (cells, table)
-            self._bucket_cache[key] = cache
-        cells, table = cache
-        reach = int(math.ceil(r / cell))
-        offsets = np.stack(
-            np.meshgrid(*([np.arange(-reach, reach + 1)] * dim), indexing="ij"), axis=-1
-        ).reshape(-1, dim)
-        out = []
-        for i in centers:
-            base = cells[i]
-            cand = [table[t] for t in map(tuple, base + offsets) if t in table]
-            out.append(np.concatenate(cand) if cand else np.asarray([i]))
-        return out
-
     def cell_partition(self, r):
-        """Blocks of points sharing a bucket cell, with their candidates.
+        """Blocks of nearby points with their neighbor candidates.
 
-        Yields ``(points, candidates)`` index arrays where candidates
-        cover every point within ``r`` of any point in the block.  The
-        torus kind wraps cell neighborhoods; the matrix kind falls back
-        to one all-pairs block.
+        Yields ``(points, candidates)`` index arrays: the blocks partition
+        the points, and a block's sorted candidates include every point
+        within ``r`` of any of its points.  Blocks are grid cells of side
+        ``r / 2``, doubled until the cells average 16 points; a cell's
+        candidates come from one tree query around its bounding box, and
+        cells are cut into row chunks so that rows times candidates stays
+        within ``CELL_PAIR_BUDGET`` (a block keeps one row at least).  The
+        matrix kind has one cell with every point.
         """
-        if self.kind == MATRIX:
-            allidx = np.arange(self.n)
-            yield allidx, allidx
-            return
-        coords = self.coords
-        dim = self.ambient_dim
-        if self.kind == TORUS:
-            ncells = np.maximum((self.period / r).astype(int), 1)
-            if np.any(ncells < 3):
-                allidx = np.arange(self.n)
-                yield allidx, allidx
-                return
-            width = self.period / ncells
-            cells = np.minimum((coords / width).astype(np.int64), ncells - 1)
-        else:
-            ncells = None
-            cells = np.floor(coords / r).astype(np.int64)
-        table = {}
-        for i, c in enumerate(map(tuple, cells)):
-            table.setdefault(c, []).append(i)
-        offsets = np.stack(
-            np.meshgrid(*([np.arange(-1, 2)] * dim), indexing="ij"), axis=-1
-        ).reshape(-1, dim)
-        for key in sorted(table):
-            pts = np.asarray(table[key], dtype=int)
-            cand = []
-            for off in offsets:
-                kk = np.asarray(key) + off
-                if ncells is not None:
-                    kk = kk % ncells
-                kk = tuple(kk)
-                if kk in table:
-                    cand.append(table[kk])
-            cand = np.unique(np.concatenate([np.asarray(c) for c in cand]))
-            yield pts, cand
+        r = check_radius(r)
+        for pts, cand in self._cells(r):
+            rows = max(1, CELL_PAIR_BUDGET // cand.shape[0])
+            for k in range(0, pts.shape[0], rows):
+                yield pts[k:k + rows], cand
 
-    def pair_dist_block(self, rows, cols, squared=False):
-        """Distance matrix between two index sets."""
+    def _cells(self, r):
         if self.kind == MATRIX:
-            d = self.matrix[np.ix_(rows, cols)]
-            return d**2 if squared else d
-        delta = np.abs(self.coords[rows][:, None, :] - self.coords[cols][None, :, :])
-        if self.kind == TORUS:
-            delta = np.minimum(delta, self.period - delta)
-        d2 = np.einsum("ijk,ijk->ij", delta, delta)
-        return d2 if squared else np.sqrt(d2)
+            everyone = np.arange(self.n)
+            yield everyone, everyone
+            return
+        side = 0.5 * r
+        while True:
+            keys = np.floor(self.coords / side)
+            order = np.lexsort(keys.T[::-1])
+            keys = keys[order]
+            starts = np.flatnonzero(np.any(keys[1:] != keys[:-1], axis=1)) + 1
+            if starts.size == 0 or (starts.size + 1) * _CELL_ROWS <= self.n:
+                break
+            side *= 2.0
+        for pts in np.split(order, starts):
+            box = self.coords[pts]
+            lo, hi = box.min(axis=0), box.max(axis=0)
+            # a point within r of the box lies within r + half its diagonal
+            # of the box's center
+            reach = r + 0.5 * math.sqrt(float(np.dot(hi - lo, hi - lo)))
+            _, cand = self._candidates([0.5 * (lo + hi)], [reach])
+            yield pts, cand
 
     def ball_indices(self, i, r):
         """Indices with ``d(x_i, x_j) < r`` (the center always included)."""
-        if self.kind == EUCLIDEAN and self.n > 4096:
-            cand = self._bucket_query(r, [i])[0]
-            d = self.dist_subset(i, cand)
-            idx = cand[d < r]
-        else:
-            d = self.dist_row(i)
-            idx = np.nonzero(d < r)[0]
-        return np.sort(idx)
+        return self.all_balls(r, [i])[0]
 
-    def all_balls(self, r):
-        """Ball index lists for every point at a common radius."""
-        if self.kind == EUCLIDEAN and self.n > 4096:
-            cands = self._bucket_query(r, np.arange(self.n))
-            out = []
-            for i, cand in enumerate(cands):
-                d = self.dist_subset(i, cand)
-                out.append(np.sort(cand[d < r]))
-            return out
-        return [self.ball_indices(i, r) for i in range(self.n)]
+    def all_balls(self, r, centers=None):
+        """Sorted ball index arrays ``B_r(x)`` for every center.
+
+        ``centers`` defaults to every point.
+        """
+        r = check_radius(r)
+        if centers is None:
+            centers = np.arange(self.n)
+        centers = np.asarray(centers, dtype=np.intp).reshape(-1)
+        if centers.size == 0:
+            return []
+        if self.kind == MATRIX:
+            return [np.nonzero(self.matrix[c] < r)[0] for c in centers]
+        sizes, flat = self._candidates(self.coords[centers], r)
+        keep = self._dists(np.repeat(centers, sizes), flat) < r
+        ends = np.concatenate([[0], np.cumsum(keep)])[np.cumsum(sizes)]
+        return np.split(flat[keep], ends[:-1])
+
+
+def check_radius(r, name="radius"):
+    """``r`` as a float; rejected unless finite and positive."""
+    r = float(r)
+    if not (math.isfinite(r) and r > 0):
+        raise ValidationError(f"{name} must be finite and positive, got {r!r}")
+    return r
 
 
 def build_space(spec):
@@ -340,11 +324,9 @@ def _reject_duplicates(space):
 
     Names the first pair: the smallest ``j`` repeating an earlier ``i``.
     """
-    rows = space.coords
-    if space.kind == TORUS:
-        rows = np.mod(rows, space.period)
-        rows[rows == space.period] = 0.0  # mod rounds tiny negatives up to the period
-    _, first, inverse = np.unique(rows, axis=0, return_index=True, return_inverse=True)
+    _, first, inverse = np.unique(
+        space.coords, axis=0, return_index=True, return_inverse=True
+    )
     first = first[inverse.reshape(-1)]
     dup = np.nonzero(first != np.arange(space.n))[0]
     if dup.size:
@@ -379,8 +361,6 @@ def _audit_triangles(m, seed=0):
 
 def ball(space, center, r):
     """The open ball ``B_r(center)`` with member weights and total mass."""
-    if r <= 0:
-        raise ValidationError("ball radius must be positive")
     idx = space.ball_indices(center, r)
     w = space.weights[idx]
     return Ball(center=center, radius=r, indices=idx, weights=w, mass=float(w.sum()))
@@ -393,8 +373,7 @@ def doubling_constant(space, R, centers=None):
     subset) and a geometric radius grid, skipping radii whose ball is a
     single point.  A one-point space reports 1.
     """
-    if R <= 0:
-        raise ValidationError("R must be positive")
+    R = check_radius(R, "R")
     if space.n == 1:
         return 1.0
     radii = space.radius_grid(R)
@@ -423,8 +402,7 @@ def maximal_function(space, f, R):
     ``M_R(f)(x)`` is the sup over radii on the geometric grid of the
     weighted average of ``|f|`` over ``B_r(x)``.
     """
-    if R <= 0:
-        raise ValidationError("R must be positive")
+    R = check_radius(R, "R")
     f = np.abs(np.asarray(f, dtype=float))
     radii = space.radius_grid(R)
     w = space.weights
@@ -539,8 +517,7 @@ def density_theta(space, i, d, radii):
     row = space.dist_row(i)
     w = space.weights
     for r in radii:
-        if r <= 0:
-            raise ValidationError("radii must be positive")
+        r = check_radius(r)
         mass = float(w[row < r].sum())
         out.append(mass / (omega * r**d))
     return out

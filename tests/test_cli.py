@@ -34,6 +34,7 @@ def run_cli(*args):
         [sys.executable, "-m", "kscalc.cli", *map(str, args)],
         capture_output=True,
         text=True,
+        timeout=300,
     )
     return proc.returncode, proc.stdout, proc.stderr
 
@@ -105,6 +106,26 @@ class TestExitCodes:
         code, out, _ = run_cli("space-check", "--space", workdir / "space.json")
         assert code == 0
         assert "doubling" in out
+
+    @pytest.mark.parametrize("radius", ["inf", "nan"])
+    def test_space_check_non_finite_radius_exit_2(self, workdir, radius):
+        code, out, err = run_cli(
+            "space-check", "--space", workdir / "space.json", "--radius", radius
+        )
+        assert code == 2
+        assert out == ""
+        assert "finite and positive" in err
+
+    def test_energy_infinite_scale_exit_2(self, workdir):
+        code, _, err = run_cli(
+            "energy",
+            "--map", workdir / "map.json",
+            "--scales", "inf,0.3",
+            "--out", workdir / "energy_inf",
+        )
+        assert code == 2
+        assert "finite" in err
+        assert not (workdir / "energy_inf.json").exists()
 
     def test_missing_file_is_io_error(self):
         code, _, err = run_cli("space-check", "--space", "/does/not/exist.json")

@@ -24,6 +24,7 @@ from kscalc import (
     locality_check,
     midpoint_scale_gap,
 )
+from kscalc.spaces import CELL_PAIR_BUDGET
 
 from conftest import grid_points, random_map
 
@@ -354,3 +355,43 @@ class TestLowerSemicontinuityRegression:
             perturbed.append(energy_sweep(un, 2.0, scales).extrapolated_total)
         assert base <= min(perturbed) + 1e-9
         assert perturbed == sorted(perturbed, reverse=True)
+
+
+def _ks_brute_force(u, p, r):
+    """ks at scale r from its definition, one full distance row per point."""
+    sp = u.space
+    w = sp.weights
+    out = np.zeros(sp.n)
+    for i in range(sp.n):
+        member = sp.dist_row(i) < r
+        if member.sum() > 1:
+            tar = u.dist_to_many(i, np.nonzero(member)[0])
+            out[i] = (np.dot(w[member], tar**p) / (w[member].sum() * r**p)) ** (1.0 / p)
+    return out
+
+
+class TestBlockMemoryBound:
+    """Large radii relative to the space stay within the block pair budget."""
+
+    @pytest.mark.parametrize(
+        "kind, r",
+        [("torus", 0.34), ("euclidean", 2.0)],
+        ids=["torus-64x64-r0.34", "grid-r-above-diameter"],
+    )
+    def test_blocks_within_budget_and_ks_exact(self, kind, r):
+        pts = grid_points(64, 2) * (63.0 / 64.0) if kind == "torus" else grid_points(40, 2)
+        spec = {"kind": kind, "points": pts.tolist()}
+        if kind == "torus":
+            spec["period"] = [1.0, 1.0]
+        sp = build_space(spec)
+        blocks = list(sp.cell_partition(r))
+        assert max(len(p) * len(c) for p, c in blocks) <= CELL_PAIR_BUDGET
+        assert sorted(np.concatenate([p for p, _ in blocks]).tolist()) == list(range(sp.n))
+        angle = 2.0 * math.pi * pts
+        u = MetricMap(sp, EuclideanTarget(2), np.stack(
+            [np.sin(angle[:, 0]) + np.cos(angle[:, 1]), np.cos(angle[:, 0] - angle[:, 1])],
+            axis=1,
+        ))
+        np.testing.assert_allclose(
+            ks_at_scale(u, 2.0, r), _ks_brute_force(u, 2.0, r), rtol=1e-12, atol=0.0
+        )

@@ -3,7 +3,7 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from kscalc import (
@@ -16,6 +16,7 @@ from kscalc import (
     maximal_function,
     partition_of_unity,
 )
+from kscalc.spaces import CELL_PAIR_BUDGET
 
 from conftest import grid_points
 
@@ -248,3 +249,133 @@ class TestDensityTheta:
             (theta,) = density_theta(sp, mid, 2, [0.1])
             errs.append(abs(theta - 1.0))
         assert errs[1] < errs[0]
+
+
+def _oracle_balls(sp, r):
+    return [np.nonzero(sp.dist_row(i) < r)[0] for i in range(sp.n)]
+
+
+def _oracle_nn(sp):
+    out = np.empty(sp.n)
+    for i in range(sp.n):
+        row = np.array(sp.dist_row(i))
+        row[i] = np.inf
+        out[i] = row.min()
+    return out
+
+
+@st.composite
+def clouds(draw):
+    """Euclidean and torus clouds: uniform, hugging the seam, or lattices.
+
+    Returns the space, radii to probe (some equal to exact distances
+    between its points) and the input points.
+    """
+    kind = draw(st.sampled_from(["euclidean", "torus"]))
+    dim = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 300))
+    layout = draw(st.sampled_from(["uniform", "seam", "lattice"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    period = rng.uniform(0.5, 2.0, dim)
+    if layout == "uniform":
+        pts = rng.uniform(0.0, 1.0, (n, dim)) * period
+    elif layout == "seam":
+        pts = rng.uniform(-0.02, 0.02, (n, dim)) * period
+        pts[:, 0] += period[0] * rng.integers(0, 2, n)
+    else:
+        side = int(math.ceil(n ** (1.0 / dim))) + 1
+        h = float(rng.uniform(0.05, 0.5))
+        cells = rng.choice(side**dim, size=min(n, side**dim), replace=False)
+        pts = np.stack(np.unravel_index(cells, (side,) * dim), axis=1) * h
+        period = np.full(dim, side * h)
+    spec = {"kind": kind, "points": pts.tolist()}
+    if kind == "torus":
+        spec["period"] = period.tolist()
+    try:
+        sp = build_space(spec)
+    except ValidationError:  # points that coincide (modulo the period)
+        assume(False)
+    pairs = rng.integers(0, sp.n, (3, 2))
+    exact = [sp.dist(int(i), int(j)) for i, j in pairs if i != j]
+    scale = float(np.ptp(sp.coords, axis=0).max()) if sp.n > 1 else 1.0
+    radii = exact + [float(f) * scale for f in rng.uniform(0.01, 1.5, 2)]
+    return sp, [r for r in radii if r > 0], pts
+
+
+class TestNeighborEngine:
+    """The k-d tree answers exactly what the brute-force row scan does."""
+
+    @given(clouds())
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_matches_brute_force(self, case):
+        sp, radii, pts = case
+        # the metric itself, from the input points: nearest translate
+        delta = np.abs(pts - pts[0])
+        if sp.kind == "torus":
+            delta = np.abs(delta - sp.period * np.round(delta / sp.period))
+        np.testing.assert_allclose(
+            sp.dist_row(0), np.sqrt((delta**2).sum(axis=1)), rtol=1e-12, atol=1e-12
+        )
+        nn = _oracle_nn(sp)
+        np.testing.assert_array_equal(sp.nn_distances(), nn)
+        assert sp.min_spacing() == float(nn.min())
+        assert sp.median_nn_spacing() == float(np.median(nn))
+        for r in radii:
+            oracle = _oracle_balls(sp, r)
+            balls = sp.all_balls(r)
+            assert len(balls) == sp.n
+            for i in range(sp.n):
+                np.testing.assert_array_equal(balls[i], oracle[i])
+            centers = np.arange(sp.n)[::3]
+            for c, b in zip(centers, sp.all_balls(r, centers)):
+                np.testing.assert_array_equal(b, oracle[c])
+            np.testing.assert_array_equal(sp.ball_indices(sp.n - 1, r), oracle[-1])
+            assert sp.all_balls(r, []) == []
+            covered = np.zeros(sp.n, dtype=int)
+            for pts, cand in sp.cell_partition(r):
+                covered[pts] += 1
+                assert pts.shape[0] * cand.shape[0] <= max(CELL_PAIR_BUDGET, cand.shape[0])
+                for p in pts:
+                    assert np.all(np.isin(oracle[p], cand))
+            assert np.all(covered == 1)
+
+    def test_torus_seam_above_4096_points(self):
+        # the former bucket index ignored the period above 4096 points
+        rng = np.random.default_rng(5)
+        pts = rng.uniform(0.05, 0.95, (5000, 2))
+        pts[0] = [1e-4, 0.5]
+        pts[1] = [1.0 - 1e-4, 0.5]
+        sp = build_space({"kind": "torus", "points": pts.tolist(), "period": [1.0, 1.0]})
+        nn = sp.nn_distances()
+        assert nn[0] == pytest.approx(2e-4, rel=1e-9)
+        row = np.array(sp.dist_row(0))
+        row[0] = np.inf
+        assert nn[0] == row.min()
+        assert 1 in sp.ball_indices(0, 1e-3)
+
+    def test_torus_coordinates_beyond_one_and_a_half_periods(self):
+        sp = build_space({"kind": "torus", "points": [[0.0], [2.2], [0.5]], "period": [1.0]})
+        assert sp.dist(0, 1) == pytest.approx(0.2)
+        assert sp.dist_row(0)[1] == sp.dist(0, 1)
+        assert sp.nn_distances()[0] == sp.dist(0, 1)
+        assert list(sp.ball_indices(0, 0.25)) == [0, 1]
+        assert np.all((sp.coords >= 0.0) & (sp.coords < 1.0))
+
+    def test_non_finite_coordinates_rejected(self):
+        with pytest.raises(ValidationError, match="index 1") as exc:
+            build_space({"kind": "euclidean", "points": [[0.0, 0.0], [float("nan"), 1.0]]})
+        assert exc.value.detail == 1
+
+    @pytest.mark.parametrize("r", [0.0, -1.0, float("inf"), float("nan")])
+    def test_bad_radius_rejected(self, line_space_11, r):
+        for call in (
+            lambda: line_space_11.ball_indices(0, r),
+            lambda: line_space_11.all_balls(r),
+            lambda: list(line_space_11.cell_partition(r)),
+            lambda: line_space_11.radius_grid(r),
+            lambda: doubling_constant(line_space_11, r),
+            lambda: maximal_function(line_space_11, np.ones(11), r),
+            lambda: density_theta(line_space_11, 0, 1, [r]),
+        ):
+            with pytest.raises(ValidationError):
+                call()
