@@ -18,7 +18,7 @@ from scipy.linalg import cho_factor, cho_solve
 
 from .errors import AuditError, ValidationError
 from .spaces import check_radius
-from .targets import EuclideanTarget, barycenter, convert_at
+from .targets import EuclideanTarget, barycenter
 
 JACOBI = "jacobi"
 GAUSS_SEIDEL = "gauss-seidel"
@@ -46,6 +46,10 @@ class DirichletProblem:
             raise ValidationError("interior must be nonempty")
         if self.interior.size >= space.n:
             raise ValidationError("the complement of the interior must carry mass")
+        data = {int(k): v for k, v in dict(boundary_data).items()}
+        for k in (int(self.interior[0]), int(self.interior[-1]), *data):
+            if not 0 <= k < space.n:
+                raise ValidationError(f"index {k} outside the domain", detail=k)
         inside = np.zeros(space.n, dtype=bool)
         inside[self.interior] = True
         self._inside = inside
@@ -59,18 +63,18 @@ class DirichletProblem:
                 )
             layer.update(int(j) for j in idx if not inside[j])
         self.boundary_layer = np.asarray(sorted(layer), dtype=int)
-        data = {}
-        for k, v in dict(boundary_data).items():
-            k = int(k)
+        for k in data:
             if inside[k]:
                 raise ValidationError(f"boundary value given at interior index {k}")
-            data[k] = convert_at(target.canonical, k, v)
+        self._boundary = np.asarray(list(data), dtype=int)
+        self._boundary_rows = target.pack(list(data.values()), index=self._boundary)
         missing = [int(j) for j in self.boundary_layer if j not in data]
         if missing:
             raise ValidationError(
                 f"missing boundary values at {missing[:8]}", detail=missing
             )
-        self.boundary_data = data
+        # the trace as packed rows, by index
+        self.boundary_data = dict(zip(data, self._boundary_rows))
         self.referenced = np.asarray(
             sorted(set(map(int, self.interior)) | set(map(int, self.boundary_layer))),
             dtype=int,
@@ -82,31 +86,20 @@ class DirichletProblem:
                 for x, idx in zip(self.interior, self.balls)
             ]
         )
-        # unordered in-ball pairs with an interior endpoint: the edge set
-        # of the relaxation's own energy (conductance w_a w_b / r^2)
-        pa, pb = [], []
-        for x, idx in zip(self.interior, self.balls):
-            for j in idx:
-                j = int(j)
-                if j == int(x):
-                    continue
-                if inside[j] and j < int(x):
-                    continue  # interior-interior pairs counted once
-                pa.append(int(x))
-                pb.append(j)
-        pa = np.asarray(pa, dtype=int)
-        pb = np.asarray(pb, dtype=int)
+        sizes = [b.shape[0] for b in self.balls]
+        centers = np.repeat(self.interior, sizes)
+        nbr = self._flat_nbr = np.concatenate(self.balls)
+        self._flat_ptr = np.concatenate([[0], np.cumsum(sizes)])
+        # unordered in-ball pairs with an interior endpoint, interior pairs
+        # counted once: the edge set of the relaxation's own energy
+        # (conductance w_a w_b / r^2)
+        pair = (nbr != centers) & ~(inside[nbr] & (nbr < centers))
+        pa, pb = centers[pair], nbr[pair]
         self._pair_w = w[pa] * w[pb] / self.scale**2
         # the energies read values packed at the referenced indices: the
         # rows of each ball's center and members and of the pair ends
-        sizes = [b.shape[0] for b in self.balls]
-        self._flat_nbr = np.concatenate(self.balls)
-        self._flat_ptr = np.concatenate([[0], np.cumsum(sizes)])
         ref = self.referenced
-        self._ball_rows = (
-            np.searchsorted(ref, np.repeat(self.interior, sizes)),
-            np.searchsorted(ref, self._flat_nbr),
-        )
+        self._ball_rows = (np.searchsorted(ref, centers), np.searchsorted(ref, nbr))
         self._pair_rows = (np.searchsorted(ref, pa), np.searchsorted(ref, pb))
         # every interior point's ball without the point: the barycenter's
         # inputs, flattened for the Euclidean Jacobi average
@@ -116,30 +109,24 @@ class DirichletProblem:
         self._nbrx_w = w[self._nbrx]
         self._nbrx_wsum = np.add.reduceat(self._nbrx_w, self._nbrx_ptr[:-1])
 
-    # -- value containers -------------------------------------------------
+    # -- value containers: (n, width) arrays of packed rows ----------------
 
     def blank_values(self):
-        if isinstance(self.target, EuclideanTarget):
-            return np.zeros((self.space.n, self.target.dim))
-        return [None] * self.space.n
+        """A value array with every row missing (NaN)."""
+        return np.full((self.space.n, self.target.width), np.nan)
 
     def assemble(self, interior_values):
         """Full value assignment from interior values plus the trace."""
         vals = self.blank_values()
-        for x, v in zip(self.interior, interior_values):
-            vals[int(x)] = self.target.canonical(v)
-        for j, v in self.boundary_data.items():
-            vals[j] = v
+        vals[self.interior] = self.target.pack(interior_values, index=self.interior)
+        vals[self._boundary] = self._boundary_rows
         return vals
 
     def default_init(self):
         """Copy the nearest boundary value to each interior point."""
-        out = []
         layer = self.boundary_layer
-        for x in self.interior:
-            d = self.space.dist_subset(int(x), layer)
-            out.append(self.boundary_data[int(layer[int(np.argmin(d))])])
-        return self.assemble(out)
+        nearest = [np.argmin(self.space.dist_subset(int(x), layer)) for x in self.interior]
+        return self.assemble([self.boundary_data[int(layer[k])] for k in nearest])
 
     def seeded_init(self, seed):
         """A feasible start copying seeded random boundary values."""
@@ -149,22 +136,26 @@ class DirichletProblem:
         return self.assemble([self.boundary_data[int(layer[k])] for k in picks])
 
     def check_feasible(self, values):
-        for j, v in self.boundary_data.items():
-            if values[j] is None or self.target.dist(values[j], v) != 0.0:
-                raise ValidationError(f"boundary value altered at index {j}")
+        _first_bad(
+            ~(self.target.dists(values[self._boundary], self._boundary_rows) == 0.0),
+            self._boundary,
+            "boundary value altered at index",
+        )
 
-    def _pack(self, values, idx, target=None):
-        """The values at ``idx`` packed by the target, rows in ``idx`` order.
 
-        An array of values (the Euclidean container) holds packed rows.
-        """
-        if isinstance(values, np.ndarray):
-            return values[idx]
-        vals = [values[int(j)] for j in idx]
-        for j, v in zip(idx, vals):
-            if v is None:
-                raise ValidationError(f"missing value at referenced index {int(j)}")
-        return (target or self.target).pack(vals)
+def _first_bad(bad, index, message):
+    """Raise ``ValidationError`` naming the index of the first bad row."""
+    if np.any(bad):
+        raise ValidationError(f"{message} {int(index[np.argmax(bad)])}")
+
+
+def _referenced_rows(prob, values):
+    """The rows at the referenced indices; a NaN row is a missing value."""
+    rows = values[prob.referenced]
+    missing = np.isnan(rows)
+    if missing.any():
+        _first_bad(missing.any(axis=1), prob.referenced, "missing value at referenced index")
+    return rows
 
 
 def discrete_energy(prob, values, target=None):
@@ -174,7 +165,7 @@ def discrete_energy(prob, values, target=None):
     map in the midpoint test reuses the same ball structure).
     """
     target = target or prob.target
-    packed = prob._pack(values, prob.referenced, target)
+    packed = _referenced_rows(prob, values)
     centers, members = prob._ball_rows
     d2 = target.dists(packed[centers], packed[members], squared=True)
     w = prob.space.weights
@@ -192,7 +183,7 @@ def relaxation_energy(prob, values):
     sum of ``discrete_energy`` normalizes by ball masses instead and can
     fluctuate near the boundary layer along the same iteration.
     """
-    packed = prob._pack(values, prob.referenced)
+    packed = _referenced_rows(prob, values)
     a, b = prob._pair_rows
     d2 = prob.target.dists(packed[a], packed[b], squared=True)
     return float(np.dot(prob._pair_w, d2))
@@ -228,11 +219,15 @@ def _sweep(prob, values, mode, bary_tol):
         )
         out[prob.interior] = num / prob._nbrx_wsum[:, None]
         return out
-    src = values if mode == JACOBI else out
     w = prob.space.weights
+    if mode == JACOBI:
+        # every barycenter reads the frozen values: pack them all at once
+        out[prob.interior] = target.pack(
+            [barycenter(target, values[nbr], w[nbr], tol=bary_tol) for nbr in prob._nbrs]
+        )
+        return out
     for x, nbr in zip(prob.interior, prob._nbrs):
-        pts = [src[int(j)] for j in nbr]
-        out[int(x)] = barycenter(target, pts, w[nbr], tol=bary_tol)
+        out[x] = target.pack([barycenter(target, out[nbr], w[nbr], tol=bary_tol)])[0]
     return out
 
 
@@ -266,9 +261,8 @@ class SolveReport:
 
 def _displacement(prob, old, new):
     """Largest target distance between two value assignments over the interior."""
-    a = prob._pack(old, prob.interior)
-    b = prob._pack(new, prob.interior)
-    return float(prob.target.dists(a, b).max())
+    idx = prob.interior
+    return float(prob.target.dists(old[idx], new[idx]).max())
 
 
 def default_tolerance(target):
@@ -375,16 +369,15 @@ def midpoint_test(prob, u_values, v_values):
     the slack.
     """
     t = prob.target
-    for j in prob.boundary_data:
-        if t.dist(u_values[j], v_values[j]) != 0.0:
-            raise ValidationError(f"boundary values differ at index {j}")
-    n = prob.space.n
+    bd = prob._boundary
+    _first_bad(
+        ~(t.dists(u_values[bd], v_values[bd]) == 0.0), bd, "boundary values differ at index"
+    )
+    ref = prob.referenced
     mid = prob.blank_values()
-    sep = np.zeros((n, 1))
-    for j in prob.referenced:
-        j = int(j)
-        mid[j] = t.geodesic_point(u_values[j], v_values[j], 0.5)
-        sep[j, 0] = t.dist(u_values[j], v_values[j])
+    mid[ref] = t.geodesics(u_values[ref], v_values[ref], 0.5)
+    sep = np.zeros((prob.space.n, 1))
+    sep[ref, 0] = t.dists(u_values[ref], v_values[ref])
     e_u = discrete_energy(prob, u_values)
     e_v = discrete_energy(prob, v_values)
     e_m = discrete_energy(prob, mid)

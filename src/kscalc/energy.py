@@ -23,32 +23,24 @@ from .errors import ValidationError
 from .parallel import parallel_map
 from .seminorms import QUADRATIC, QuadratureSpec, hs_norm, size_p
 from .spaces import check_radius
-from .targets import EuclideanTarget, convert_at
+from .targets import EuclideanTarget
 
 RELIABLE_SPACING_FACTOR = 3.0
 
 
 class MetricMap:
-    """A sampled map: one target point per domain index."""
+    """A sampled map: one target value per domain index, as packed rows.
+
+    ``values`` are points or packed rows; ``packed`` holds them validated
+    and canonical, the map's one stored form.
+    """
 
     def __init__(self, space, target, values):
         if len(values) != space.n:
             raise ValidationError("one value per domain index required")
         self.space = space
         self.target = target
-        self.values = [convert_at(target.canonical, k, v) for k, v in enumerate(values)]
-        self._packed = None
-
-    @property
-    def packed(self):
-        """The values packed by the target, built on first use.
-
-        Building is deterministic, so threads that race on the first use
-        at worst build it twice.
-        """
-        if self._packed is None:
-            self._packed = self.target.pack(self.values)
-        return self._packed
+        self.packed = target.pack(values)
 
     def dist_to_many(self, i, idx):
         """Target distances from value i to the values at ``idx``."""
@@ -61,23 +53,19 @@ class MetricMap:
         return self.target.dists(self.packed, other.packed)
 
     def compose(self, fn):
-        return MetricMap(self.space, self.target, [fn(v) for v in self.values])
+        """The map of ``fn`` applied to each packed row (a point to the scalar API)."""
+        return MetricMap(self.space, self.target, [fn(row) for row in self.packed])
 
     def midpoint_map(self, other):
         """Pointwise geodesic midpoints with another map (same target)."""
-        vals = [
-            self.target.geodesic_point(a, b, 0.5)
-            for a, b in zip(self.values, other.values)
-        ]
-        return MetricMap(self.space, self.target, vals)
+        return MetricMap(
+            self.space, self.target, self.target.geodesics(self.packed, other.packed, 0.5)
+        )
 
     def separation_map(self, other):
         """Pointwise distance to another map, as a real-valued map."""
         d = self.distance_to(other)
         return MetricMap(self.space, EuclideanTarget(1), d[:, None])
-
-    def to_json(self):
-        return {"values": [self.target.point_to_json(v) for v in self.values]}
 
 
 def ks_profile(u, p, scales, omega=None):
@@ -313,15 +301,17 @@ def hs_energy(u, atlas, config=None, threads=1):
 def contraction_check(u, post_map, p, r, seed=0, n_pairs=256):
     """Max pointwise increase of ks under a 1-Lipschitz post-composition.
 
-    The declared Lipschitz property is audited on seeded value pairs
+    ``post_map`` maps a packed row (a point to the scalar API) to a
+    value.  The declared Lipschitz property is audited on seeded value pairs
     first; a failed audit rejects the post map.
     """
     rng = np.random.default_rng(seed)
     n = u.space.n
     pairs = rng.integers(0, n, size=(n_pairs, 2))
+    P = u.packed
     for a, b in pairs:
-        da = u.target.dist(u.values[a], u.values[b])
-        db = u.target.dist(post_map(u.values[a]), post_map(u.values[b]))
+        da = u.target.dist(P[a], P[b])
+        db = u.target.dist(post_map(P[a]), post_map(P[b]))
         if db > da * (1.0 + 1e-12) + 1e-15:
             raise ValidationError(
                 f"post map expands pair ({a}, {b}): {db} > {da}", detail=(int(a), int(b))

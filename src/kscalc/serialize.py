@@ -16,7 +16,7 @@ from .dirichlet import DirichletProblem
 from .energy import MetricMap
 from .errors import ValidationError
 from .spaces import build_space
-from .targets import build_target, convert_at, target_to_json
+from .targets import build_target, target_to_json
 
 
 def canonical_json(obj):
@@ -51,7 +51,7 @@ def load_target(path):
 
 
 def map_to_json(u, space_ref=None, target_ref=None):
-    out = {"values": [u.target.point_to_json(v) for v in u.values]}
+    out = {"values": [u.target.point_to_json(row) for row in u.packed]}
     if space_ref is not None:
         out["space"] = str(space_ref)
     if target_ref is not None:
@@ -71,8 +71,7 @@ def load_map(path, space=None, target=None):
         if "target" not in obj:
             raise ValidationError("map file lacks a target reference")
         target = load_target(base / obj["target"])
-    values = [convert_at(target.point_from_json, k, v) for k, v in enumerate(obj["values"])]
-    return MetricMap(space, target, values)
+    return MetricMap(space, target, [target.point_from_json(v) for v in obj["values"]])
 
 
 def atlas_to_json(atlas):
@@ -125,10 +124,7 @@ def load_problem(path):
     base = Path(path).parent
     space = load_space(base / obj["space"])
     target = load_target(base / obj["target"])
-    boundary = {
-        int(k): convert_at(target.point_from_json, int(k), v)
-        for k, v in obj["boundary_values"]
-    }
+    boundary = {int(k): target.point_from_json(v) for k, v in obj["boundary_values"]}
     prob = DirichletProblem(
         space,
         target,
@@ -141,15 +137,13 @@ def load_problem(path):
 
 def values_to_json(prob, values):
     """Solution values; indices never referenced serialize as null."""
-    t = prob.target
     referenced = set(int(i) for i in prob.referenced)
-    out = []
-    for i in range(prob.space.n):
-        if i in referenced:
-            out.append(t.point_to_json(values[i]))
-        else:
-            out.append(None)
-    return {"values": out}
+    return {
+        "values": [
+            prob.target.point_to_json(row) if i in referenced else None
+            for i, row in enumerate(values)
+        ]
+    }
 
 
 def save_fixture(fixture, directory):

@@ -15,8 +15,6 @@ import numpy as np
 
 from .errors import ConvergenceError, ValidationError
 
-_GEO_TOL = 1e-9
-
 
 @dataclass(frozen=True)
 class TreePoint:
@@ -47,66 +45,68 @@ def _norm(P):
     return np.sqrt(np.einsum("...k,...k->...", P, P))[..., None]
 
 
-def _finite_coordinates(p):
-    if not np.all(np.isfinite(p)):
-        raise ValidationError("point coordinates must be finite")
-    return p
-
-
-def convert_at(convert, k, v):
-    """``convert(v)``; a rejected value names its index ``k``."""
-    try:
-        return convert(v)
-    except ValidationError as exc:
-        raise ValidationError(f"value at index {k}: {exc}", detail=k) from exc
+def _slices(widths):
+    """Consecutive column slices of the given widths."""
+    ends = np.cumsum(widths, dtype=int)
+    return [slice(int(e - w), int(e)) for e, w in zip(ends, widths)]
 
 
 class GeodesicTarget:
     """Base interface: distance, constant-speed geodesics, sampling.
 
-    Besides the scalar ``dist`` and ``geodesic_point`` on point objects,
-    every kind packs a value list into one ``(n, width)`` float array
-    (``pack``) and works on packed rows in batched kernels that compute,
-    pair for pair, what the scalar methods compute: ``dists``,
-    ``geodesics`` and ``random_points``.
+    Packed rows are the one stored form of target values: ``pack`` turns
+    values into one validated ``(n, width)`` float array, and the batched
+    kernels ``dists``, ``geodesics`` and ``random_points`` work on such
+    arrays, computing pair for pair what the scalar ``dist`` and
+    ``geodesic_point`` compute.  Point objects (coordinate vectors,
+    ``TreePoint``, product tuples) belong to the scalar API, which takes
+    a packed row wherever it takes a point: any ``(n, width)`` array is a
+    value container for ``canonical``, ``dist``, ``geodesic_point``,
+    ``barycenter`` and ``point_to_json``.
     """
 
     kind = "abstract"
     is_cat0 = True
 
-    def dist(self, a, b):
-        raise NotImplementedError
-
-    def geodesic_point(self, a, b, s):
-        raise NotImplementedError
-
     def canonical(self, p):
-        return p
-
-    def validate_point(self, p):
-        return self.canonical(p)
+        """The validated point object of a point or a packed row."""
+        raise NotImplementedError
 
     def random_point(self, rng):
-        """One random point: coordinate kinds draw it as one packed row.
-
-        Every kind overrides this or ``random_points``.
-        """
+        """One random point: coordinate kinds draw it as one packed row."""
         return self.random_points(rng, 1)[0]
 
     def random_points(self, rng, k):
         """``k`` random points as packed rows.
 
         Consumes ``rng`` exactly as ``k`` calls of ``random_point`` do and
-        gives the same points.
+        gives the same points: ``_draw`` takes each point's draws in turn,
+        and ``_from_draws`` maps all of them to rows at once.
         """
-        return self.pack([self.random_point(rng) for _ in range(k)])
+        draws = [self._draw(rng) for _ in range(k)]
+        return self._from_draws(np.asarray(draws, dtype=float).reshape(k, self._draw_width))
 
-    def pack(self, values):
-        """Canonical values as one ``(n, width)`` float array.
+    def pack(self, values, index=None):
+        """Validated canonical values as one ``(n, width)`` float array.
 
-        Coordinate kinds pack their coordinates.
+        ``values`` holds points or packed rows.  A bad value raises a
+        ``ValidationError`` naming the first bad index, its position in
+        ``values`` or, when given, ``index`` at that position.  Each kind's
+        ``_checked_rows`` gives the rows and a mask of the bad values in one
+        pass, agreeing value for value with ``canonical``.
         """
-        return np.asarray(values, dtype=float).reshape(len(values), self.width)
+        try:
+            rows, bad = self._checked_rows(values)
+        except ValueError:
+            # values of mixed shapes: the scalar check takes them one by one
+            rows, bad = None, np.ones(len(values), dtype=bool)
+        for k in np.flatnonzero(bad):
+            try:
+                self.canonical(values[k])
+            except ValidationError as exc:
+                j = int(k if index is None else index[k])
+                raise ValidationError(f"value at index {j}: {exc}", detail=j) from exc
+        return self.pack([self.canonical(v) for v in values]) if rows is None else rows
 
     def dists(self, A, B, squared=False):
         """Distances between packed rows whose leading shapes broadcast.
@@ -134,30 +134,58 @@ class GeodesicTarget:
         """``geodesics`` for ``0 < s < 1`` on rows of equal shape."""
         raise NotImplementedError
 
-    def equal(self, a, b):
-        return self.dist(a, b) == 0.0
+    def point_from_json(self, obj):
+        """The point a JSON value describes; ``pack`` or ``canonical`` validates it."""
+        raise NotImplementedError
+
+
+class _CoordinateTarget(GeodesicTarget):
+    """A kind whose points are float coordinate vectors, their own rows.
+
+    Each point is drawn from ``_draw_width`` standard normals.
+    """
+
+    # the reason a point of the right size is rejected
+    _off_reason = "point coordinates must be finite"
+
+    def canonical(self, p):
+        p = np.asarray(p, dtype=float).reshape(-1)
+        if p.shape[0] != self.width:
+            raise ValidationError(f"point dimension {p.shape[0]} != {self.width}")
+        if not np.isfinite(p).all() or self._off(p):
+            raise ValidationError(self._off_reason)
+        return p
+
+    def _checked_rows(self, values):
+        P = np.array(values, dtype=float).reshape(len(values), self.width)
+        with np.errstate(invalid="ignore", over="ignore"):
+            return P, ~np.isfinite(P).all(axis=1) | self._off(P)
+
+    def _off(self, P):
+        """Whether finite rows lie off the kind's manifold."""
+        return np.zeros(P.shape[:-1], dtype=bool)
+
+    def _draw(self, rng):
+        return rng.normal(0.0, 1.0, self._draw_width).tolist()
+
+    def random_points(self, rng, k):
+        return self._from_draws(rng.normal(0.0, 1.0, (k, self._draw_width)))
 
     def point_to_json(self, p):
-        raise NotImplementedError
+        return [float(x) for x in np.asarray(p).reshape(-1)]
 
     def point_from_json(self, obj):
-        raise NotImplementedError
+        return np.asarray(obj, dtype=float)
 
 
-class EuclideanTarget(GeodesicTarget):
+class EuclideanTarget(_CoordinateTarget):
     kind = "euclidean"
 
     def __init__(self, dim):
         if dim < 1:
             raise ValidationError("euclidean dimension must be >= 1")
         self.dim = int(dim)
-        self.width = self.dim
-
-    def canonical(self, p):
-        p = np.asarray(p, dtype=float).reshape(-1)
-        if p.shape[0] != self.dim:
-            raise ValidationError(f"point dimension {p.shape[0]} != {self.dim}")
-        return _finite_coordinates(p)
+        self.width = self._draw_width = self.dim
 
     def dist(self, a, b):
         return float(np.linalg.norm(np.asarray(a, float) - np.asarray(b, float)))
@@ -176,21 +204,21 @@ class EuclideanTarget(GeodesicTarget):
     def _geodesics(self, A, B, s):
         return (1.0 - s) * A + s * B
 
-    def random_points(self, rng, k):
-        return rng.normal(0.0, 1.0, (k, self.dim))
-
-    def point_to_json(self, p):
-        return [float(x) for x in np.asarray(p).reshape(-1)]
-
-    def point_from_json(self, obj):
-        return self.canonical(obj)
+    def _from_draws(self, D):
+        return D
 
 
 class TreeTarget(GeodesicTarget):
-    """A metric tree given by vertices and positively weighted edges."""
+    """A metric tree given by vertices and positively weighted edges.
+
+    A point packs as the row (anchor u, anchor v, leg to u, leg to v,
+    edge, offset); a vertex as both anchors with zero legs and edge -1.
+    """
 
     kind = "tree"
     width = 6
+    # a point is drawn as an edge and an offset on it
+    _draw_width = 2
 
     def __init__(self, n_vertices, edges):
         self.n_vertices = int(n_vertices)
@@ -240,17 +268,22 @@ class TreeTarget(GeodesicTarget):
 
     # -- points ----------------------------------------------------------
 
-    def canonical(self, p):
+    @staticmethod
+    def _triple(p):
+        """(vertex, edge, offset) of a TreePoint or a packed row; edge -1 is a vertex."""
         if isinstance(p, TreePoint):
-            if p.is_vertex():
-                if not 0 <= p.vertex < self.n_vertices:
-                    raise ValidationError("vertex index out of range")
-                return p
-            e, t = p.edge, p.t
-        else:
-            e, t = p
+            return (p.vertex, -1, 0.0) if p.is_vertex() else (-1, p.edge, p.t)
+        return (p[0], -1, 0.0) if p[4] < 0 else (-1, p[4], float(p[5]))
+
+    def canonical(self, p):
+        vertex, e, t = self._triple(p)
+        if e < 0:
+            if not 0 <= vertex < self.n_vertices:
+                raise ValidationError("vertex index out of range")
+            return TreePoint(vertex=int(vertex))
         if not 0 <= e < len(self.edges):
             raise ValidationError("edge index out of range")
+        e = int(e)
         u, v, l = self.edges[e]
         if not -1e-12 <= t <= l + 1e-12:
             raise ValidationError("edge offset outside the edge length")
@@ -261,16 +294,49 @@ class TreeTarget(GeodesicTarget):
             return TreePoint(vertex=v)
         return TreePoint(edge=e, t=t)
 
+    def _rows_of(self, vertex, edge, t):
+        """Canonical rows of points and a mask of the invalid ones.
+
+        A point is a vertex (edge -1) or an edge and an offset.  As in
+        ``canonical``, an offset within 1e-12 of its edge is clamped onto
+        it and an edge end becomes its vertex.
+        """
+        on = ~(edge < 0)
+        e_ok = (edge >= 0) & (edge < len(self.edges))
+        e = np.where(e_ok, edge, 0).astype(np.intp)
+        u, v, l = self._eu[e], self._ev[e], self._len[e]
+        bad = np.where(
+            on,
+            ~(e_ok & (t >= -1e-12) & (t <= l + 1e-12)),
+            ~((vertex >= 0) & (vertex < self.n_vertices)),
+        )
+        t = np.minimum(np.maximum(t, 0.0), l)
+        # the vertex of each row, -1 for a point inside its edge
+        w = np.where(
+            on, np.where(t == 0.0, u, np.where(t == l, v, -1)), np.where(bad, 0, vertex)
+        )
+        inside = w < 0
+        rows = np.stack([np.where(inside, u, w), np.where(inside, v, w), t, l - t, e, t], axis=-1)
+        rows[~inside, 2:] = (0.0, 0.0, -1.0, 0.0)
+        return rows, bad
+
+    def _checked_rows(self, values):
+        triples = np.asarray([self._triple(p) for p in values], dtype=float)
+        vertex, edge, t = triples.reshape(-1, 3).T
+        return self._rows_of(vertex, edge, t)
+
     def _anchors(self, p):
-        """(vertex, leg distance) pairs describing a point."""
+        """(vertex, leg distance) pairs describing a canonical point."""
         if p.is_vertex():
             return ((p.vertex, 0.0),)
         u, v, l = self.edges[p.edge]
         return ((u, p.t), (v, l - p.t))
 
     def dist(self, a, b):
-        a = self.canonical(a)
-        b = self.canonical(b)
+        return self._dist(self.canonical(a), self.canonical(b))
+
+    def _dist(self, a, b):
+        """``dist`` of canonical points."""
         if not a.is_vertex() and not b.is_vertex() and a.edge == b.edge:
             return abs(a.t - b.t)
         best = np.inf
@@ -282,7 +348,7 @@ class TreeTarget(GeodesicTarget):
     def geodesic_point(self, a, b, s):
         a = self.canonical(a)
         b = self.canonical(b)
-        walk = s * self.dist(a, b)
+        walk = s * self._dist(a, b)
         if walk <= 0.0:
             # zero length, s <= 0, or a step that underflows
             return a
@@ -322,24 +388,17 @@ class TreeTarget(GeodesicTarget):
             return self.canonical(TreePoint(edge=b.edge, t=t))
         return TreePoint(vertex=u)
 
-    def random_point(self, rng):
+    def _draw(self, rng):
         e = int(rng.integers(0, len(self.edges)))
-        t = float(rng.uniform(0.0, self.edges[e][2]))
+        # rng.uniform(0.0, l) draws 0.0 + l * rng.random(): the same number
+        return e, self.edges[e][2] * rng.random()
+
+    def random_point(self, rng):
+        e, t = self._draw(rng)
         return self.canonical(TreePoint(edge=e, t=t))
 
-    def pack(self, values):
-        """Rows (anchor u, anchor v, leg to u, leg to v, edge, offset).
-
-        A vertex packs as both anchors with zero legs and edge -1.
-        """
-        out = np.empty((len(values), self.width))
-        for k, p in enumerate(values):
-            if p.is_vertex():
-                out[k] = (p.vertex, p.vertex, 0.0, 0.0, -1.0, 0.0)
-            else:
-                u, v, l = self.edges[p.edge]
-                out[k] = (u, v, p.t, l - p.t, p.edge, p.t)
-        return out
+    def _from_draws(self, D):
+        return self._rows_of(-1, D[:, 0], D[:, 1])[0]
 
     def dists(self, A, B, squared=False):
         D = self._vdist
@@ -407,27 +466,9 @@ class TreeTarget(GeodesicTarget):
             res_e[r] = e[hit]
             res_t[r] = np.where(u == self._eu[e], left, l - left)[hit]
             rows, u, left, goal = rows[~hit], v[~hit], (left - l)[~hit], goal[~hit]
-        # canonicalize as ``canonical`` does: clamp the offset to its edge,
-        # and an edge end becomes its vertex
-        on = np.flatnonzero(res_e >= 0)
-        e, t = res_e[on], res_t[on]
-        l = self._len[e]
-        if not np.all((t >= -1e-12) & (t <= l + 1e-12)):
+        out, bad = self._rows_of(res_w, res_e, res_t)
+        if np.any(bad):
             raise ValidationError("edge offset outside the edge length")
-        t = np.minimum(np.maximum(t, 0.0), l)
-        at_u, at_v = t == 0.0, t == l
-        res_w[on[at_u]] = self._eu[e[at_u]]
-        res_w[on[at_v]] = self._ev[e[at_v]]
-        res_e[on[at_u | at_v]] = -1
-        res_t[on] = t
-        out = np.zeros((A.shape[0], self.width))
-        vertex = res_e < 0
-        out[vertex, 0] = out[vertex, 1] = res_w[vertex]
-        out[vertex, 4] = -1.0
-        e, t = res_e[~vertex], res_t[~vertex]
-        out[~vertex] = np.stack(
-            [self._eu[e], self._ev[e], t, self._len[e] - t, e, t], axis=-1
-        )
         out[~moving] = A[~moving]
         return out.reshape(shape)
 
@@ -440,26 +481,22 @@ class TreeTarget(GeodesicTarget):
     def point_from_json(self, obj):
         if "vertex" in obj:
             return TreePoint(vertex=int(obj["vertex"]))
-        return self.canonical(TreePoint(edge=int(obj["edge"]), t=float(obj["t"])))
+        return TreePoint(edge=int(obj["edge"]), t=float(obj["t"]))
 
 
-class HyperbolicTarget(GeodesicTarget):
+class HyperbolicTarget(_CoordinateTarget):
     """Hyperbolic plane on the upper hyperboloid x0^2 - x1^2 - x2^2 = 1."""
 
     kind = "hyperbolic"
     width = 3
+    _off_reason = "point not finite or off the upper hyperboloid beyond 1e-9"
+    # a point is the lift of two standard normals
+    _draw_width = 2
 
-    @staticmethod
-    def _mink(a, b):
-        return a[..., 0] * b[..., 0] - a[..., 1] * b[..., 1] - a[..., 2] * b[..., 2]
-
-    def canonical(self, p):
-        p = _finite_coordinates(np.asarray(p, dtype=float).reshape(-1))
-        if p.shape[0] != 3 or p[0] <= 0:
-            raise ValidationError("hyperboloid point needs (x0, x1, x2), x0 > 0")
-        if abs(self._mink(p, p) - 1.0) > 1e-9:
-            raise ValidationError("point off the hyperboloid beyond 1e-9")
-        return p
+    def _off(self, P):
+        # the Minkowski square x0^2 - x1^2 - x2^2 must be 1
+        q = P * P
+        return ~(P[..., 0] > 0) | (np.abs(q[..., 0] - q[..., 1] - q[..., 2] - 1.0) > 1e-9)
 
     @staticmethod
     def lift(x12):
@@ -517,18 +554,15 @@ class HyperbolicTarget(GeodesicTarget):
         out[..., 0] = np.sqrt(1.0 + out[..., 1] ** 2 + out[..., 2] ** 2)
         return np.where(near, A, out)
 
-    def random_points(self, rng, k):
-        return self.lift(rng.normal(0.0, 1.0, (k, 2)))
-
-    def point_to_json(self, p):
-        return [float(x) for x in np.asarray(p).reshape(-1)]
-
-    def point_from_json(self, obj):
-        return self.canonical(obj)
+    def _from_draws(self, D):
+        return self.lift(D)
 
 
 class ProductTarget(GeodesicTarget):
-    """2-norm product of component targets; points are tuples."""
+    """2-norm product of component targets; points are tuples.
+
+    A point packs as its components' rows side by side.
+    """
 
     kind = "product"
 
@@ -537,34 +571,49 @@ class ProductTarget(GeodesicTarget):
             raise ValidationError("product needs at least one component")
         self.components = list(components)
         self.is_cat0 = all(c.is_cat0 for c in self.components)
-        self.width = 0
-        self._slices = []
-        for c in self.components:
-            self._slices.append(slice(self.width, self.width + c.width))
-            self.width += c.width
+        self.width = sum(c.width for c in self.components)
+        self._slices = _slices([c.width for c in self.components])
+        self._draw_width = sum(c._draw_width for c in self.components)
+        self._draw_slices = _slices([c._draw_width for c in self.components])
+
+    def _split(self, p):
+        """The component values of a point tuple or a packed row."""
+        if len(p) == len(self.components):
+            return p
+        if len(p) == self.width:
+            return [p[cols] for cols in self._slices]
+        raise ValidationError("component count mismatch")
+
+    def _zip(self, *points):
+        """Each component with its values of the points."""
+        return zip(self.components, *map(self._split, points))
 
     def canonical(self, p):
-        if len(p) != len(self.components):
-            raise ValidationError("component count mismatch")
-        return tuple(c.canonical(q) for c, q in zip(self.components, p))
+        return tuple(c.canonical(q) for c, q in self._zip(p))
+
+    def _checked_rows(self, values):
+        parts = [self._split(v) for v in values]
+        packed = [
+            c._checked_rows([q[k] for q in parts]) for k, c in enumerate(self.components)
+        ]
+        rows = np.concatenate([r for r, _ in packed], axis=1)
+        return rows, np.any([bad for _, bad in packed], axis=0)
 
     def dist(self, a, b):
-        return math.sqrt(
-            sum(c.dist(x, y) ** 2 for c, x, y in zip(self.components, a, b))
-        )
+        return math.sqrt(sum(c.dist(x, y) ** 2 for c, x, y in self._zip(a, b)))
 
     def geodesic_point(self, a, b, s):
-        return tuple(
-            c.geodesic_point(x, y, s) for c, x, y in zip(self.components, a, b)
-        )
+        return tuple(c.geodesic_point(x, y, s) for c, x, y in self._zip(a, b))
 
     def random_point(self, rng):
         return tuple(c.random_point(rng) for c in self.components)
 
-    def pack(self, values):
-        """The components' packed columns side by side."""
+    def _draw(self, rng):
+        return [x for c in self.components for x in c._draw(rng)]
+
+    def _from_draws(self, D):
         return np.concatenate(
-            [c.pack([v[k] for v in values]) for k, c in enumerate(self.components)],
+            [c._from_draws(D[:, cols]) for c, cols in zip(self.components, self._draw_slices)],
             axis=1,
         )
 
@@ -583,48 +632,41 @@ class ProductTarget(GeodesicTarget):
         )
 
     def point_to_json(self, p):
-        return [c.point_to_json(q) for c, q in zip(self.components, p)]
+        return [c.point_to_json(q) for c, q in self._zip(p)]
 
     def point_from_json(self, obj):
         return tuple(c.point_from_json(q) for c, q in zip(self.components, obj))
 
 
-class SphereTarget(GeodesicTarget):
+class SphereTarget(_CoordinateTarget):
     """Unit round 2-sphere: the curvature-audit counterexample double.
 
     Not CAT(0); shipped so verification commands can demonstrate a
     strictly positive violation.  Geodesics between antipodes pick a
-    fixed tie-break.
+    fixed tie-break.  A point within 1e-9 of unit norm is kept as given:
+    distances do not depend on the norm, and renormalizing is not
+    idempotent in floating point, so packing packed rows again would
+    change them.
     """
 
     kind = "sphere"
     is_cat0 = False
     width = 3
+    _off_reason = "point not finite or off the unit sphere beyond 1e-9"
+    # a point is three standard normals, normalized
+    _draw_width = 3
 
-    def canonical(self, p):
-        p = _finite_coordinates(np.asarray(p, dtype=float).reshape(-1))
-        if p.shape[0] != 3:
-            raise ValidationError("sphere point needs 3 coordinates")
-        n = np.linalg.norm(p)
-        if abs(n - 1.0) > 1e-9:
-            raise ValidationError("point off the unit sphere beyond 1e-9")
-        return p / n
+    def _off(self, P):
+        # matmul of a row with itself rounds as np.linalg.norm's dot does
+        norm = np.sqrt(np.matmul(P[..., None, :], P[..., :, None])[..., 0, 0])
+        return np.abs(norm - 1.0) > 1e-9
 
     def dist(self, a, b):
-        # atan2(|a x b|, a . b): exact zero on equal points, and accurate
-        # near antipodes, where acos of the dot product is not; numpy's
-        # arctan2, as in ``dists``, since geodesics near antipodes amplify
-        # a last-bit difference in the angle a millionfold
-        a0, a1, a2 = np.asarray(a, dtype=float).tolist()
-        b0, b1, b2 = np.asarray(b, dtype=float).tolist()
-        c0 = a1 * b2 - a2 * b1
-        c1 = a2 * b0 - a0 * b2
-        c2 = a0 * b1 - a1 * b0
-        return float(
-            np.arctan2(math.sqrt(c0 * c0 + c1 * c1 + c2 * c2), a0 * b0 + a1 * b1 + a2 * b2)
-        )
+        return float(self.dists(np.asarray(a, float), np.asarray(b, float)))
 
     def dists(self, A, B, squared=False):
+        # atan2(|a x b|, a . b): exact zero on equal points, and accurate
+        # near antipodes, where acos of the dot product is not
         (a0, a1, a2), (b0, b1, b2) = _columns(A), _columns(B)
         c0 = a1 * b2 - a2 * b1
         c1 = a2 * b0 - a0 * b2
@@ -633,26 +675,7 @@ class SphereTarget(GeodesicTarget):
         return d**2 if squared else d
 
     def geodesic_point(self, a, b, s):
-        theta = self.dist(a, b)
-        if theta < 1e-12 or s <= 0.0:
-            return np.asarray(a, float).copy()
-        if s >= 1.0:
-            # the tie-break below would move an antipodal b by 1e-9
-            return np.asarray(b, float).copy()
-        if theta > math.pi - 1e-9:
-            # antipodal tie-break: nudge b toward a deterministic normal
-            k = int(np.argmin(np.abs(a)))
-            w = np.zeros(3)
-            w[k] = 1.0
-            w = w - np.dot(w, a) * a
-            b = np.asarray(b, float) + 1e-9 * w / _norm(w)
-            b = b / _norm(b)
-            theta = self.dist(a, b)
-        out = (
-            math.sin((1 - s) * theta) * np.asarray(a, float)
-            + math.sin(s * theta) * np.asarray(b, float)
-        ) / math.sin(theta)
-        return out / _norm(out)
+        return self.geodesics(np.asarray(a, float), np.asarray(b, float), s)
 
     def _geodesics(self, A, B, s):
         theta = self.dists(A, B)
@@ -675,15 +698,8 @@ class SphereTarget(GeodesicTarget):
         )
         return np.where(near, A, out / np.where(near, 1.0, _norm(out)))
 
-    def random_points(self, rng, k):
-        v = rng.normal(0.0, 1.0, (k, 3))
-        return v / _norm(v)
-
-    def point_to_json(self, p):
-        return [float(x) for x in np.asarray(p).reshape(-1)]
-
-    def point_from_json(self, obj):
-        return self.canonical(obj)
+    def _from_draws(self, D):
+        return D / _norm(D)
 
 
 def build_target(spec):

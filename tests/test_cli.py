@@ -91,7 +91,7 @@ class TestSerializationRoundTrips:
             map_to_json(u, "tree_space.json", "tree_target.json"),
         )
         v = load_map(workdir / "tree_map.json")
-        assert all(tripod.dist(a, b) == 0.0 for a, b in zip(u.values, v.values))
+        assert all(tripod.dist(a, b) == 0.0 for a, b in zip(u.packed, v.packed))
 
     def test_fixture_manifest(self, workdir):
         manifest = json.loads((workdir / "fixture" / "manifest.json").read_text())
@@ -326,6 +326,62 @@ class TestExitCodes:
         assert code == 0
         payload = json.loads(out)
         assert payload["worst"] <= 1e-3
+
+
+# a value of each kind that loads, and one that a check rejects
+_LOAD_CASES = {
+    "tree": (
+        {"kind": "tree", "vertices": 4, "edges": [[0, 1, 1.0], [0, 2, 1.0], [0, 3, 1.0]]},
+        {"vertex": 1},
+        {"vertex": 9},  # vertex out of range
+    ),
+    "hyperbolic": (
+        {"kind": "hyperbolic"},
+        [1.0, 0.0, 0.0],
+        [1.5, 0.0, 0.0],  # off the hyperboloid
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_LOAD_CASES))
+class TestLoadNamesBadIndex:
+    """A bad value in a map or problem file exits 2 naming its index."""
+
+    def test_energy_map_value(self, workdir, kind):
+        target, good, bad = _LOAD_CASES[kind]
+        write_json(workdir / f"load_{kind}_target.json", target)
+        values = [good] * 11
+        values[7] = bad
+        write_json(
+            workdir / f"load_{kind}_map.json",
+            {"space": "space.json", "target": f"load_{kind}_target.json", "values": values},
+        )
+        code, out, err = run_cli(
+            "energy", "--map", workdir / f"load_{kind}_map.json", "--scales", "0.45,0.35"
+        )
+        assert code == 2
+        assert out == ""
+        assert "index 7" in err
+
+    def test_dirichlet_boundary_value(self, workdir, kind):
+        target, good, bad = _LOAD_CASES[kind]
+        write_json(workdir / f"load_{kind}_target.json", target)
+        write_json(
+            workdir / f"load_{kind}_problem.json",
+            {
+                "space": "space.json",
+                "target": f"load_{kind}_target.json",
+                "interior": list(range(1, 10)),
+                "boundary_values": [[0, good], [10, bad]],
+                "scale": 0.15,
+            },
+        )
+        code, out, err = run_cli(
+            "dirichlet", "--problem", workdir / f"load_{kind}_problem.json"
+        )
+        assert code == 2
+        assert out == ""
+        assert "index 10" in err
 
 
 class TestDeterminism:

@@ -77,6 +77,37 @@ class TestProblemValidation:
             )
 
 
+    def test_bad_values_name_their_index(self, path_problem, tripod):
+        sp, prob = tripod_path_problem(tripod)
+        vals = [TreePoint(vertex=0)] * 9
+        vals[3] = TreePoint(vertex=7)
+        with pytest.raises(ValidationError, match="index 4") as exc:
+            prob.assemble(vals)
+        assert exc.value.detail == 4
+        bad = {0: TreePoint(vertex=1), 10: TreePoint(edge=5, t=0.1)}
+        with pytest.raises(ValidationError, match="index 10") as exc:
+            DirichletProblem(sp, tripod, list(range(1, 10)), bad, 0.15)
+        assert exc.value.detail == 10
+        _, _, line = path_problem
+        with pytest.raises(ValidationError, match="index 3") as exc:
+            line.assemble([[0.5], [0.5], [math.nan]] + [[0.5]] * 6)
+        assert exc.value.detail == 3
+
+    @pytest.mark.parametrize(
+        "interior, boundary, bad",
+        [
+            (range(1, 10), {0: [0.0], 10: [1.0], 11: [5.0]}, 11),
+            (range(1, 10), {0: [0.0], 10: [1.0], -1: [5.0]}, -1),
+            ([*range(1, 10), 11], {0: [0.0], 10: [1.0]}, 11),
+        ],
+    )
+    def test_index_outside_domain_rejected(self, path_problem, interior, boundary, bad):
+        _, sp, _ = path_problem
+        with pytest.raises(ValidationError, match=f"index {bad} outside") as exc:
+            DirichletProblem(sp, EuclideanTarget(1), list(interior), boundary, 0.15)
+        assert exc.value.detail == bad
+
+
 class TestDiscreteEnergy:
     def test_constant_map_zero(self, path_problem):
         _, _, prob = path_problem

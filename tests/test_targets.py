@@ -572,3 +572,142 @@ def test_cat0_audit_rejects_negative_s_steps():
         cat0_audit(EuclideanTarget(2), 10, s_steps=-2)
     rep = cat0_audit(EuclideanTarget(2), 10, s_steps=0)
     assert np.isfinite(rep.max_violation)
+
+
+# -- pack: one validating pass per kind --------------------------------------
+
+
+def _oracle_row(t, p):
+    """The per-value path pack replaces: ``canonical``, then the point's row.
+
+    Packed rows of valid points are read as the points they hold.  The
+    sphere keeps a valid point as given, where the per-value path divided
+    it by its norm (see ``SphereTarget``).
+    """
+    if t.kind == "product":
+        if isinstance(p, np.ndarray):
+            p = np.split(p, np.cumsum([c.width for c in t.components])[:-1])
+        if len(p) != len(t.components):
+            raise ValidationError("component count mismatch")
+        return np.concatenate([_oracle_row(c, q) for c, q in zip(t.components, p)])
+    if t.kind == "tree":
+        if isinstance(p, np.ndarray):
+            p = TreePoint(vertex=int(p[0])) if p[4] < 0 else TreePoint(edge=int(p[4]), t=p[5])
+        if p.is_vertex():
+            if not 0 <= p.vertex < t.n_vertices:
+                raise ValidationError("vertex index out of range")
+            return np.array([p.vertex, p.vertex, 0.0, 0.0, -1.0, 0.0])
+        if not 0 <= p.edge < len(t.edges):
+            raise ValidationError("edge index out of range")
+        u, v, length = t.edges[p.edge]
+        if not -1e-12 <= p.t <= length + 1e-12:
+            raise ValidationError("edge offset outside the edge length")
+        s = min(max(p.t, 0.0), length)
+        if s == 0.0 or s == length:
+            w = u if s == 0.0 else v
+            return np.array([w, w, 0.0, 0.0, -1.0, 0.0])
+        return np.array([u, v, s, length - s, p.edge, s])
+    p = np.asarray(p, dtype=float).reshape(-1)
+    if not np.all(np.isfinite(p)):
+        raise ValidationError("point coordinates must be finite")
+    if p.shape[0] != t.width:
+        raise ValidationError("wrong dimension")
+    if t.kind == "hyperbolic" and (
+        p[0] <= 0 or abs(p[0] * p[0] - p[1] * p[1] - p[2] * p[2] - 1.0) > 1e-9
+    ):
+        raise ValidationError("point off the hyperboloid beyond 1e-9")
+    if t.kind == "sphere" and abs(np.linalg.norm(p) - 1.0) > 1e-9:
+        raise ValidationError("point off the unit sphere beyond 1e-9")
+    return p
+
+
+def _spoiled(points):
+    """Points with one coordinate made NaN or infinite."""
+
+    def spoil(p, k, x):
+        p = p.copy()
+        p[k % p.size] = x
+        return p
+
+    bad = st.sampled_from([math.nan, math.inf, -math.inf])
+    return st.builds(spoil, points, st.integers(0, 5), bad)
+
+
+def _edge_point(e, at_end, past):
+    """A point ``past`` beyond one end of edge e (negative: inside)."""
+    length = SPIDER.edges[e][2]
+    return TreePoint(edge=e, t=length + past if at_end else -past)
+
+
+_pack_values = {
+    "euclidean": st.one_of(_points["euclidean"], _spoiled(_points["euclidean"])),
+    "tree": st.one_of(
+        _points["tree"],
+        # edge ends, which become vertices
+        st.builds(
+            lambda e, end: TreePoint(edge=e, t=SPIDER.edges[e][2] if end else 0.0),
+            st.integers(0, 5),
+            st.booleans(),
+        ),
+        # offsets up to 1e-12 outside an edge are clamped onto it, farther are bad
+        st.builds(_edge_point, st.integers(0, 5), st.booleans(), st.floats(-1e-12, 3e-12)),
+        st.integers(-2, 9).map(lambda v: TreePoint(vertex=v)),
+        st.builds(
+            lambda e, t: TreePoint(edge=e, t=t),
+            st.integers(-2, 8),
+            st.sampled_from([0.3, math.nan, math.inf, -math.inf]),
+        ),
+        _points["tree"].map(lambda p: _oracle_row(SPIDER, p)),
+    ),
+    "hyperbolic": st.one_of(
+        _points["hyperbolic"],
+        # x0 moved by eps / (2 x0): off the hyperboloid by about eps
+        st.builds(
+            lambda p, eps: p + np.array([eps / (2.0 * p[0]), 0.0, 0.0]),
+            _points["hyperbolic"],
+            st.floats(-3e-9, 3e-9),
+        ),
+        _points["hyperbolic"].map(lambda p: -p),
+        _spoiled(_points["hyperbolic"]),
+    ),
+    "sphere": st.one_of(
+        _points["sphere"],
+        st.builds(lambda p, eps: p * (1.0 + eps), _points["sphere"], st.floats(-3e-9, 3e-9)),
+        _spoiled(_points["sphere"]),
+    ),
+}
+_plane = st.lists(_coord, min_size=2, max_size=2).map(np.array)
+_pack_values["product"] = st.one_of(
+    st.tuples(
+        st.one_of(_plane, _spoiled(_plane)),
+        _pack_values["tree"],
+        _pack_values["hyperbolic"],
+    ),
+    _points["product"].map(lambda p: _oracle_row(_GEO_TARGETS["product"], p)),
+)
+
+
+@pytest.mark.parametrize("kind", KERNEL_KINDS)
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_pack_matches_per_value_canonical(kind, data):
+    t = _GEO_TARGETS[kind]
+    values = data.draw(st.lists(_pack_values[kind], min_size=1, max_size=8))
+    oracle, first_bad = [], None
+    for k, v in enumerate(values):
+        try:
+            oracle.append(_oracle_row(t, v))
+        except ValidationError:
+            first_bad = k
+            break
+    if first_bad is None:
+        rows = t.pack(values)
+        assert rows.shape == (len(values), t.width)
+        assert rows.tobytes() == np.asarray(oracle, dtype=float).tobytes()
+        # packed rows pack to themselves, and the scalar API reads them
+        assert t.pack(rows).tobytes() == rows.tobytes()
+        assert all(t.dist(row, v) == 0.0 for row, v in zip(rows, values))
+    else:
+        with pytest.raises(ValidationError, match=f"index {first_bad}:") as exc:
+            t.pack(values)
+        assert exc.value.detail == first_bad
