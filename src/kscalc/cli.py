@@ -11,6 +11,7 @@ of the thread count.
 from __future__ import annotations
 
 import argparse
+import importlib
 import sys
 from pathlib import Path
 
@@ -41,6 +42,18 @@ EXIT_OK = 0
 EXIT_IO = 1
 EXIT_VALIDATION = 2
 EXIT_NONCONVERGED = 3
+
+# `import kscalc` loads numpy only: the library imports scipy where it
+# first uses it.  `main` imports the modules a subcommand's computation
+# uses before it reads any input, so their cost is paid at start-up, not
+# inside the computation, and a broken install fails before any work.
+SUBCOMMAND_IMPORTS = {
+    "space-check": ("scipy.spatial",),
+    "energy": ("scipy.spatial",),
+    "mdiff": ("scipy.spatial", "scipy.special", "scipy.stats"),
+    "dirichlet": ("scipy.spatial",),
+    "verify": ("numpy.random",),
+}
 
 
 def _csv(rows, header):
@@ -292,6 +305,8 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
+    for name in SUBCOMMAND_IMPORTS[args.command]:
+        importlib.import_module(name)
     try:
         return args.fn(args)
     except (FileNotFoundError, IsADirectoryError, PermissionError) as exc:

@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .errors import AuditError, ValidationError
 from .spaces import check_radius
@@ -454,6 +453,8 @@ def poincare_estimate(prob, tol=1e-13, max_iter=500):
                 q[b, b] += cw
                 q[a, b] -= cw
                 q[b, a] -= cw
+    from scipy.linalg import cho_factor, cho_solve
+
     mass = w[prob.interior]
     factor = cho_factor(q)
     x = np.ones(ni)

@@ -17,8 +17,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import ndtri
-from scipy.stats import qmc
 
 from .errors import ValidationError
 
@@ -142,6 +140,9 @@ def _sphere_mesh(dim, resolution):
         phi = k * math.pi * (3.0 - math.sqrt(5.0))
         rho = np.sqrt(np.maximum(1.0 - z * z, 0.0))
         return np.stack([rho * np.cos(phi), rho * np.sin(phi), z], axis=1)
+    from scipy.special import ndtri
+    from scipy.stats import qmc
+
     eng = qmc.Sobol(d=dim, scramble=True, seed=1234)
     u = np.clip(eng.random(resolution), 1e-12, 1.0 - 1e-12)
     g = ndtri(u)
@@ -236,6 +237,9 @@ def ball_nodes(dim, count=DEFAULT_QUAD_COUNT, seed=DEFAULT_QUAD_SEED):
     direction through the normal inverse CDF, the last one the radius
     through the radial inverse CDF ``u^(1/d)``.
     """
+    from scipy.special import ndtri
+    from scipy.stats import qmc
+
     eng = qmc.Sobol(d=dim + 1, scramble=True, seed=seed)
     u = np.clip(eng.random(count), 1e-12, 1.0 - 1e-12)
     g = ndtri(u[:, :dim])

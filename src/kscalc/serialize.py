@@ -71,7 +71,19 @@ def load_map(path, space=None, target=None):
         if "target" not in obj:
             raise ValidationError("map file lacks a target reference")
         target = load_target(base / obj["target"])
-    return MetricMap(space, target, [target.point_from_json(v) for v in obj["values"]])
+    values = obj["values"]
+    return MetricMap(space, target, _points_from_json(target, values, range(len(values))))
+
+
+def _points_from_json(target, values, index):
+    """The points of JSON values; a malformed value raises naming its index."""
+    points = []
+    for k, v in zip(index, values):
+        try:
+            points.append(target.point_from_json(v))
+        except ValidationError as exc:
+            raise ValidationError(f"value at index {k}: {exc}", detail=k) from exc
+    return points
 
 
 def atlas_to_json(atlas):
@@ -124,7 +136,9 @@ def load_problem(path):
     base = Path(path).parent
     space = load_space(base / obj["space"])
     target = load_target(base / obj["target"])
-    boundary = {int(k): target.point_from_json(v) for k, v in obj["boundary_values"]}
+    index = [int(k) for k, _ in obj["boundary_values"]]
+    values = [v for _, v in obj["boundary_values"]]
+    boundary = dict(zip(index, _points_from_json(target, values, index)))
     prob = DirichletProblem(
         space,
         target,

@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from itertools import chain
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import ValidationError
 
@@ -151,6 +150,8 @@ class PointCloudSpace:
         """k-d tree of the coordinates (periodic on the torus), built on
         first use: the only neighbor cache of a coordinate space."""
         if self._tree is None:
+            from scipy.spatial import cKDTree
+
             self._tree = cKDTree(self.coords, boxsize=self.period)
         return self._tree
 

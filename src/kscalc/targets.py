@@ -51,6 +51,11 @@ def _slices(widths):
     return [slice(int(e - w), int(e)) for e, w in zip(ends, widths)]
 
 
+def _is_number(x):
+    """Whether a parsed JSON value is a number (``true`` and ``false`` are not)."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
 class GeodesicTarget:
     """Base interface: distance, constant-speed geodesics, sampling.
 
@@ -135,7 +140,11 @@ class GeodesicTarget:
         raise NotImplementedError
 
     def point_from_json(self, obj):
-        """The point a JSON value describes; ``pack`` or ``canonical`` validates it."""
+        """The point a JSON value describes.
+
+        A value of the wrong JSON type raises ``ValidationError``; ``pack``
+        or ``canonical`` validates the point itself.
+        """
         raise NotImplementedError
 
 
@@ -175,6 +184,8 @@ class _CoordinateTarget(GeodesicTarget):
         return [float(x) for x in np.asarray(p).reshape(-1)]
 
     def point_from_json(self, obj):
+        if not isinstance(obj, list) or not all(map(_is_number, obj)):
+            raise ValidationError("a point must be a list of numbers")
         return np.asarray(obj, dtype=float)
 
 
@@ -280,9 +291,13 @@ class TreeTarget(GeodesicTarget):
         if e < 0:
             if not 0 <= vertex < self.n_vertices:
                 raise ValidationError("vertex index out of range")
+            if vertex != int(vertex):
+                raise ValidationError(f"vertex index {vertex} is not an integer")
             return TreePoint(vertex=int(vertex))
         if not 0 <= e < len(self.edges):
             raise ValidationError("edge index out of range")
+        if e != int(e):
+            raise ValidationError(f"edge index {e} is not an integer")
         e = int(e)
         u, v, l = self.edges[e]
         if not -1e-12 <= t <= l + 1e-12:
@@ -302,13 +317,13 @@ class TreeTarget(GeodesicTarget):
         it and an edge end becomes its vertex.
         """
         on = ~(edge < 0)
-        e_ok = (edge >= 0) & (edge < len(self.edges))
+        e_ok = (edge >= 0) & (edge < len(self.edges)) & (edge == np.floor(edge))
         e = np.where(e_ok, edge, 0).astype(np.intp)
         u, v, l = self._eu[e], self._ev[e], self._len[e]
         bad = np.where(
             on,
             ~(e_ok & (t >= -1e-12) & (t <= l + 1e-12)),
-            ~((vertex >= 0) & (vertex < self.n_vertices)),
+            ~((vertex >= 0) & (vertex < self.n_vertices) & (vertex == np.floor(vertex))),
         )
         t = np.minimum(np.maximum(t, 0.0), l)
         # the vertex of each row, -1 for a point inside its edge
@@ -479,9 +494,12 @@ class TreeTarget(GeodesicTarget):
         return {"edge": int(p.edge), "t": float(p.t)}
 
     def point_from_json(self, obj):
-        if "vertex" in obj:
-            return TreePoint(vertex=int(obj["vertex"]))
-        return TreePoint(edge=int(obj["edge"]), t=float(obj["t"]))
+        if isinstance(obj, dict):
+            if _is_number(obj.get("vertex")):
+                return TreePoint(vertex=obj["vertex"])
+            if _is_number(obj.get("edge")) and _is_number(obj.get("t")):
+                return TreePoint(edge=obj["edge"], t=float(obj["t"]))
+        raise ValidationError('a tree point must be {"vertex": v} or {"edge": e, "t": offset}')
 
 
 class HyperbolicTarget(_CoordinateTarget):
@@ -635,6 +653,10 @@ class ProductTarget(GeodesicTarget):
         return [c.point_to_json(q) for c, q in self._zip(p)]
 
     def point_from_json(self, obj):
+        if not isinstance(obj, list) or len(obj) != len(self.components):
+            raise ValidationError(
+                f"a product point must be a list of {len(self.components)} points"
+            )
         return tuple(c.point_from_json(q) for c, q in zip(self.components, obj))
 
 

@@ -14,6 +14,7 @@ from kscalc import (
     build_space,
     make_fixture,
 )
+from kscalc.errors import ValidationError
 from kscalc.serialize import (
     load_atlas,
     load_map,
@@ -382,6 +383,163 @@ class TestLoadNamesBadIndex:
         assert code == 2
         assert out == ""
         assert "index 10" in err
+
+
+class TestLoadNamesMalformedValue:
+    """A value of the wrong JSON type, or a non-integral tree index, exits 2
+    naming its index, through both the map and the problem loader."""
+
+    CASES = {
+        "object-for-list": ("target.json", [0.5], {"x": 0.5}, "list of numbers"),
+        "string-coordinate": ("target.json", [0.5], ["0.5"], "list of numbers"),
+        "edge-without-t": ("tripod.json", {"vertex": 1}, {"edge": 0}, '"t"'),
+        "fractional-vertex": ("tripod.json", {"vertex": 1}, {"vertex": 1.7}, "1.7"),
+        "fractional-edge": ("tripod.json", {"vertex": 1}, {"edge": 0.9, "t": 0.5}, "0.9"),
+    }
+
+    @pytest.fixture
+    def tripod_file(self, workdir, tripod):
+        write_json(workdir / "tripod.json", target_to_json(tripod))
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_load_map(self, workdir, tripod_file, case):
+        target, good, bad, says = self.CASES[case]
+        values = [good] * 11
+        values[4] = bad
+        path = workdir / f"malformed_{case}_map.json"
+        write_json(path, {"space": "space.json", "target": target, "values": values})
+        with pytest.raises(ValidationError, match="index 4") as info:
+            load_map(path)
+        assert says in str(info.value) and info.value.detail == 4
+        code, out, err = run_cli("energy", "--map", path, "--scales", "0.45,0.35")
+        assert (code, out) == (2, "")
+        assert "index 4" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_load_problem(self, workdir, tripod_file, case):
+        target, good, bad, says = self.CASES[case]
+        path = workdir / f"malformed_{case}_problem.json"
+        write_json(
+            path,
+            {
+                "space": "space.json",
+                "target": target,
+                "interior": list(range(1, 10)),
+                "boundary_values": [[0, good], [10, bad]],
+                "scale": 0.15,
+            },
+        )
+        with pytest.raises(ValidationError, match="index 10") as info:
+            load_problem(path)
+        assert says in str(info.value) and info.value.detail == 10
+        code, out, err = run_cli("dirichlet", "--problem", path)
+        assert (code, out) == (2, "")
+        assert "index 10" in err and "Traceback" not in err
+
+    def test_integral_float_index_loads(self, workdir, tripod_file):
+        path = workdir / "integral_float_map.json"
+        values = [{"vertex": 1.0}] * 10 + [{"edge": 2.0, "t": 0.25}]
+        write_json(path, {"space": "space.json", "target": "tripod.json", "values": values})
+        u = load_map(path)
+        assert u.target.point_to_json(u.packed[0]) == {"vertex": 1}
+        assert u.target.point_to_json(u.packed[10]) == {"edge": 2, "t": 0.25}
+
+
+# Runs one CLI command with every ``cli.load_*`` wrapped (as the benchmark's
+# launcher wraps them) and writes, as JSON to argv[1], the exit code and the
+# numpy/scipy modules loaded after the last load returned and the scipy
+# modules loaded in all.  The CLI's arguments follow.
+_IMPORT_PROBE = """
+import json, sys
+
+def heavy():
+    return {m for m in sys.modules if m.split(".")[0] in ("numpy", "scipy")}
+
+import kscalc.cli as cli
+
+state = {"depth": 0, "loaded": None}
+
+def wrap(fn):
+    def loaded(*args, **kwargs):
+        state["depth"] += 1
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            state["depth"] -= 1
+            if state["depth"] == 0:
+                state["loaded"] = heavy()
+    return loaded
+
+for name in dir(cli):
+    if name.startswith("load_"):
+        setattr(cli, name, wrap(getattr(cli, name)))
+code = cli.main(sys.argv[2:])
+late = None if state["loaded"] is None else sorted(heavy() - state["loaded"])
+scipy = sorted(m for m in heavy() if m.startswith("scipy"))
+with open(sys.argv[1], "w") as fh:
+    json.dump({"code": code, "late": late, "scipy": scipy}, fh)
+"""
+
+
+def probe_imports(tmp_path, *args):
+    result = tmp_path / "probe.json"
+    proc = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PROBE, str(result), *map(str, args)],
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(result.read_text())
+
+
+class TestStartupImports:
+    """``import kscalc`` loads numpy only; each subcommand imports the scipy
+    modules it uses before its inputs load (``cli.SUBCOMMAND_IMPORTS``)."""
+
+    def test_import_loads_no_scipy(self):
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys, kscalc, kscalc.cli; "
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr
+
+    def test_verify_cat0_loads_no_scipy(self, workdir, tmp_path, tripod):
+        write_json(workdir / "startup_tripod.json", target_to_json(tripod))
+        for target in ("hyperbolic.json", "startup_tripod.json"):
+            report = probe_imports(
+                tmp_path, "verify", "--which", "cat0",
+                "--target", workdir / target, "--samples", "200",
+                "--out", tmp_path / "cat0.json",
+            )
+            assert report["code"] == 0
+            assert report["scipy"] == []
+            assert report["late"] == []
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("space-check", "--space", "space.json", "--dim", "1"),
+            ("energy", "--map", "map.json", "--scales", "0.45,0.35"),
+            ("energy", "--map", "fixture/map_linear.json", "--scales", "0.2,0.15,0.1"),
+            ("mdiff", "--space", "fixture/space.json", "--atlas", "fixture/atlas.json",
+             "--map", "fixture/map_linear.json", "--points", "10,30"),
+            ("mdiff", "--space", "fixture/space.json", "--atlas", "fixture/atlas.json",
+             "--map", "fixture/map_linear.json", "--points", "10,30",
+             "--family", "polyhedral"),
+            ("dirichlet", "--problem", "problem.json"),
+            ("dirichlet", "--problem", "problem.json", "--mode", "gauss-seidel"),
+        ],
+        ids=lambda args: "-".join(a for a in args if not a.endswith(".json"))[:48],
+    )
+    def test_nothing_imported_after_loading(self, workdir, tmp_path, args):
+        resolved = [workdir / a if a.endswith(".json") else a for a in args]
+        report = probe_imports(tmp_path, *resolved, "--out", tmp_path / "out")
+        assert report["code"] == 0
+        assert report["late"] == []
 
 
 class TestDeterminism:

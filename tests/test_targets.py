@@ -594,12 +594,12 @@ def _oracle_row(t, p):
         if isinstance(p, np.ndarray):
             p = TreePoint(vertex=int(p[0])) if p[4] < 0 else TreePoint(edge=int(p[4]), t=p[5])
         if p.is_vertex():
-            if not 0 <= p.vertex < t.n_vertices:
-                raise ValidationError("vertex index out of range")
+            if not 0 <= p.vertex < t.n_vertices or p.vertex != int(p.vertex):
+                raise ValidationError("vertex index out of range or not an integer")
             return np.array([p.vertex, p.vertex, 0.0, 0.0, -1.0, 0.0])
-        if not 0 <= p.edge < len(t.edges):
-            raise ValidationError("edge index out of range")
-        u, v, length = t.edges[p.edge]
+        if not 0 <= p.edge < len(t.edges) or p.edge != int(p.edge):
+            raise ValidationError("edge index out of range or not an integer")
+        u, v, length = t.edges[int(p.edge)]
         if not -1e-12 <= p.t <= length + 1e-12:
             raise ValidationError("edge offset outside the edge length")
         s = min(max(p.t, 0.0), length)
@@ -652,6 +652,9 @@ _pack_values = {
         # offsets up to 1e-12 outside an edge are clamped onto it, farther are bad
         st.builds(_edge_point, st.integers(0, 5), st.booleans(), st.floats(-1e-12, 3e-12)),
         st.integers(-2, 9).map(lambda v: TreePoint(vertex=v)),
+        # a non-integral index is bad, an integral float is its integer
+        st.sampled_from([0.5, 1.7, 2.0, 3.0 + 1e-9]).map(lambda v: TreePoint(vertex=v)),
+        st.sampled_from([0.9, 2.0, 4.5]).map(lambda e: TreePoint(edge=e, t=0.2)),
         st.builds(
             lambda e, t: TreePoint(edge=e, t=t),
             st.integers(-2, 8),
