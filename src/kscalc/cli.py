@@ -180,16 +180,10 @@ def cmd_mdiff(args):
 
 def cmd_dirichlet(args):
     prob, options = load_problem(args.problem)
-    tol = args.tol if args.tol is not None else options.get("tol")
-    max_sweeps = args.max_sweeps or options.get("max_sweeps", 20000)
-    mode = args.mode or options.get("mode", "jacobi")
-    values, report = solve(
-        prob,
-        tol=tol,
-        max_sweeps=int(max_sweeps),
-        mode=mode,
-        seed=args.seed,
-    )
+    tol = options.get("tol") if args.tol is None else args.tol
+    max_sweeps = options.get("max_sweeps", 20000) if args.max_sweeps is None else args.max_sweeps
+    mode = options.get("mode", "jacobi") if args.mode is None else args.mode
+    values, report = solve(prob, tol=tol, max_sweeps=max_sweeps, mode=mode, seed=args.seed)
     out = Path(args.out) if args.out else None
     _emit(out.with_suffix(".report.json") if out else None, canonical_json(report.to_json()))
     _emit(

@@ -2,22 +2,22 @@
 into a CAT(0) target with prescribed boundary values.
 
 The solver relaxes each interior point to the weighted barycenter of the
-values its ball reads; for Euclidean targets one sweep is exactly a
-Jacobi iteration of the induced graph-Laplacian system.  The energy
-reported per sweep is the weighted sum of squared scale energies over
-the interior.
+values its ball reads, through the target kind's ``barycenters``; for
+Euclidean targets one sweep is exactly a Jacobi iteration of the induced
+graph-Laplacian system.  The energy reported per sweep is the relaxation
+energy, the pairwise form the sweeps descend.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import AuditError, ValidationError
 from .spaces import check_radius
-from .targets import EuclideanTarget, barycenter
+from .targets import EuclideanTarget, _is_number
 
 JACOBI = "jacobi"
 GAUSS_SEIDEL = "gauss-seidel"
@@ -40,12 +40,13 @@ class DirichletProblem:
         self.target = target
         self.scale = check_radius(scale, "scale")
         self.p = 2.0
-        self.interior = np.unique(np.asarray(interior, dtype=int))
+        indices = np.ravel(np.asarray(interior, dtype=object))
+        self.interior = np.unique([_domain_index(k) for k in indices])
         if self.interior.size == 0:
             raise ValidationError("interior must be nonempty")
         if self.interior.size >= space.n:
             raise ValidationError("the complement of the interior must carry mass")
-        data = {int(k): v for k, v in dict(boundary_data).items()}
+        data = {_domain_index(k): v for k, v in dict(boundary_data).items()}
         for k in (int(self.interior[0]), int(self.interior[-1]), *data):
             if not 0 <= k < space.n:
                 raise ValidationError(f"index {k} outside the domain", detail=k)
@@ -100,13 +101,12 @@ class DirichletProblem:
         ref = self.referenced
         self._ball_rows = (np.searchsorted(ref, centers), np.searchsorted(ref, nbr))
         self._pair_rows = (np.searchsorted(ref, pa), np.searchsorted(ref, pb))
-        # every interior point's ball without the point: the barycenter's
-        # inputs, flattened for the Euclidean Jacobi average
-        self._nbrs = [b[b != x] for x, b in zip(self.interior, self.balls)]
-        self._nbrx = np.concatenate(self._nbrs)
-        self._nbrx_ptr = np.concatenate([[0], np.cumsum([b.shape[0] for b in self._nbrs])])
+        # every interior point's ball without the point, as ragged groups
+        # with their weights: the barycenters' inputs
+        keep = nbr != centers
+        self._nbrx = nbr[keep]
+        self._nbrx_ptr = np.concatenate([[0], np.cumsum(keep)])[self._flat_ptr]
         self._nbrx_w = w[self._nbrx]
-        self._nbrx_wsum = np.add.reduceat(self._nbrx_w, self._nbrx_ptr[:-1])
 
     # -- value containers: (n, width) arrays of packed rows ----------------
 
@@ -140,6 +140,13 @@ class DirichletProblem:
             self._boundary,
             "boundary value altered at index",
         )
+
+
+def _domain_index(k):
+    """A domain index as an int; a value that is not an integer is named."""
+    if _is_number(k) and float(k).is_integer():
+        return int(k)
+    raise ValidationError(f"domain index {k} is not an integer", detail=k)
 
 
 def _first_bad(bad, index, message):
@@ -195,38 +202,32 @@ def relax_sweep(prob, values, mode=JACOBI, bary_tol=1e-10, check_energy=True):
     Jacobi reads a frozen snapshot; Gauss-Seidel updates in index order.
     The relaxation energy never increases (checked when asked).
     """
-    if mode not in (JACOBI, GAUSS_SEIDEL):
-        raise ValidationError(f"unknown sweep mode {mode!r}")
-    before = relaxation_energy(prob, values) if check_energy else None
+    if not check_energy:
+        return _sweep(prob, values, mode, bary_tol)
+    return _checked_step(prob, values, relaxation_energy(prob, values), mode, bary_tol)[0]
+
+
+def _checked_step(prob, values, energy, mode, bary_tol):
+    """One sweep from values of relaxation energy ``energy``: the new values
+    and their energy.  A rise beyond rounding raises ``AuditError``."""
     new_values = _sweep(prob, values, mode, bary_tol)
-    if check_energy:
-        after = relaxation_energy(prob, new_values)
-        if after > before + _ENERGY_SLACK:
-            raise AuditError(
-                f"energy increased across a sweep: {before} -> {after}"
-            )
-    return new_values
+    new_energy = relaxation_energy(prob, new_values)
+    if new_energy > energy + _ENERGY_SLACK:
+        raise AuditError(f"energy increased across a sweep: {energy} -> {new_energy}")
+    return new_values, new_energy
 
 
 def _sweep(prob, values, mode, bary_tol):
-    target = prob.target
+    target, nbr, ptr, w = prob.target, prob._nbrx, prob._nbrx_ptr, prob._nbrx_w
     out = values.copy()
-    if mode == JACOBI and isinstance(target, EuclideanTarget):
-        # the closed-form barycenters of all interior balls at once
-        num = np.add.reduceat(
-            prob._nbrx_w[:, None] * values[prob._nbrx], prob._nbrx_ptr[:-1], axis=0
-        )
-        out[prob.interior] = num / prob._nbrx_wsum[:, None]
-        return out
-    w = prob.space.weights
     if mode == JACOBI:
-        # every barycenter reads the frozen values: pack them all at once
-        out[prob.interior] = target.pack(
-            [barycenter(target, values[nbr], w[nbr], tol=bary_tol) for nbr in prob._nbrs]
-        )
-        return out
-    for x, nbr in zip(prob.interior, prob._nbrs):
-        out[x] = target.pack([barycenter(target, out[nbr], w[nbr], tol=bary_tol)])[0]
+        out[prob.interior] = target.barycenters(values[nbr], ptr, w, bary_tol)
+    elif mode == GAUSS_SEIDEL:
+        for k, x in enumerate(prob.interior):
+            a, b = ptr[k], ptr[k + 1]
+            out[x] = target.barycenters(out[nbr[a:b]], (0, b - a), w[a:b], bary_tol)[0]
+    else:
+        raise ValidationError(f"solver option mode: unknown sweep mode {mode!r}")
     return out
 
 
@@ -287,6 +288,13 @@ def solve(
     """
     if tol is None:
         tol = default_tolerance(prob.target)
+    if not (_is_number(tol) and math.isfinite(tol) and tol > 0):
+        raise ValidationError(f"solver option tol must be finite and positive, not {tol!r}")
+    if not (_is_number(max_sweeps) and float(max_sweeps).is_integer() and max_sweeps >= 1):
+        raise ValidationError(
+            f"solver option max_sweeps must be a positive integer, not {max_sweeps!r}"
+        )
+    max_sweeps = int(max_sweeps)
     if bary_tol is None:
         bary_tol = max(tol * 1e-2, 1e-12)
     values = prob.default_init() if init is None else init
@@ -298,12 +306,7 @@ def solve(
     sweeps = 0
     rho_window = []
     for sweeps in range(1, max_sweeps + 1):
-        new_values = _sweep(prob, values, mode, bary_tol)
-        new_energy = relaxation_energy(prob, new_values)
-        if new_energy > energy + _ENERGY_SLACK:
-            raise AuditError(
-                f"energy increased across sweep {sweeps}: {energy} -> {new_energy}"
-            )
+        new_values, new_energy = _checked_step(prob, values, energy, mode, bary_tol)
         disp = _displacement(prob, values, new_values)
         decrease = energy - new_energy
         values, energy = new_values, new_energy
@@ -390,39 +393,6 @@ def midpoint_test(prob, u_values, v_values):
     )
 
 
-def _interior_components(prob):
-    """Connected components of the interior under ball adjacency."""
-    pos = {int(x): k for k, x in enumerate(prob.interior)}
-    parent = list(range(len(pos)))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    touches = [False] * len(pos)
-    for x, idx in zip(prob.interior, prob.balls):
-        a = find(pos[int(x)])
-        for j in idx:
-            j = int(j)
-            if j in pos:
-                b = find(pos[j])
-                if a != b:
-                    parent[b] = a
-                    a = find(a)
-            else:
-                touches[a] = True
-    comp = {}
-    for k in range(len(pos)):
-        comp.setdefault(find(k), []).append(k)
-    out = []
-    for root, members in comp.items():
-        touched = touches[root] or any(touches[m] for m in members)
-        out.append((touched, [int(prob.interior[m]) for m in members]))
-    return out
-
-
 def poincare_estimate(prob, tol=1e-13, max_iter=500):
     """Inverse of the smallest Dirichlet eigenvalue at the problem scale.
 
@@ -430,13 +400,26 @@ def poincare_estimate(prob, tol=1e-13, max_iter=500):
     boundary layer and runs inverse power iteration against the interior
     mass; the result converts energy gaps into squared L2 distances.
     """
-    for touched, members in _interior_components(prob):
-        if not touched:
-            raise ValidationError(
-                f"interior component {members[:8]} touches no boundary",
-                detail=members,
-            )
+    from scipy.linalg import cho_factor, cho_solve
+    from scipy.sparse import coo_matrix
+    from scipy.sparse.csgraph import connected_components
+
+    # components of the interior under ball adjacency, numbered in the
+    # order of their lowest members; each must reach the boundary layer
     ni = prob.interior.shape[0]
+    nbr = np.concatenate(prob.balls)
+    row = np.repeat(np.arange(ni), [b.shape[0] for b in prob.balls])
+    inner = prob._inside[nbr]
+    col = np.searchsorted(prob.interior, nbr[inner])
+    graph = coo_matrix((np.ones(col.shape[0]), (row[inner], col)), shape=(ni, ni))
+    n_comp, label = connected_components(graph, directed=False)
+    touched = np.zeros(n_comp, dtype=bool)
+    touched[label[row[~inner]]] = True
+    if not touched.all():
+        members = [int(x) for x in prob.interior[label == np.argmin(touched)]]
+        raise ValidationError(
+            f"interior component {members[:8]} touches no boundary", detail=members
+        )
     pos = {int(x): k for k, x in enumerate(prob.interior)}
     q = np.zeros((ni, ni))
     w = prob.space.weights
@@ -453,8 +436,6 @@ def poincare_estimate(prob, tol=1e-13, max_iter=500):
                 q[b, b] += cw
                 q[a, b] -= cw
                 q[b, a] -= cw
-    from scipy.linalg import cho_factor, cho_solve
-
     mass = w[prob.interior]
     factor = cho_factor(q)
     x = np.ones(ni)

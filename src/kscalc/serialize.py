@@ -136,7 +136,8 @@ def load_problem(path):
     base = Path(path).parent
     space = load_space(base / obj["space"])
     target = load_target(base / obj["target"])
-    index = [int(k) for k, _ in obj["boundary_values"]]
+    # DirichletProblem checks that each index is an integer
+    index = [k for k, _ in obj["boundary_values"]]
     values = [v for _, v in obj["boundary_values"]]
     boundary = dict(zip(index, _points_from_json(target, values, index)))
     prob = DirichletProblem(

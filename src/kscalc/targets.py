@@ -9,6 +9,7 @@ curvature audits; it is rejected wherever a CAT(0) target is required.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,8 +53,8 @@ def _slices(widths):
 
 
 def _is_number(x):
-    """Whether a parsed JSON value is a number (``true`` and ``false`` are not)."""
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
+    """Whether a value is a real number (``True`` and ``False`` are not)."""
+    return isinstance(x, numbers.Real) and not isinstance(x, bool)
 
 
 class GeodesicTarget:
@@ -67,7 +68,8 @@ class GeodesicTarget:
     ``TreePoint``, product tuples) belong to the scalar API, which takes
     a packed row wherever it takes a point: any ``(n, width)`` array is a
     value container for ``canonical``, ``dist``, ``geodesic_point``,
-    ``barycenter`` and ``point_to_json``.
+    ``barycenter`` and ``point_to_json``.  ``barycenters`` takes ragged
+    groups of packed rows and gives one packed row per group.
     """
 
     kind = "abstract"
@@ -138,6 +140,39 @@ class GeodesicTarget:
     def _geodesics(self, A, B, s):
         """``geodesics`` for ``0 < s < 1`` on rows of equal shape."""
         raise NotImplementedError
+
+    def barycenters(self, rows, ptr, weights, tol=1e-9, max_passes=10_000):
+        """Weighted barycenters of ragged groups of packed rows, one row each.
+
+        Group k is ``rows[ptr[k]:ptr[k+1]]``, nonempty, with positive weights
+        at the same positions of ``weights``; its barycenter minimizes the
+        weighted squared-distance sum.  Here the estimate cycles through the
+        group, stepping toward each point by the running weight fraction (the
+        first pass is the inductive mean), until a full pass moves it less
+        than ``tol``; a one-row group is its own barycenter.
+        """
+        out = []
+        for a, b in zip(ptr[:-1], ptr[1:]):
+            pts = [self.canonical(p) for p in rows[a:b]]
+            z = pts[0]
+            running = 0.0
+            for _ in range(max_passes if len(pts) > 1 else 0):
+                start = z
+                for q, wq in zip(pts, weights[a:b]):
+                    running += wq
+                    z = self.geodesic_point(z, q, wq / running)
+                disp = self.dist(start, z)
+                if disp < tol:
+                    break
+            else:
+                if len(pts) > 1:
+                    raise ConvergenceError(
+                        f"barycenter did not converge in {max_passes} passes",
+                        last=z,
+                        residual=disp,
+                    )
+            out.append(z)
+        return self.pack(out)
 
     def point_from_json(self, obj):
         """The point a JSON value describes.
@@ -214,6 +249,11 @@ class EuclideanTarget(_CoordinateTarget):
 
     def _geodesics(self, A, B, s):
         return (1.0 - s) * A + s * B
+
+    def barycenters(self, rows, ptr, weights, tol=1e-9, max_passes=10_000):
+        # the closed-form weighted means of all groups at once
+        num = np.add.reduceat(weights[:, None] * rows, ptr[:-1], axis=0)
+        return num / np.add.reduceat(weights, ptr[:-1])[:, None]
 
     def _from_draws(self, D):
         return D
@@ -649,6 +689,13 @@ class ProductTarget(GeodesicTarget):
             axis=-1,
         )
 
+    def barycenters(self, rows, ptr, weights, tol=1e-9, max_passes=10_000):
+        return np.concatenate(
+            [c.barycenters(rows[:, cols], ptr, weights, tol, max_passes)
+             for c, cols in zip(self.components, self._slices)],
+            axis=1,
+        )
+
     def point_to_json(self, p):
         return [c.point_to_json(q) for c, q in self._zip(p)]
 
@@ -823,46 +870,17 @@ def cat0_audit(target, n_samples, seed=0, s_steps=9):
 
 
 def barycenter(target, pts, weights, tol=1e-9, max_passes=10_000):
-    """Weighted barycenter: the minimizer of the squared-distance sum.
+    """Weighted barycenter of points: the minimizer of the squared-distance sum.
 
-    Euclidean targets use the closed-form mean and products split
-    componentwise.  Otherwise the estimate cycles through the points,
-    stepping toward each by the running weight fraction (so the first
-    pass is the inductive mean and later passes keep shrinking the
-    steps), until the displacement over a full pass drops below
-    ``tol``.
+    The one group of the target's ``barycenters``, as a point object.
     """
-    pts = [target.canonical(p) for p in pts]
     w = np.asarray(weights, dtype=float).reshape(-1)
-    if len(pts) == 0:
+    rows = target.pack(pts)
+    if len(rows) == 0:
         raise ValidationError("barycenter needs at least one point")
-    if w.shape[0] != len(pts) or np.any(w <= 0):
+    if w.shape[0] != len(rows) or np.any(w <= 0):
         raise ValidationError("weights must be positive, one per point")
-    if len(pts) == 1:
-        return pts[0]
-    if isinstance(target, EuclideanTarget):
-        arr = np.asarray(pts, dtype=float)
-        return (w[:, None] * arr).sum(axis=0) / w.sum()
-    if isinstance(target, ProductTarget):
-        return tuple(
-            barycenter(c, [p[k] for p in pts], w, tol=tol, max_passes=max_passes)
-            for k, c in enumerate(target.components)
-        )
-    z = pts[0]
-    running = 0.0
-    for p in range(max_passes):
-        start = z
-        for q, wq in zip(pts, w):
-            running += wq
-            z = target.geodesic_point(z, q, wq / running)
-        disp = target.dist(start, z)
-        if disp < tol:
-            return z
-    raise ConvergenceError(
-        f"barycenter did not converge in {max_passes} passes",
-        last=z,
-        residual=disp,
-    )
+    return target.canonical(target.barycenters(rows, [0, len(rows)], w, tol, max_passes)[0])
 
 
 def kuratowski_embed(target, landmarks, base, z):

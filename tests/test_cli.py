@@ -445,6 +445,60 @@ class TestLoadNamesMalformedValue:
         assert u.target.point_to_json(u.packed[10]) == {"edge": 2, "t": 0.25}
 
 
+class TestProblemIndicesAndOptions:
+    """A non-integral domain index or a bad solver option exits 2 naming it."""
+
+    def write_problem(self, workdir, name, **changes):
+        obj = json.loads((workdir / "problem.json").read_text())
+        obj.update(changes)
+        path = workdir / f"{name}.json"
+        write_json(path, obj)
+        return path
+
+    @pytest.mark.parametrize(
+        "changes, says",
+        [
+            ({"interior": [1.5, *range(2, 10)]}, "index 1.5 is not an integer"),
+            ({"boundary_values": [[0.7, [0.0]], [10, [1.0]]]}, "index 0.7 is not an integer"),
+        ],
+    )
+    def test_non_integral_index(self, workdir, changes, says):
+        path = self.write_problem(workdir, "fractional_index", **changes)
+        with pytest.raises(ValidationError, match=says):
+            load_problem(path)
+        code, out, err = run_cli("dirichlet", "--problem", path)
+        assert (code, out) == (2, "")
+        assert says in err and "Traceback" not in err
+
+    def test_integral_float_indices_load(self, workdir):
+        path = self.write_problem(
+            workdir, "float_index",
+            interior=[float(i) for i in range(1, 10)],
+            boundary_values=[[0.0, [0.0]], [10.0, [1.0]]],
+        )
+        prob, _ = load_problem(path)
+        assert prob.interior.tolist() == list(range(1, 10))
+        code, _, _ = run_cli("dirichlet", "--problem", path, "--out", workdir / "float_index")
+        assert code == 0
+
+    @pytest.mark.parametrize(
+        "flags, solver, says",
+        [
+            ([], {"mode": "sor"}, "mode"),
+            (["--tol", "nan"], {}, "tol"),
+            (["--tol", "0"], {}, "tol"),
+            (["--tol", "-1"], {}, "tol"),
+            (["--max-sweeps", "0"], {}, "max_sweeps"),
+            ([], {"max_sweeps": 2.5}, "max_sweeps"),
+        ],
+    )
+    def test_bad_solver_option(self, workdir, flags, solver, says):
+        path = self.write_problem(workdir, "bad_option", solver=solver)
+        code, out, err = run_cli("dirichlet", "--problem", path, *flags)
+        assert (code, out) == (2, "")
+        assert f"solver option {says}" in err and "uniqueness" not in err
+
+
 # Runs one CLI command with every ``cli.load_*`` wrapped (as the benchmark's
 # launcher wraps them) and writes, as JSON to argv[1], the exit code and the
 # numpy/scipy modules loaded after the last load returned and the scipy

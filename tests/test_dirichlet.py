@@ -8,9 +8,11 @@ from kscalc import (
     EuclideanTarget,
     HyperbolicTarget,
     MetricMap,
+    ProductTarget,
     TreePoint,
     SphereTarget,
     ValidationError,
+    barycenter,
     build_space,
     discrete_energy,
     midpoint_test,
@@ -107,6 +109,29 @@ class TestProblemValidation:
             DirichletProblem(sp, EuclideanTarget(1), list(interior), boundary, 0.15)
         assert exc.value.detail == bad
 
+    @pytest.mark.parametrize(
+        "interior, boundary, bad",
+        [
+            ([1.5, *range(2, 10)], {0: [0.0], 10: [1.0]}, "1.5"),
+            (range(1, 10), {0.7: [0.0], 10: [1.0]}, "0.7"),
+            (range(1, 10), {0: [0.0], 10: [1.0], math.nan: [0.5]}, "nan"),
+            ([*range(1, 10), True], {0: [0.0], 10: [1.0]}, "True"),
+        ],
+    )
+    def test_non_integral_index_rejected(self, path_problem, interior, boundary, bad):
+        _, sp, _ = path_problem
+        with pytest.raises(ValidationError, match=f"index {bad} is not an integer"):
+            DirichletProblem(sp, EuclideanTarget(1), list(interior), boundary, 0.15)
+
+    def test_integral_float_indices_load(self, path_problem):
+        _, sp, prob = path_problem
+        floats = DirichletProblem(
+            sp, EuclideanTarget(1), [float(i) for i in range(1, 10)],
+            {0.0: [0.0], np.float64(10.0): [1.0]}, 0.15,
+        )
+        assert floats.interior.tolist() == prob.interior.tolist()
+        assert sorted(floats.boundary_data) == [0, 10]
+
 
 class TestDiscreteEnergy:
     def test_constant_map_zero(self, path_problem):
@@ -175,6 +200,27 @@ def hyperbolic_grid_problem():
     return sp, DirichletProblem(
         sp, HyperbolicTarget(), np.nonzero(inner)[0], data, scale=0.3
     )
+
+
+def product_grid_problem(tripod):
+    """The hyperbolic grid problem's domain, mapped into R x tripod x H^2;
+    the tree data lie on the leaf-1 to leaf-2 line."""
+    sp, hyp = hyperbolic_grid_problem()
+    target = ProductTarget([EuclideanTarget(1), tripod, HyperbolicTarget()])
+    rng = np.random.default_rng(12)
+    data = {
+        k: (rng.normal(0.0, 1.0, 1), TreePoint(edge=int(rng.integers(0, 2)), t=rng.random()), v)
+        for k, v in hyp.boundary_data.items()
+    }
+    return sp, DirichletProblem(sp, target, hyp.interior, data, hyp.scale)
+
+
+def sweep_problem(kind, tripod):
+    if kind == "tree":
+        return tripod_path_problem(tripod)[1]
+    if kind == "hyperbolic":
+        return hyperbolic_grid_problem()[1]
+    return product_grid_problem(tripod)[1]
 
 
 class TestEnergiesAgainstScalarDist:
@@ -255,8 +301,47 @@ class TestRelaxSweep:
 
     def test_unknown_mode(self, path_problem):
         _, _, prob = path_problem
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="mode"):
             relax_sweep(prob, prob.default_init(), mode="sor")
+
+    BARY_TOL = 1e-7
+
+    @staticmethod
+    def assert_rows_match(kind, got, expect):
+        # the Euclidean component's mean may round differently in a product
+        if kind == "product":
+            assert np.abs(got - expect).max() <= 1e-15
+        else:
+            assert np.array_equal(got, expect)
+
+    @pytest.mark.parametrize("kind", ["tree", "hyperbolic", "product"])
+    def test_jacobi_matches_per_ball_barycenters(self, kind, tripod):
+        prob = sweep_problem(kind, tripod)
+        t, w = prob.target, prob.space.weights
+        values = prob.seeded_init(3)
+        new = relax_sweep(prob, values, mode="jacobi", bary_tol=self.BARY_TOL)
+        # oracle: one barycenter per ball, all reading the frozen values
+        expect = values.copy()
+        for x, idx in zip(prob.interior, prob.balls):
+            nbr = idx[idx != x]
+            expect[x] = t.pack([barycenter(t, values[nbr], w[nbr], tol=self.BARY_TOL)])[0]
+        assert not np.array_equal(new, values)
+        self.assert_rows_match(kind, new, expect)
+
+    @pytest.mark.parametrize("kind", ["tree", "hyperbolic", "product"])
+    def test_gauss_seidel_matches_sequential_barycenters(self, kind, tripod):
+        prob = sweep_problem(kind, tripod)
+        t, w = prob.target, prob.space.weights
+        values = prob.seeded_init(4)
+        new = relax_sweep(prob, values, mode="gauss-seidel", bary_tol=self.BARY_TOL)
+        # oracle: point by point in index order, each reading the updates so far
+        expect = values.copy()
+        for x, idx in zip(prob.interior, prob.balls):
+            nbr = idx[idx != x]
+            expect[x] = t.pack([barycenter(t, expect[nbr], w[nbr], tol=self.BARY_TOL)])[0]
+        self.assert_rows_match(kind, new, expect)
+        jacobi = relax_sweep(prob, values, mode="jacobi", bary_tol=self.BARY_TOL)
+        assert not np.array_equal(new, jacobi)
 
 
 class TestSolve:
@@ -304,6 +389,30 @@ class TestSolve:
         assert report.converged
         assert report.final_energy == 0.0
         assert np.allclose(np.asarray(sol)[:, 0], 0.3)
+
+    @pytest.mark.parametrize(
+        "options, name",
+        [
+            ({"mode": "sor"}, "mode"),
+            ({"tol": math.nan}, "tol"),
+            ({"tol": math.inf}, "tol"),
+            ({"tol": 0.0}, "tol"),
+            ({"tol": -1.0}, "tol"),
+            ({"tol": "1e-9"}, "tol"),
+            ({"max_sweeps": 0}, "max_sweeps"),
+            ({"max_sweeps": 2.5}, "max_sweeps"),
+            ({"max_sweeps": True}, "max_sweeps"),
+        ],
+    )
+    def test_bad_option_rejected(self, path_problem, options, name):
+        _, _, prob = path_problem
+        with pytest.raises(ValidationError, match=name):
+            solve(prob, uniqueness_audit=False, **options)
+
+    def test_integral_float_max_sweeps(self, path_problem):
+        _, _, prob = path_problem
+        _, report = solve(prob, tol=1e-12, max_sweeps=3.0, uniqueness_audit=False)
+        assert report.iterations == 3
 
     def test_max_sweeps_exhaustion_not_an_exception(self, path_problem):
         _, _, prob = path_problem

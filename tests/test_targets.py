@@ -218,6 +218,103 @@ class TestBarycenter:
         assert exc.value.residual > 0
 
 
+def _inductive_mean(t, pts, w, tol, max_passes=10_000):
+    """The inductive-mean iteration on point objects, step for step."""
+    pts = [t.canonical(p) for p in pts]
+    z, running = pts[0], 0.0
+    for _ in range(max_passes if len(pts) > 1 else 0):
+        start = z
+        for q, wq in zip(pts, w):
+            running += wq
+            z = t.geodesic_point(z, q, wq / running)
+        if t.dist(start, z) < tol:
+            break
+    return z
+
+
+class TestBarycenters:
+    """Ragged batched barycenters against one barycenter per group."""
+
+    SIZES = [3, 1, 9, 2, 5, 1, 7, 4, 8, 6]
+    TOL = 1e-7
+
+    def rows(self, t, rng):
+        """Group after group of points whose barycenters converge quickly:
+        clustered on the hyperboloid, and on two legs of the tripod (a
+        geodesic line, a different pair for each group)."""
+        n = sum(self.SIZES)
+        if t.kind == "product":
+            return np.concatenate([self.rows(c, rng) for c in t.components], axis=1)
+        if t.kind == "hyperbolic":
+            return t.lift(rng.normal(0.0, 0.4, (n, 2)))
+        if t.kind == "tree":
+            legs = np.repeat(np.arange(len(self.SIZES)) % 3, self.SIZES)
+            edge = np.where(rng.random(n) < 0.5, legs, (legs + 1) % 3)
+            return t.pack([TreePoint(edge=int(e), t=x) for e, x in zip(edge, rng.random(n))])
+        return t.random_points(rng, n)
+
+    def groups(self, t, seed):
+        rng = np.random.default_rng(seed)
+        rows = self.rows(t, rng)
+        w = rng.uniform(0.5, 2.0, rows.shape[0])
+        ptr = np.concatenate([[0], np.cumsum(self.SIZES)])
+        return rows, ptr, w
+
+    @pytest.fixture(params=["euclidean", "tree", "hyperbolic", "product"])
+    def target(self, request, tripod):
+        return {
+            "euclidean": EuclideanTarget(3),
+            "tree": tripod,
+            "hyperbolic": HyperbolicTarget(),
+            "product": ProductTarget([EuclideanTarget(2), tripod, HyperbolicTarget()]),
+        }[request.param]
+
+    def test_rows_match_one_group_barycenters(self, target):
+        rows, ptr, w = self.groups(target, 3)
+        got = target.barycenters(rows, ptr, w, self.TOL)
+        assert got.shape == (len(self.SIZES), target.width)
+        exact = target.kind in ("tree", "hyperbolic")
+        for k, (a, b) in enumerate(zip(ptr[:-1], ptr[1:])):
+            expect = target.pack([barycenter(target, rows[a:b], w[a:b], tol=self.TOL)])[0]
+            if exact:
+                assert np.array_equal(got[k], expect)
+                oracle = _inductive_mean(target, rows[a:b], w[a:b], self.TOL)
+                assert np.array_equal(got[k], target.pack([oracle])[0])
+            else:
+                assert np.abs(got[k] - expect).max() <= 1e-15
+            assert target.dist(got[k], expect) <= 1e-15
+
+    def test_euclidean_rows_are_weighted_means(self):
+        t = EuclideanTarget(3)
+        rows, ptr, w = self.groups(t, 4)
+        got = t.barycenters(rows, ptr, w)
+        for k, (a, b) in enumerate(zip(ptr[:-1], ptr[1:])):
+            mean = (w[a:b, None] * rows[a:b]).sum(axis=0) / w[a:b].sum()
+            assert np.abs(got[k] - mean).max() <= 1e-15
+
+    def test_product_rows_are_componentwise(self, tripod):
+        comps = [EuclideanTarget(2), tripod, HyperbolicTarget()]
+        t = ProductTarget(comps)
+        rows, ptr, w = self.groups(t, 5)
+        got = t.barycenters(rows, ptr, w, self.TOL)
+        for c, cols in zip(comps, t._slices):
+            assert np.array_equal(got[:, cols], c.barycenters(rows[:, cols], ptr, w, self.TOL))
+
+    def test_one_row_group_is_its_own_barycenter(self, tripod):
+        for t in (tripod, HyperbolicTarget()):
+            rows = t.random_points(np.random.default_rng(6), 3)
+            got = t.barycenters(rows, [0, 1, 3], np.array([7.0, 1.0, 1.0]), self.TOL)
+            assert np.array_equal(got[0], rows[0])
+
+    def test_tripod_nonconvergence_raises(self, tripod, leafA, leafB, leafC):
+        # three legs at offset 0.5: the inductive mean never settles at tol 1e-9
+        rows = tripod.pack([leafA, TreePoint(edge=0, t=0.5), TreePoint(edge=1, t=0.5),
+                            TreePoint(edge=2, t=0.5), leafB])
+        with pytest.raises(ConvergenceError, match="did not converge") as exc:
+            tripod.barycenters(rows, [0, 1, 4, 5], np.ones(5), tol=1e-9, max_passes=50)
+        assert exc.value.residual > 0
+
+
 class TestKuratowski:
     def test_base_maps_to_origin(self, tripod):
         rng = np.random.default_rng(1)
