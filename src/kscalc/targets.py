@@ -146,33 +146,13 @@ class GeodesicTarget:
 
         Group k is ``rows[ptr[k]:ptr[k+1]]``, nonempty, with positive weights
         at the same positions of ``weights``; its barycenter minimizes the
-        weighted squared-distance sum.  Here the estimate cycles through the
-        group, stepping toward each point by the running weight fraction (the
-        first pass is the inductive mean), until a full pass moves it less
-        than ``tol``; a one-row group is its own barycenter.
+        weighted squared-distance sum.  A one-row group is its own
+        barycenter, and a group's row does not depend on the other groups
+        of the call.  Iterative kinds stop a group when its step is shorter
+        than ``tol`` and raise ``ConvergenceError`` after ``max_passes``
+        iterations; exact kinds ignore both.
         """
-        out = []
-        for a, b in zip(ptr[:-1], ptr[1:]):
-            pts = [self.canonical(p) for p in rows[a:b]]
-            z = pts[0]
-            running = 0.0
-            for _ in range(max_passes if len(pts) > 1 else 0):
-                start = z
-                for q, wq in zip(pts, weights[a:b]):
-                    running += wq
-                    z = self.geodesic_point(z, q, wq / running)
-                disp = self.dist(start, z)
-                if disp < tol:
-                    break
-            else:
-                if len(pts) > 1:
-                    raise ConvergenceError(
-                        f"barycenter did not converge in {max_passes} passes",
-                        last=z,
-                        residual=disp,
-                    )
-            out.append(z)
-        return self.pack(out)
+        raise NotImplementedError
 
     def point_from_json(self, obj):
         """The point a JSON value describes.
@@ -257,6 +237,11 @@ class EuclideanTarget(_CoordinateTarget):
 
     def _from_draws(self, D):
         return D
+
+
+# edges per block of the tree barycenters: their memory grows with the
+# rows, not with the tree
+_EDGE_BLOCK = 32
 
 
 class TreeTarget(GeodesicTarget):
@@ -527,6 +512,49 @@ class TreeTarget(GeodesicTarget):
         out[~moving] = A[~moving]
         return out.reshape(shape)
 
+    def barycenters(self, rows, ptr, weights, tol=1e-9, max_passes=10_000):
+        """Exact barycenters; ``tol`` and ``max_passes`` are unused.
+
+        On edge (a, b, l) the squared distance from offset s to a row p is
+        (s - c)^2, where c is p's offset if p lies on the edge, -d(a, p) if
+        p is on a's side and l + d(b, p) otherwise.  So a group's objective
+        on each edge is one quadratic, minimized at the clipped weighted
+        mean of c, and the barycenter is the minimizer of the best edge
+        (the first of equal ones).  Edges go in fixed blocks, so memory
+        grows with the rows only.
+        """
+        ptr = np.asarray(ptr, dtype=np.intp)
+        starts, sizes = ptr[:-1], np.diff(ptr)
+        grp = np.repeat(np.arange(sizes.size), sizes)
+        u, v, lu, lv, e, t = (x[:, None] for x in _columns(rows))
+        u, v = u.astype(np.intp), v.astype(np.intp)
+        w = weights[:, None]
+        wsum = np.add.reduceat(w, starts, axis=0)
+        D = self._vdist
+        pick = np.arange(sizes.size)
+        best_f = np.full(sizes.size, np.inf)
+        best_e = np.zeros(sizes.size)
+        best_s = np.zeros(sizes.size)
+        for lo in range(0, len(self.edges), _EDGE_BLOCK):
+            j = np.arange(lo, min(lo + _EDGE_BLOCK, len(self.edges)))
+            a, b, l = self._eu[j], self._ev[j], self._len[j]
+            da = np.minimum(lu + D[u, a], lv + D[v, a])
+            db = np.minimum(lu + D[u, b], lv + D[v, b])
+            c = np.where(e == j, t, np.where(da <= db, -da, l + db))
+            s = np.clip(np.add.reduceat(w * c, starts, axis=0) / wsum, 0.0, l)
+            r = s[grp] - c
+            f = np.add.reduceat(w * (r * r), starts, axis=0)
+            k = np.argmin(f, axis=1)
+            fk = f[pick, k]
+            better = fk < best_f
+            best_f[better] = fk[better]
+            best_e[better] = j[k][better]
+            best_s[better] = s[pick, k][better]
+        out = self._rows_of(-1, best_e, best_s)[0]
+        one = sizes == 1
+        out[one] = rows[starts[one]]
+        return out
+
     def point_to_json(self, p):
         p = self.canonical(p)
         if p.is_vertex():
@@ -540,6 +568,14 @@ class TreeTarget(GeodesicTarget):
             if _is_number(obj.get("edge")) and _is_number(obj.get("t")):
                 return TreePoint(edge=obj["edge"], t=float(obj["t"]))
         raise ValidationError('a tree point must be {"vertex": v} or {"edge": e, "t": offset}')
+
+
+def _lift_columns(y1, y2):
+    """Hyperboloid points over plane coordinates, as columns (x0, x1, x2)."""
+    x = np.empty((3, y1.size))
+    x[1], x[2] = y1, y2
+    np.sqrt(1.0 + y1**2 + y2**2, out=x[0])
+    return x
 
 
 class HyperbolicTarget(_CoordinateTarget):
@@ -611,6 +647,112 @@ class HyperbolicTarget(_CoordinateTarget):
         out = np.cosh(s * theta) * A + np.sinh(s * theta) * V
         out[..., 0] = np.sqrt(1.0 + out[..., 1] ** 2 + out[..., 2] ** 2)
         return np.where(near, A, out)
+
+    def barycenters(self, rows, ptr, weights, tol=1e-9, max_passes=10_000):
+        """Karcher means by damped Newton steps, all groups at once.
+
+        Each iteration sums a group's objective F = sum w d^2(x, p), its
+        gradient and its Hessian at the iterate x in tangent coordinates
+        (``_newton_sums``) and steps from x along the geodesic by the
+        solution of the 2x2 Newton system.  A step that raises F beyond
+        rounding is halved instead.  A group stops, one step past its
+        iterate, once its Newton step is shorter than ``tol``; converged
+        groups leave the batch, so no group's row depends on the others.
+        The start is the group's normalized weighted Minkowski mean.
+        Iterates are columns: x is (x0, x1, x2) by group.
+        """
+        ptr = np.asarray(ptr, dtype=np.intp)
+        sizes = np.diff(ptr)
+        out = rows[ptr[:-1]].copy()
+        live = sizes > 1
+        if not live.any():
+            return out
+        act, n = np.flatnonzero(live), sizes[live]
+        keep = np.repeat(live, sizes)
+        P, w = np.ascontiguousarray(rows[keep].T), weights[keep]
+        start = np.cumsum(n) - n
+        m0, m1, m2 = np.add.reduceat(P * w, start, axis=1)
+        r = np.hypot(m1, m2)
+        # the Minkowski norm of a positive sum of hyperboloid points is at
+        # least the weight sum
+        norm = np.sqrt((m0 - r) * (m0 + r))
+        x = _lift_columns(m1 / norm, m2 / norm)
+        base, step, f_old = x, np.zeros((2, act.size)), np.full(act.size, np.inf)
+        for _ in range(max_passes):
+            f, g1, g2, h11, h12, h22 = self._newton_sums(x, P, w, start, n)
+            ok = ~(f > f_old * (1.0 + 1e-14))
+            det = h11 * h22 - h12 * h12
+            newton = np.empty((2, act.size))
+            np.divide(h22 * g1 - h12 * g2, det, out=newton[0])
+            np.divide(h11 * g2 - h12 * g1, det, out=newton[1])
+            base = np.where(ok, x, base)
+            f_old = np.where(ok, f, f_old)
+            step = np.where(ok, newton, 0.5 * step)
+            x = self._exp(base, step)
+            done = ok & (np.hypot(*newton) < tol)
+            if done.any():
+                out[act[done]] = x.T[done]
+                if done.all():
+                    return out
+                kept = ~done
+                P, w = P[:, np.repeat(kept, n)], w[np.repeat(kept, n)]
+                act, n, f_old = act[kept], n[kept], f_old[kept]
+                x, base, step = x[:, kept], base[:, kept], step[:, kept]
+                start = np.cumsum(n) - n
+        raise ConvergenceError(
+            f"barycenter did not converge in {max_passes} passes",
+            last=x[:, 0].copy(),
+            residual=float(np.hypot(*step[:, 0])),
+        )
+
+    @staticmethod
+    def _newton_sums(x, P, w, start, n):
+        """Per group at its iterate: F and the sums of w times the tangent
+        coordinates of log_x p and the Hessian of d^2(., p) / 2, as rows
+        (F, g1, g2, h11, h12, h22).
+
+        The basis of the tangent plane at x is the boost of the plane's
+        axes, b_k = (y_k, e_k + y y_k / (1 + x0)) with y = (x1, x2).  The
+        log map is (theta / sinh theta)(p - cosh theta x), whose x part has
+        no tangent component, and the Hessian is u u^T + theta coth theta
+        (I - u u^T) with u the unit direction of the log.
+        """
+        X0, X1, X2 = X = np.repeat(x, n, axis=1)
+        d0, d1, d2 = P - X
+        q = d1 * d1 + d2 * d2 - d0 * d0
+        np.maximum(q, 0.0, out=q)
+        # dist's chord form: theta = 2 asinh(s / 2), sinh theta = s sqrt(1 + q / 4)
+        s = np.sqrt(q)
+        zero = q == 0.0
+        theta = 2.0 * np.arcsinh(0.5 * s)
+        ratio = (theta + zero) / (s * np.sqrt(1.0 + 0.25 * q) + zero)
+        along = (X1 * d1 + X2 * d2) / (1.0 + X0) - d0
+        T = np.empty((6, q.size))
+        np.multiply(theta, theta, out=T[0])
+        a1 = np.multiply(ratio, d1 + X1 * along, out=T[1])
+        a2 = np.multiply(ratio, d2 + X2 * along, out=T[2])
+        c = ratio * (1.0 + 0.5 * q)
+        aa = a1 * a1 + a2 * a2
+        # k a a^T is (1 - theta coth theta) u u^T; a zero log adds nothing
+        k = (1.0 - c) / (aa + (aa == 0.0))
+        T[3] = c + k * (a1 * a1)
+        T[4] = k * (a1 * a2)
+        T[5] = c + k * (a2 * a2)
+        T *= w
+        return np.add.reduceat(T, start, axis=1)
+
+    @staticmethod
+    def _exp(x, S):
+        """The points at tangent coordinates ``S`` from ``x`` along the
+        geodesic, columns as ``x``; x0 is recomputed as in ``geodesic_point``."""
+        x0, x1, x2 = x
+        s1, s2 = S
+        ns = np.hypot(s1, s2)
+        zero = ns == 0.0
+        along = (x1 * s1 + x2 * s2) / (1.0 + x0)
+        sinhc = (np.sinh(ns) + zero) / (ns + zero)
+        ch = np.cosh(ns)
+        return _lift_columns(ch * x1 + sinhc * (s1 + x1 * along), ch * x2 + sinhc * (s2 + x2 * along))
 
     def _from_draws(self, D):
         return self.lift(D)
@@ -873,7 +1015,10 @@ def barycenter(target, pts, weights, tol=1e-9, max_passes=10_000):
     """Weighted barycenter of points: the minimizer of the squared-distance sum.
 
     The one group of the target's ``barycenters``, as a point object.
+    A target that is not CAT(0) has no barycenter here.
     """
+    if not target.is_cat0:
+        raise ValidationError(f"barycenters need a CAT(0) target, not {target.kind}")
     w = np.asarray(weights, dtype=float).reshape(-1)
     rows = target.pack(pts)
     if len(rows) == 0:

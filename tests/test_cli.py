@@ -269,9 +269,9 @@ class TestExitCodes:
         assert code == 3
         assert (workdir / "solve_short.report.json").exists()
 
-    def test_barycenter_nonconvergence_exit_3(self, workdir):
+    def test_barycenter_fan_meets_at_the_hub(self, workdir):
         # three unit-weight values at offset 0.5 on the tripod's three legs:
-        # the tree barycenter of the interior point never converges
+        # the interior point's barycenter is the hub, found exactly
         write_json(
             workdir / "fan_space.json",
             {"kind": "euclidean",
@@ -291,9 +291,13 @@ class TestExitCodes:
                 "scale": 1.5,
             },
         )
-        code, _, err = run_cli("dirichlet", "--problem", workdir / "fan_problem.json")
-        assert code == 3
-        assert "did not converge" in err
+        code, _, err = run_cli(
+            "dirichlet", "--problem", workdir / "fan_problem.json", "--out", workdir / "fan"
+        )
+        assert code == 0, err
+        assert json.loads((workdir / "fan.report.json").read_text())["converged"] is True
+        sol = json.loads((workdir / "fan.solution.json").read_text())
+        assert sol["values"][0] == {"vertex": 0}
 
     def test_duplicate_points_exit_2(self, workdir):
         write_json(

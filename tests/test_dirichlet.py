@@ -22,6 +22,8 @@ from kscalc import (
     solve,
 )
 
+from conftest import grid_points
+
 
 @pytest.fixture(scope="module")
 def path_problem():
@@ -501,6 +503,61 @@ class TestSolve:
             descend(local, step)
         for k in range(1, 10):
             assert d_oracle(leg_of(sol[k]), cur[k]) <= 1e-4
+
+
+def grid_problem(n, margin, target, value):
+    """The n x n grid of the unit square with interior idx[margin:n-margin]
+    squared, scale 1.6 grid steps and boundary values value(point)."""
+    pts = grid_points(n, 2)
+    sp = build_space({"kind": "euclidean", "points": pts.tolist()})
+    idx = np.arange(n * n).reshape(n, n)
+    interior = idx[margin:n - margin, margin:n - margin].ravel()
+    outside = np.setdiff1d(np.arange(n * n), interior)
+    data = {int(k): value(pts[k]) for k in outside}
+    return DirichletProblem(sp, target, interior, data, scale=1.6 / (n - 1))
+
+
+def on_three_legs(p):
+    """Tripod data: the sector of p's angle about the square's center picks
+    the leg, and p's distance from the center the offset."""
+    phi = math.atan2(p[1] - 0.5, p[0] - 0.5) % (2 * math.pi)
+    radius = math.hypot(p[0] - 0.5, p[1] - 0.5)
+    return TreePoint(edge=int(3 * phi / (2 * math.pi)) % 3, t=min(0.9, 1.2 * radius))
+
+
+class TestExactBarycenters:
+    """Problems on which the inductive mean failed: it never settled where
+    data pull toward all three legs of a tripod, and its inexact hyperbolic
+    barycenters raised the relaxation energy on non-geodesic data."""
+
+    @pytest.mark.parametrize("mode", ["jacobi", "gauss-seidel"])
+    @pytest.mark.parametrize("n", [7, 9])
+    def test_tripod_data_on_all_three_legs(self, tripod, n, mode):
+        prob = grid_problem(n, 2, tripod, on_three_legs)
+        sol, report = solve(prob, mode=mode)
+        assert report.converged and report.uniqueness_gap <= 10 * 1e-6
+        # the solution reaches the hub region: its values span all three legs
+        legs = {tripod.canonical(sol[x]).edge for x in prob.interior}
+        assert {0, 1, 2} <= legs
+
+    @pytest.mark.parametrize("mode", ["jacobi", "gauss-seidel"])
+    @pytest.mark.parametrize("kind", ["hyperbolic", "product"])
+    def test_non_geodesic_hyperbolic_data(self, tripod, kind, mode):
+        hyp = HyperbolicTarget()
+        if kind == "hyperbolic":
+            target, value = hyp, lambda p: hyp.lift(2 * p - 1)
+        else:
+            target = ProductTarget([EuclideanTarget(2), hyp, tripod])
+            value = lambda p: (2 * p - 1, hyp.lift(2 * p - 1), on_three_legs(p))
+        _, report = solve(grid_problem(7, 1, target, value), mode=mode)
+        assert report.converged and report.uniqueness_gap <= 10 * 1e-6
+
+    def test_relax_sweep_reaches_its_default_bary_tol(self):
+        # relax_sweep's default bary_tol 1e-10 is below what solve passes
+        _, prob = hyperbolic_grid_problem()
+        values = prob.default_init()
+        new = relax_sweep(prob, values)
+        assert relaxation_energy(prob, new) < relaxation_energy(prob, values)
 
 
 class TestMidpointTest:
