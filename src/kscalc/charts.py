@@ -172,15 +172,14 @@ def alignment_defect(space, c1, c2):
     return worst
 
 
-def default_fit_radius(space, chart, i, min_members=None):
+def default_fit_radius(space, chart, i):
     """Smallest radius whose ball holds the default chart-member count."""
-    return _fit_radius(space.dist_subset(int(i), chart.indices), chart, i, min_members)
+    return _fit_radius(space.dist_subset(int(i), chart.indices), chart, i)
 
 
-def _fit_radius(dists, chart, i, min_members=None):
+def _fit_radius(dists, chart, i):
     """``default_fit_radius`` from the distances of ``i`` to the chart members."""
-    if min_members is None:
-        min_members = _FIT_NEIGHBOR_FACTOR * (chart.chart_dim + 1)
+    min_members = _FIT_NEIGHBOR_FACTOR * (chart.chart_dim + 1)
     dists = np.sort(dists[dists > 0])
     if dists.shape[0] < min_members:
         raise FitError(

@@ -195,15 +195,13 @@ def relaxation_energy(prob, values):
     return float(np.dot(prob._pair_w, d2))
 
 
-def relax_sweep(prob, values, mode=JACOBI, bary_tol=1e-10, check_energy=True):
+def relax_sweep(prob, values, mode=JACOBI, bary_tol=1e-10):
     """One relaxation sweep: every interior point moves to the weighted
     barycenter of the other values in its ball.
 
     Jacobi reads a frozen snapshot; Gauss-Seidel updates in index order.
-    The relaxation energy never increases (checked when asked).
+    The relaxation energy never increases, and the sweep checks it.
     """
-    if not check_energy:
-        return _sweep(prob, values, mode, bary_tol)
     return _checked_step(prob, values, relaxation_energy(prob, values), mode, bary_tol)[0]
 
 

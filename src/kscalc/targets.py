@@ -61,15 +61,15 @@ class GeodesicTarget:
     """Base interface: distance, constant-speed geodesics, sampling.
 
     Packed rows are the one stored form of target values: ``pack`` turns
-    values into one validated ``(n, width)`` float array, and the batched
-    kernels ``dists``, ``geodesics`` and ``random_points`` work on such
-    arrays, computing pair for pair what the scalar ``dist`` and
-    ``geodesic_point`` compute.  Point objects (coordinate vectors,
-    ``TreePoint``, product tuples) belong to the scalar API, which takes
-    a packed row wherever it takes a point: any ``(n, width)`` array is a
-    value container for ``canonical``, ``dist``, ``geodesic_point``,
-    ``barycenter`` and ``point_to_json``.  ``barycenters`` takes ragged
-    groups of packed rows and gives one packed row per group.
+    values into one validated ``(n, width)`` float array, and each kind's
+    batched kernels ``dists``, ``geodesics``, ``random_points`` and
+    ``barycenters`` work on such arrays.  They are the kind's only
+    distance and geodesic code: ``dist`` and ``geodesic_point`` are their
+    one-pair calls.  Point objects (coordinate vectors, ``TreePoint``,
+    product tuples) belong to the scalar API, which takes a packed row
+    wherever it takes a point: any ``(n, width)`` array is a value
+    container for ``canonical``, ``dist``, ``geodesic_point``,
+    ``barycenter`` and ``point_to_json``.
     """
 
     kind = "abstract"
@@ -115,6 +115,17 @@ class GeodesicTarget:
                 raise ValidationError(f"value at index {j}: {exc}", detail=j) from exc
         return self.pack([self.canonical(v) for v in values]) if rows is None else rows
 
+    def dist(self, a, b):
+        """The distance of two points: one pair of ``dists``."""
+        P = self.pack([a, b])
+        return float(self.dists(P[0], P[1]))
+
+    def geodesic_point(self, a, b, s):
+        """The point at parameter ``s`` on the geodesic from a to b, as a
+        point object: one pair of ``geodesics``."""
+        P = self.pack([a, b])
+        return self.canonical(self.geodesics(P[0], P[1], s))
+
     def dists(self, A, B, squared=False):
         """Distances between packed rows whose leading shapes broadcast.
 
@@ -126,9 +137,9 @@ class GeodesicTarget:
     def geodesics(self, A, B, s):
         """Packed geodesic points at parameter ``s`` from rows A to rows B.
 
-        The leading shapes broadcast as in ``dists``.  Row for row this is
-        ``geodesic_point``: ``s <= 0`` gives A, ``s >= 1`` gives B and a
-        pair at distance zero gives A.
+        The leading shapes broadcast as in ``dists``.  ``s <= 0`` gives A,
+        ``s >= 1`` gives B and a pair at distance zero gives A; tree rows
+        come out canonical.
         """
         A, B = np.broadcast_arrays(A, B)
         if s <= 0.0:
@@ -213,19 +224,10 @@ class EuclideanTarget(_CoordinateTarget):
         self.dim = int(dim)
         self.width = self._draw_width = self.dim
 
-    def dist(self, a, b):
-        return float(np.linalg.norm(np.asarray(a, float) - np.asarray(b, float)))
-
     def dists(self, A, B, squared=False):
         delta = A - B
         d2 = np.einsum("...k,...k->...", delta, delta)
         return d2 if squared else np.sqrt(d2)
-
-    def geodesic_point(self, a, b, s):
-        a = np.asarray(a, float)
-        b = np.asarray(b, float)
-        s = min(max(s, 0.0), 1.0)
-        return (1.0 - s) * a + s * b
 
     def _geodesics(self, A, B, s):
         return (1.0 - s) * A + s * B
@@ -261,6 +263,9 @@ class TreeTarget(GeodesicTarget):
         self.edges = [(int(u), int(v), float(l)) for u, v, l in edges]
         if len(self.edges) != self.n_vertices - 1:
             raise ValidationError("a tree on n vertices has exactly n-1 edges")
+        if not self.edges:
+            # one point: nothing to sample, and no edge to hold a barycenter
+            raise ValidationError("a tree target needs at least one edge")
         for e, (u, v, l) in enumerate(self.edges):
             if not (math.isfinite(l) and l > 0):
                 raise ValidationError(
@@ -365,69 +370,6 @@ class TreeTarget(GeodesicTarget):
         vertex, edge, t = triples.reshape(-1, 3).T
         return self._rows_of(vertex, edge, t)
 
-    def _anchors(self, p):
-        """(vertex, leg distance) pairs describing a canonical point."""
-        if p.is_vertex():
-            return ((p.vertex, 0.0),)
-        u, v, l = self.edges[p.edge]
-        return ((u, p.t), (v, l - p.t))
-
-    def dist(self, a, b):
-        return self._dist(self.canonical(a), self.canonical(b))
-
-    def _dist(self, a, b):
-        """``dist`` of canonical points."""
-        if not a.is_vertex() and not b.is_vertex() and a.edge == b.edge:
-            return abs(a.t - b.t)
-        best = np.inf
-        for va, da in self._anchors(a):
-            for vb, db in self._anchors(b):
-                best = min(best, da + self._vdist[va, vb] + db)
-        return float(best)
-
-    def geodesic_point(self, a, b, s):
-        a = self.canonical(a)
-        b = self.canonical(b)
-        walk = s * self._dist(a, b)
-        if walk <= 0.0:
-            # zero length, s <= 0, or a step that underflows
-            return a
-        if s >= 1.0:
-            return b
-        if not a.is_vertex() and not b.is_vertex() and a.edge == b.edge:
-            t = a.t + math.copysign(walk, b.t - a.t)
-            return self.canonical(TreePoint(edge=a.edge, t=t))
-        # choose the exit/entry anchors realizing the shortest route
-        best = None
-        for va, da in self._anchors(a):
-            for vb, db in self._anchors(b):
-                length = da + self._vdist[va, vb] + db
-                if best is None or length < best[0] - 1e-15:
-                    best = (length, va, da, vb, db)
-        _, va, da, vb, db = best
-        if walk <= da:
-            # still on a's edge, moving toward va
-            u, v, l = self.edges[a.edge]
-            t = a.t - walk if va == u else a.t + walk
-            return self.canonical(TreePoint(edge=a.edge, t=t))
-        walk -= da
-        u = va
-        while u != vb and walk > 0.0:
-            v = int(self._next_hop[u, vb])
-            e = int(self._edge_index[u, v])
-            eu, ev, l = self.edges[e]
-            if walk < l:
-                t = walk if u == eu else l - walk
-                return self.canonical(TreePoint(edge=e, t=t))
-            walk -= l
-            u = v
-        if u == vb and walk > 0.0 and not b.is_vertex():
-            # inside b's edge, moving away from vb
-            eu, ev, l = self.edges[b.edge]
-            t = walk if vb == eu else l - walk
-            return self.canonical(TreePoint(edge=b.edge, t=t))
-        return TreePoint(vertex=u)
-
     def _draw(self, rng):
         e = int(rng.integers(0, len(self.edges)))
         # rng.uniform(0.0, l) draws 0.0 + l * rng.random(): the same number
@@ -462,8 +404,8 @@ class TreeTarget(GeodesicTarget):
         ua, va, lua, lva, ea, ta = A.T
         ub, vb, lub, lvb, eb, tb = B.T
         ua, va, ub, vb, ea, eb = (x.astype(np.intp) for x in (ua, va, ub, vb, ea, eb))
-        # exit and entry anchors of the shortest route; as in geodesic_point,
-        # a later route wins only when shorter by more than 1e-15
+        # exit and entry anchors of the shortest route: of the four anchor
+        # pairs, a later one wins only when shorter by more than 1e-15
         D = self._vdist
         best, xa, da, xb = lua + D[ua, ub] + lub, ua, lua, ub
         for x, dx, y, dy in ((ua, lua, vb, lvb), (va, lva, ub, lub), (va, lva, vb, lvb)):
@@ -588,9 +530,12 @@ class HyperbolicTarget(_CoordinateTarget):
     _draw_width = 2
 
     def _off(self, P):
-        # the Minkowski square x0^2 - x1^2 - x2^2 must be 1
-        q = P * P
-        return ~(P[..., 0] > 0) | (np.abs(q[..., 0] - q[..., 1] - q[..., 2] - 1.0) > 1e-9)
+        # the Minkowski square x0^2 - x1^2 - x2^2 must be 1; the test is
+        # negated so that the NaN of an overflowing square counts as off
+        with np.errstate(over="ignore", invalid="ignore"):
+            q = P * P
+            on = (P[..., 0] > 0) & (np.abs(q[..., 0] - q[..., 1] - q[..., 2] - 1.0) <= 1e-9)
+        return ~on
 
     @staticmethod
     def lift(x12):
@@ -599,17 +544,12 @@ class HyperbolicTarget(_CoordinateTarget):
         x0 = np.sqrt(1.0 + x12[..., 0] ** 2 + x12[..., 1] ** 2)
         return np.concatenate([x0[..., None], x12], axis=-1)
 
-    def dist(self, a, b):
+    def dists(self, A, B, squared=False):
         # chord form 2 asinh(|a - b| / 2) of the Minkowski norm |a - b|:
         # exact zero on equal points, and it resolves distances far below
-        # the 2e-8 that arccosh of the Minkowski product can
-        d0, d1, d2 = np.subtract(a, b, dtype=float).tolist()
-        q = d1 * d1 + d2 * d2 - d0 * d0
-        return 2.0 * math.asinh(math.sqrt(max(q, 0.0)) * 0.5)
-
-    def dists(self, A, B, squared=False):
+        # the 2e-8 that arccosh of the Minkowski product can; computed in
+        # place in two arrays of the broadcast shape
         (a0, a1, a2), (b0, b1, b2) = _columns(A), _columns(B)
-        # dist's arithmetic, in place in two arrays of the broadcast shape
         q = np.empty(np.broadcast_shapes(np.shape(a0), np.shape(b0)))
         d = np.empty_like(q)
         np.subtract(a1, b1, out=q)
@@ -626,19 +566,6 @@ class HyperbolicTarget(_CoordinateTarget):
         np.arcsinh(q, out=q)
         q *= 2.0
         return q**2 if squared else q
-
-    def geodesic_point(self, a, b, s):
-        a = np.asarray(a, float)
-        b = np.asarray(b, float)
-        theta = self.dist(a, b)
-        if theta < 1e-12 or s <= 0.0:
-            return a.copy()
-        if s >= 1.0:
-            return b.copy()
-        v = (b - math.cosh(theta) * a) / math.sinh(theta)
-        out = math.cosh(s * theta) * a + math.sinh(s * theta) * v
-        out[0] = math.sqrt(1.0 + out[1] ** 2 + out[2] ** 2)
-        return out
 
     def _geodesics(self, A, B, s):
         theta = self.dists(A, B)[..., None]
@@ -721,7 +648,7 @@ class HyperbolicTarget(_CoordinateTarget):
         d0, d1, d2 = P - X
         q = d1 * d1 + d2 * d2 - d0 * d0
         np.maximum(q, 0.0, out=q)
-        # dist's chord form: theta = 2 asinh(s / 2), sinh theta = s sqrt(1 + q / 4)
+        # the chord form of dists: theta = 2 asinh(s / 2), sinh theta = s sqrt(1 + q / 4)
         s = np.sqrt(q)
         zero = q == 0.0
         theta = 2.0 * np.arcsinh(0.5 * s)
@@ -744,7 +671,7 @@ class HyperbolicTarget(_CoordinateTarget):
     @staticmethod
     def _exp(x, S):
         """The points at tangent coordinates ``S`` from ``x`` along the
-        geodesic, columns as ``x``; x0 is recomputed as in ``geodesic_point``."""
+        geodesic, columns as ``x``; x0 is recomputed as in ``geodesics``."""
         x0, x1, x2 = x
         s1, s2 = S
         ns = np.hypot(s1, s2)
@@ -798,12 +725,6 @@ class ProductTarget(GeodesicTarget):
         ]
         rows = np.concatenate([r for r, _ in packed], axis=1)
         return rows, np.any([bad for _, bad in packed], axis=0)
-
-    def dist(self, a, b):
-        return math.sqrt(sum(c.dist(x, y) ** 2 for c, x, y in self._zip(a, b)))
-
-    def geodesic_point(self, a, b, s):
-        return tuple(c.geodesic_point(x, y, s) for c, x, y in self._zip(a, b))
 
     def random_point(self, rng):
         return tuple(c.random_point(rng) for c in self.components)
@@ -872,9 +793,6 @@ class SphereTarget(_CoordinateTarget):
         norm = np.sqrt(np.matmul(P[..., None, :], P[..., :, None])[..., 0, 0])
         return np.abs(norm - 1.0) > 1e-9
 
-    def dist(self, a, b):
-        return float(self.dists(np.asarray(a, float), np.asarray(b, float)))
-
     def dists(self, A, B, squared=False):
         # atan2(|a x b|, a . b): exact zero on equal points, and accurate
         # near antipodes, where acos of the dot product is not
@@ -885,14 +803,12 @@ class SphereTarget(_CoordinateTarget):
         d = np.arctan2(np.sqrt(c0 * c0 + c1 * c1 + c2 * c2), a0 * b0 + a1 * b1 + a2 * b2)
         return d**2 if squared else d
 
-    def geodesic_point(self, a, b, s):
-        return self.geodesics(np.asarray(a, float), np.asarray(b, float), s)
-
     def _geodesics(self, A, B, s):
         theta = self.dists(A, B)
         far = theta > math.pi - 1e-9
         if np.any(far):
-            # antipodal tie-break of geodesic_point, row by row
+            # antipodal tie-break: B moves 1e-9 off the antipode toward the
+            # axis least aligned with A, projected orthogonal to A
             B = B.copy()
             a = A[far]
             k = np.argmin(np.abs(a), axis=-1)
@@ -1037,6 +953,6 @@ def kuratowski_embed(target, landmarks, base, z):
     """
     if not landmarks:
         raise ValidationError("landmark list must be nonempty")
-    return np.asarray(
-        [target.dist(z, l) - target.dist(base, l) for l in landmarks], dtype=float
-    )
+    L = target.pack(landmarks)
+    z_row, base_row = target.pack([z, base])
+    return target.dists(z_row, L) - target.dists(base_row, L)

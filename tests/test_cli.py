@@ -117,6 +117,15 @@ class TestExitCodes:
         assert out == ""
         assert "finite and positive" in err
 
+    def test_verify_cat0_one_vertex_tree_exit_2(self, workdir):
+        write_json(workdir / "one_vertex.json", {"kind": "tree", "vertices": 1, "edges": []})
+        code, out, err = run_cli(
+            "verify", "--which", "cat0", "--target", workdir / "one_vertex.json"
+        )
+        assert code == 2
+        assert out == ""
+        assert "at least one edge" in err
+
     def test_energy_infinite_scale_exit_2(self, workdir):
         code, _, err = run_cli(
             "energy",

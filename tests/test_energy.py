@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -230,6 +231,24 @@ class TestContraction:
         u = random_map(grid_space_21, EuclideanTarget(2), 3)
         with pytest.raises(ValidationError, match="expands"):
             contraction_check(u, lambda v: 2.0 * v, 2.0, 0.12)
+
+    def test_names_the_first_expanding_sampled_pair(self, grid_space_21):
+        u = random_map(grid_space_21, EuclideanTarget(2), 4)
+        t = u.target
+
+        # stretches the positive half-plane only, so some pairs do not expand
+        def post(v):
+            return np.array([3.0 * max(v[0], 0.0) + min(v[0], 0.0), v[1]])
+
+        pairs = np.random.default_rng(5).integers(0, grid_space_21.n, size=(64, 2))
+        first = next(
+            (int(a), int(b)) for a, b in pairs
+            if t.dist(post(u.packed[a]), post(u.packed[b])) > t.dist(u.packed[a], u.packed[b])
+        )
+        assert first != tuple(int(k) for k in pairs[0])
+        with pytest.raises(ValidationError, match=re.escape(f"pair {first}:")) as exc:
+            contraction_check(u, post, 2.0, 0.12, seed=5, n_pairs=64)
+        assert exc.value.detail == first
 
 
 class TestHajlasz:

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -62,6 +63,10 @@ class TestDist:
                 assert dab == pytest.approx(dba, abs=1e-12)
                 assert dab >= 0
                 assert t.dist(a, c) <= dab + t.dist(b, c) + 1e-9
+
+    def test_tree_needs_an_edge(self):
+        with pytest.raises(ValidationError, match="at least one edge"):
+            build_target({"kind": "tree", "vertices": 1, "edges": []})
 
     def test_tree_must_be_connected_acyclic(self):
         with pytest.raises(ValidationError):
@@ -181,14 +186,9 @@ class TestBarycenter:
             max_passes=200_000,
         )
         # oracle: exhaustive minimization over a fine grid of tree positions
-        best, best_val = None, np.inf
-        for e in range(3):
-            for tt in np.linspace(0.0, 1.0, 2001):
-                z = tripod.canonical(TreePoint(edge=e, t=tt))
-                val = sum(tripod.dist(z, p) ** 2 for p in (leafA, leafB, leafC))
-                if val < best_val:
-                    best, best_val = z, val
-        assert tripod.dist(b, best) <= 5e-4
+        zs = [TreePoint(edge=e, t=tt) for e in range(3) for tt in np.linspace(0.0, 1.0, 2001)]
+        vals = _objective(tripod, zs, [leafA, leafB, leafC], np.ones(3))
+        assert tripod.dist(b, zs[int(np.argmin(vals))]) <= 5e-4
 
     def test_two_point_barycenter_matches_geodesic(self, tripod):
         rng = np.random.default_rng(2)
@@ -259,29 +259,27 @@ def _inductive_mean(t, pts, w, tol, max_passes=10_000):
     return z
 
 
-def _objective(t, z, pts, w):
-    """The weighted squared-distance sum at z, from the scalar dist."""
-    return sum(wi * t.dist(z, p) ** 2 for wi, p in zip(w, pts))
+def _objective(t, zs, pts, w):
+    """The weighted squared-distance sums at the points zs."""
+    return t.dists(t.pack(zs)[:, None], t.pack(pts)[None, :], squared=True) @ w
 
 
 def _tree_brute_force(t, pts, w):
-    """The least objective over the tree and a point attaining it: a grid
-    on each edge, refined by ternary search (the objective is convex along
-    an edge)."""
+    """The least objective over the tree and a point attaining it: on each
+    edge a grid of offsets, narrowed to the two cells around its least
+    value until it is below rounding (the objective is convex along an
+    edge, so the minimizer stays inside)."""
     best = (math.inf, None)
     for e, (_u, _v, length) in enumerate(t.edges):
-
-        def f(s, e=e):
-            return _objective(t, TreePoint(edge=e, t=s), pts, w)
-
-        grid = np.linspace(0.0, length, 41)
-        k = int(np.argmin([f(s) for s in grid]))
-        lo, hi = grid[max(k - 1, 0)], grid[min(k + 1, 40)]
-        for _ in range(80):
-            m1, m2 = lo + (hi - lo) / 3, hi - (hi - lo) / 3
-            lo, hi = (lo, m2) if f(m1) <= f(m2) else (m1, hi)
-        s = 0.5 * (lo + hi)
-        best = min(best, (f(s), t.canonical(TreePoint(edge=e, t=s))), key=lambda b: b[0])
+        lo, hi = 0.0, length
+        # each pass narrows the bracket twentyfold
+        for _ in range(14):
+            grid = np.linspace(lo, hi, 41)
+            f = _objective(t, [TreePoint(edge=e, t=s) for s in grid], pts, w)
+            k = int(np.argmin(f))
+            lo, hi = grid[max(k - 1, 0)], grid[min(k + 1, 40)]
+        z = t.canonical(TreePoint(edge=e, t=grid[k]))
+        best = min(best, (float(f[k]), z), key=lambda b: b[0])
     return best
 
 
@@ -354,7 +352,7 @@ class TestBarycenters:
             # optimality oracles for the two kinds that do not average
             if target.kind == "tree":
                 f_min, z = _tree_brute_force(target, rows[a:b], w[a:b])
-                assert _objective(target, got[k], rows[a:b], w[a:b]) <= f_min + 1e-12
+                assert _objective(target, got[k : k + 1], rows[a:b], w[a:b])[0] <= f_min + 1e-12
                 assert target.dist(got[k], z) <= 1e-7
             if target.kind == "hyperbolic":
                 assert _karcher_residual(got[k], rows[a:b], w[a:b]) <= 1e-11
@@ -482,35 +480,106 @@ def kernel_case(kind, tripod, seed, n):
     return target, pts
 
 
+def _tree_reference(t, points):
+    """Distances between tree points: shortest paths in the tree with each
+    point inside an edge spliced into that edge as a node."""
+    from scipy.sparse import coo_matrix
+    from scipy.sparse.csgraph import shortest_path
+
+    pts = [t.canonical(p) for p in points]
+    cuts = {}
+    for p in pts:
+        if not p.is_vertex():
+            cuts.setdefault(p.edge, set()).add(p.t)
+    node, n = {}, t.n_vertices
+    for e, offsets in cuts.items():
+        for x in offsets:
+            node[e, x], n = n, n + 1
+    i, j, w = [], [], []
+    for e, (u, v, length) in enumerate(t.edges):
+        chain = [(0.0, u), *((x, node[e, x]) for x in sorted(cuts.get(e, ()))), (length, v)]
+        for (x0, a), (x1, b) in zip(chain, chain[1:]):
+            i.append(a)
+            j.append(b)
+            w.append(x1 - x0)
+    D = shortest_path(coo_matrix((w, (i, j)), shape=(n, n)), method="D", directed=False)
+    idx = [p.vertex if p.is_vertex() else node[p.edge, p.t] for p in pts]
+    return D[np.ix_(idx, idx)]
+
+
+def _reference_dists(t, xs, ys):
+    """Distances from every point of xs to every point of ys by formulas
+    that share no code with the kernels."""
+    if t.kind == "product":
+        parts = [
+            _reference_dists(c, [x[k] for x in xs], [y[k] for y in ys])
+            for k, c in enumerate(t.components)
+        ]
+        return np.sqrt(sum(d**2 for d in parts))
+    if t.kind == "tree":
+        return _tree_reference(t, [*xs, *ys])[: len(xs), len(xs) :]
+    X, Y = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
+    if t.kind == "euclidean":
+        return np.asarray([[math.dist(a, b) for b in Y] for a in X])
+    if t.kind == "hyperbolic":
+        # arccosh of the Minkowski product
+        m = np.outer(X[:, 0], Y[:, 0]) - np.outer(X[:, 1], Y[:, 1]) - np.outer(X[:, 2], Y[:, 2])
+        return np.arccosh(np.maximum(m, 1.0))
+    d = np.arccos(np.clip(X @ Y.T, -1.0, 1.0))
+    # arccos of the dot product is accurate only away from 0 and pi
+    assert np.all((d > 1e-2) & (d < math.pi - 1e-2))
+    return d
+
+
+def _assert_matches_reference(kind, got, ref):
+    # arccosh near 1 loses digits, so hyperbolic references hold to 1e-9
+    rtol = 1e-9 if kind in ("hyperbolic", "product") else 1e-12
+    np.testing.assert_allclose(got, ref, rtol=rtol, atol=1e-12)
+
+
 @pytest.mark.parametrize("kind", KERNEL_KINDS)
 class TestPackedDists:
-    """The batched kernel against the scalar ``dist``, in all three shapes."""
+    """The batched kernel against independent reference formulas
+    (``_reference_dists``), in all three shapes."""
 
     def test_block(self, kind, tripod):
         t, xs = kernel_case(kind, tripod, 1, 12)
         _, ys = kernel_case(kind, tripod, 2, 9)
         px, py = t.pack(xs), t.pack(ys)
         assert px.shape == (12, t.width)
-        oracle = np.asarray([[t.dist(a, b) for b in ys] for a in xs])
+        ref = _reference_dists(t, xs, ys)
         block = t.dists(px[:, None], py[None, :])
         assert block.shape == (12, 9)
-        assert np.abs(block - oracle).max() <= 1e-12
+        _assert_matches_reference(kind, block, ref)
         sq = t.dists(px[:, None], py[None, :], squared=True)
-        assert np.allclose(sq, oracle**2, rtol=1e-12, atol=1e-12)
+        _assert_matches_reference(kind, np.sqrt(sq), ref)
 
     def test_one_to_many(self, kind, tripod):
         t, xs = kernel_case(kind, tripod, 3, 10)
         p = t.pack(xs)
         for i in (0, 5, 9):
             others = [k for k in range(10) if k != i]
-            oracle = np.asarray([t.dist(xs[i], xs[k]) for k in others])
-            assert np.abs(t.dists(p[i], p[others]) - oracle).max() <= 1e-12
+            ref = _reference_dists(t, [xs[i]], [xs[k] for k in others])[0]
+            _assert_matches_reference(kind, t.dists(p[i], p[others]), ref)
 
     def test_elementwise(self, kind, tripod):
         t, xs = kernel_case(kind, tripod, 4, 10)
         _, ys = kernel_case(kind, tripod, 5, 10)
-        oracle = np.asarray([t.dist(a, b) for a, b in zip(xs, ys)])
-        assert np.abs(t.dists(t.pack(xs), t.pack(ys)) - oracle).max() <= 1e-12
+        ref = np.diag(_reference_dists(t, xs, ys))
+        _assert_matches_reference(kind, t.dists(t.pack(xs), t.pack(ys)), ref)
+
+
+def test_tree_dists_match_shortest_paths_on_random_trees():
+    rng = np.random.default_rng(12)
+    for _ in range(40):
+        n = int(rng.integers(2, 12))
+        # each vertex hangs from an earlier one
+        edges = [(int(rng.integers(0, v)), v, rng.uniform(0.1, 2.0)) for v in range(1, n)]
+        t = TreeTarget(n, edges)
+        pts = [TreePoint(vertex=int(v)) for v in rng.integers(0, n, 3)]
+        pts += [t.random_point(rng) for _ in range(12)]
+        P = t.pack(pts)
+        _assert_matches_reference("tree", t.dists(P[:, None], P[None, :]), _tree_reference(t, pts))
 
 
 @pytest.mark.parametrize("kind", KERNEL_KINDS)
@@ -571,6 +640,18 @@ class TestNonFiniteInput:
     def test_canonical_rejects(self, target, point):
         with pytest.raises(ValidationError):
             target.canonical(point)
+
+    def test_hyperbolic_overflowing_point_is_off(self):
+        # its squares overflow to inf, and inf - inf is NaN: no warning, and
+        # no NaN that passes the hyperboloid check
+        t = HyperbolicTarget()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match="index 0:") as exc:
+                t.pack([[1e200, 1e200, 0.0], [1.0, 0.0, 0.0]])
+            assert exc.value.detail == 0
+            with pytest.raises(ValidationError, match="hyperboloid"):
+                t.canonical([1e200, 1e200, 0.0])
 
     def test_map_value_names_its_index(self):
         space = build_space({"kind": "euclidean", "points": [[0.0], [0.5], [1.0]]})
@@ -646,7 +727,9 @@ _s_any = st.one_of(_s, st.sampled_from([-0.5, 1.5]))
 
 @pytest.mark.parametrize("kind", KERNEL_KINDS)
 class TestBatchedGeodesics:
-    """``geodesics`` against the scalar ``geodesic_point``, row for row."""
+    """A batch of ``geodesics`` equals its rows taken one pair at a time
+    (``geodesic_point`` is the one-pair call), bit for bit; the points
+    themselves are checked by ``test_geodesics_constant_speed``."""
 
     @settings(max_examples=80, deadline=None)
     @given(data=st.data())
@@ -657,20 +740,15 @@ class TestBatchedGeodesics:
         A = t.pack([a for a, _ in pairs])
         B = t.pack([b for _, b in pairs])
         G = t.geodesics(A, B, s)
-        oracle = t.pack([t.geodesic_point(a, b, s) for a, b in pairs])
         assert G.shape == A.shape
-        assert np.abs(t.dists(G, oracle)).max() <= 1e-12
-        if kind == "tree":
-            # canonical rows: vertices as vertices, offsets as the scalar has them
-            assert np.array_equal(G, oracle)
+        assert np.array_equal(G, t.pack([t.geodesic_point(a, b, s) for a, b in pairs]))
 
     def test_broadcasts_one_row_against_many(self, kind, tripod):
         t, xs = kernel_case(kind, tripod, 11, 8)
         p = t.pack(xs)
         G = t.geodesics(p[0], p[1:], 0.3)
         assert G.shape == (7, t.width)
-        oracle = t.pack([t.geodesic_point(xs[0], x, 0.3) for x in xs[1:]])
-        assert np.abs(t.dists(G, oracle)).max() <= 1e-12
+        assert np.array_equal(G, np.array([t.geodesics(p[0], q, 0.3) for q in p[1:]]))
 
 
 @pytest.mark.parametrize("kind", ["euclidean", "tree", "hyperbolic", "product"])
@@ -686,6 +764,9 @@ def test_geodesics_constant_speed(kind, data):
     G = t.geodesics(A, B, s)
     assert np.allclose(t.dists(A, G), s * d, rtol=1e-9, atol=1e-9)
     assert np.allclose(t.dists(G, B), (1 - s) * d, rtol=1e-9, atol=1e-9)
+    if kind == "tree":
+        # canonical rows: a point at an edge end is its vertex
+        assert np.array_equal(t.pack(G), G)
 
 
 @pytest.mark.parametrize("kind", KERNEL_KINDS)
@@ -939,7 +1020,7 @@ def test_tree_barycenters_match_brute_force(groups):
     got = SPIDER.barycenters(*_ragged([(SPIDER.pack(p), w) for p, w in groups]))
     for row, (pts, w) in zip(got, groups):
         f_min, z = _tree_brute_force(SPIDER, pts, w)
-        assert _objective(SPIDER, row, pts, w) <= f_min + 1e-9
+        assert _objective(SPIDER, [row], pts, w)[0] <= f_min + 1e-9
         assert SPIDER.dist(row, z) <= 1e-7
 
 
