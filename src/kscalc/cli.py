@@ -51,7 +51,7 @@ SUBCOMMAND_IMPORTS = {
     "space-check": ("scipy.spatial",),
     "energy": ("scipy.spatial",),
     "mdiff": ("scipy.spatial", "scipy.special", "scipy.stats"),
-    "dirichlet": ("scipy.spatial",),
+    "dirichlet": ("scipy.spatial", "scipy.sparse.csgraph", "scipy.sparse.linalg"),
     "verify": ("numpy.random",),
 }
 

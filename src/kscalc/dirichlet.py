@@ -4,14 +4,18 @@ into a CAT(0) target with prescribed boundary values.
 The solver relaxes each interior point to the weighted barycenter of the
 values its ball reads, through the target kind's ``barycenters``; for
 Euclidean targets one sweep is exactly a Jacobi iteration of the induced
-graph-Laplacian system.  The energy reported per sweep is the relaxation
-energy, the pairwise form the sweeps descend.
+graph-Laplacian system, which the solver's first step solves directly.
+It stops on a certified bound on the sup target-distance to the
+solution, from the averaging operator of the sweeps.  The energy
+reported per step is the relaxation energy, the pairwise form the sweeps
+descend.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -23,6 +27,8 @@ JACOBI = "jacobi"
 GAUSS_SEIDEL = "gauss-seidel"
 
 _ENERGY_SLACK = 1e-12
+# iterations a barycenter may take: the kinds' default
+_BARY_PASSES = 10_000
 
 
 class DirichletProblem:
@@ -107,6 +113,39 @@ class DirichletProblem:
         self._nbrx = nbr[keep]
         self._nbrx_ptr = np.concatenate([[0], np.cumsum(keep)])[self._flat_ptr]
         self._nbrx_w = w[self._nbrx]
+
+    @cached_property
+    def _averaging(self):
+        """The averaging operator P of the sweeps on interior values, the LU
+        factors of I - P and max h, where h = (I - P)^-1 1.
+
+        Row k of P holds the barycenter weights, in interior point k's
+        ball, of the members that are interior; the rest of the row's mass
+        reads the boundary layer.  I - P is singular when a component of
+        the interior under ball adjacency reads no boundary value: such a
+        component, numbered by its lowest member, is rejected by name.
+        """
+        from scipy.sparse import csr_matrix, identity
+        from scipy.sparse.csgraph import connected_components
+        from scipy.sparse.linalg import splu
+
+        ni = self.interior.shape[0]
+        ptr = self._nbrx_ptr
+        row = np.repeat(np.arange(ni), np.diff(ptr))
+        share = self._nbrx_w / np.add.reduceat(self._nbrx_w, ptr[:-1])[row]
+        inner = self._inside[self._nbrx]
+        col = np.searchsorted(self.interior, self._nbrx[inner])
+        P = csr_matrix((share[inner], (row[inner], col)), shape=(ni, ni))
+        n_comp, label = connected_components(P, directed=False)
+        touched = np.zeros(n_comp, dtype=bool)
+        touched[label[row[~inner]]] = True
+        if not touched.all():
+            members = [int(x) for x in self.interior[label == np.argmin(touched)]]
+            raise ValidationError(
+                f"interior component {members[:8]} touches no boundary", detail=members
+            )
+        lu = splu((identity(ni, format="csr") - P).tocsc())
+        return P, lu, float(lu.solve(np.ones(ni)).max())
 
     # -- value containers: (n, width) arrays of packed rows ----------------
 
@@ -202,31 +241,69 @@ def relax_sweep(prob, values, mode=JACOBI, bary_tol=1e-10):
     Jacobi reads a frozen snapshot; Gauss-Seidel updates in index order.
     The relaxation energy never increases, and the sweep checks it.
     """
+    _check_mode(mode)
     return _checked_step(prob, values, relaxation_energy(prob, values), mode, bary_tol)[0]
 
 
 def _checked_step(prob, values, energy, mode, bary_tol):
-    """One sweep from values of relaxation energy ``energy``: the new values
-    and their energy.  A rise beyond rounding raises ``AuditError``."""
-    new_values = _sweep(prob, values, mode, bary_tol)
-    new_energy = relaxation_energy(prob, new_values)
+    """One sweep from values of relaxation energy ``energy``: the new values,
+    their energy and the bound on the barycenters' distance from exact."""
+    new_values, residual = _sweep(prob, values, mode, bary_tol)
+    return new_values, _descended(prob, energy, new_values), residual
+
+
+def _descended(prob, energy, values):
+    """The relaxation energy of ``values``, one step from values of energy
+    ``energy``.  A rise beyond rounding raises ``AuditError``."""
+    new_energy = relaxation_energy(prob, values)
     if new_energy > energy + _ENERGY_SLACK:
         raise AuditError(f"energy increased across a sweep: {energy} -> {new_energy}")
-    return new_values, new_energy
+    return new_energy
+
+
+def _error_bound(prob, disp, residual):
+    """The certified sup target-distance to the solution of the values of a
+    sweep with largest displacement ``disp`` and barycenter residual
+    ``residual`` (see ``solve``)."""
+    h_max = prob._averaging[2]
+    return (h_max - 1.0) * disp + h_max * residual
+
+
+def _check_mode(mode):
+    if mode not in (JACOBI, GAUSS_SEIDEL):
+        raise ValidationError(f"solver option mode: unknown sweep mode {mode!r}")
 
 
 def _sweep(prob, values, mode, bary_tol):
+    """The swept values and the largest residual of their barycenters."""
     target, nbr, ptr, w = prob.target, prob._nbrx, prob._nbrx_ptr, prob._nbrx_w
     out = values.copy()
     if mode == JACOBI:
-        out[prob.interior] = target.barycenters(values[nbr], ptr, w, bary_tol)
-    elif mode == GAUSS_SEIDEL:
-        for k, x in enumerate(prob.interior):
-            a, b = ptr[k], ptr[k + 1]
-            out[x] = target.barycenters(out[nbr[a:b]], (0, b - a), w[a:b], bary_tol)[0]
-    else:
-        raise ValidationError(f"solver option mode: unknown sweep mode {mode!r}")
-    return out
+        out[prob.interior], residual = target._barycenters(
+            values[nbr], ptr, w, bary_tol, _BARY_PASSES
+        )
+        return out, residual
+    residual = 0.0
+    for k, x in enumerate(prob.interior):
+        a, b = ptr[k], ptr[k + 1]
+        rows, r = target._barycenters(out[nbr[a:b]], (0, b - a), w[a:b], bary_tol, _BARY_PASSES)
+        out[x] = rows[0]
+        residual = max(residual, r)
+    return out, residual
+
+
+def _direct_step(prob, values):
+    """The exact solution for a Euclidean target: interior values u with
+    (I - P) u equal to the boundary layer's share of one Jacobi sweep.
+
+    It is solved for the correction from ``values``, whose right-hand side
+    is one Jacobi sweep's displacement, with every coordinate as a column,
+    so a start that already solves the system stays as it is.
+    """
+    idx = prob.interior
+    swept, _ = _sweep(prob, values, JACOBI, 0.0)
+    swept[idx] = values[idx] + prob._averaging[1].solve(swept[idx] - values[idx])
+    return swept
 
 
 @dataclass
@@ -240,6 +317,9 @@ class SolveReport:
     converged: bool
     uniqueness_gap: float | None = None
     final_scale_energy: float | None = None
+    # the certified sup target-distance of the final values to the
+    # solution; None before the first sweep
+    error_bound: float | None = None
 
     def to_json(self):
         return {
@@ -251,6 +331,7 @@ class SolveReport:
             else float(self.final_scale_energy),
             "max_displacement_last_sweep": float(self.max_displacement_last_sweep),
             "converged": self.converged,
+            "error_bound": None if self.error_bound is None else float(self.error_bound),
             "uniqueness_gap": None
             if self.uniqueness_gap is None
             else float(self.uniqueness_gap),
@@ -277,7 +358,18 @@ def solve(
     uniqueness_audit=True,
     seed=0,
 ):
-    """Relax until the sweep displacement or energy decrease is small.
+    """Relax until the certified distance to the solution is below ``tol``.
+
+    After each sweep, with d its largest displacement and r the largest
+    distance of its barycenters from exact ones, the sup target-distance
+    of the new values to the solution is at most ``(max h - 1) d + max h r``,
+    where h = (I - P)^-1 1 for the averaging operator P of the sweeps:
+    barycenters into CAT(0) targets are 1-Lipschitz in the Wasserstein
+    distance (Sturm), so the pointwise error e of a Jacobi or Gauss-Seidel
+    sweep satisfies e <= P(d + e) + r.  The solver stops once
+    this bound is below ``tol`` and reports it.  For Euclidean targets the
+    first step solves the averaging system exactly; the sweeps after it
+    certify the solution.
 
     Returns the final values and a report.  Exhausting ``max_sweeps``
     yields a non-converged report, not an exception.  On convergence a
@@ -292,46 +384,44 @@ def solve(
         raise ValidationError(
             f"solver option max_sweeps must be a positive integer, not {max_sweeps!r}"
         )
+    _check_mode(mode)
     max_sweeps = int(max_sweeps)
     if bary_tol is None:
         bary_tol = max(tol * 1e-2, 1e-12)
+    prob._averaging  # an ill-posed problem is rejected before any step
     values = prob.default_init() if init is None else init
     prob.check_feasible(values)
     energy = relaxation_energy(prob, values)
     trajectory = [energy]
     converged = False
     disp = math.inf
-    sweeps = 0
-    rho_window = []
-    for sweeps in range(1, max_sweeps + 1):
-        new_values, new_energy = _checked_step(prob, values, energy, mode, bary_tol)
+    bound = None
+    direct = isinstance(prob.target, EuclideanTarget)
+    for step in range(1, max_sweeps + 1):
+        if direct and step == 1:
+            new_values = _direct_step(prob, values)
+            new_energy, residual = _descended(prob, energy, new_values), None
+        else:
+            new_values, new_energy, residual = _checked_step(
+                prob, values, energy, mode, bary_tol
+            )
         disp = _displacement(prob, values, new_values)
-        decrease = energy - new_energy
         values, energy = new_values, new_energy
         trajectory.append(energy)
-        # geometric sweeps leave a tail of about disp * rho / (1 - rho)
-        # behind the last iterate, so the displacement test is sharpened
-        # by the observed contraction factor; the two-sweep ratio rides
-        # out the period-2 oscillation of Jacobi on bipartite stencils
-        rho_window.append(disp)
-        rho_window = rho_window[-3:]
-        if len(rho_window) == 3 and rho_window[0] > 0:
-            rho = math.sqrt(min(rho_window[2] / rho_window[0], 1.0 - 1e-9))
-        else:
-            rho = 1.0 - 1e-9
-        err_est = disp * max(rho / (1.0 - rho), 1.0)
-        # an exactly-zero decrease is floating-point saturation of the
-        # energy, not evidence of optimality; defer to the displacement
-        if err_est < tol or 0.0 < decrease < tol * tol:
-            converged = True
-            break
+        # only a sweep is certified: the bound reads its displacement
+        if residual is not None:
+            bound = _error_bound(prob, disp, residual)
+            if bound < tol:
+                converged = True
+                break
     report = SolveReport(
-        iterations=sweeps,
+        iterations=len(trajectory) - 1,
         energy_trajectory=trajectory,
         final_energy=energy,
         max_displacement_last_sweep=disp,
         converged=converged,
         final_scale_energy=discrete_energy(prob, values),
+        error_bound=bound,
     )
     if converged and uniqueness_audit:
         values2, _ = solve(
@@ -395,51 +485,26 @@ def poincare_estimate(prob, tol=1e-13, max_iter=500):
     """Inverse of the smallest Dirichlet eigenvalue at the problem scale.
 
     Assembles the real-valued quadratic form of maps vanishing on the
-    boundary layer and runs inverse power iteration against the interior
-    mass; the result converts energy gaps into squared L2 distances.
+    boundary layer from the averaging operator and runs inverse power
+    iteration against the interior mass; the result converts energy gaps
+    into squared L2 distances.
     """
-    from scipy.linalg import cho_factor, cho_solve
-    from scipy.sparse import coo_matrix
-    from scipy.sparse.csgraph import connected_components
+    from scipy.sparse import diags
+    from scipy.sparse.linalg import splu
 
-    # components of the interior under ball adjacency, numbered in the
-    # order of their lowest members; each must reach the boundary layer
-    ni = prob.interior.shape[0]
-    nbr = np.concatenate(prob.balls)
-    row = np.repeat(np.arange(ni), [b.shape[0] for b in prob.balls])
-    inner = prob._inside[nbr]
-    col = np.searchsorted(prob.interior, nbr[inner])
-    graph = coo_matrix((np.ones(col.shape[0]), (row[inner], col)), shape=(ni, ni))
-    n_comp, label = connected_components(graph, directed=False)
-    touched = np.zeros(n_comp, dtype=bool)
-    touched[label[row[~inner]]] = True
-    if not touched.all():
-        members = [int(x) for x in prob.interior[label == np.argmin(touched)]]
-        raise ValidationError(
-            f"interior component {members[:8]} touches no boundary", detail=members
-        )
-    pos = {int(x): k for k, x in enumerate(prob.interior)}
-    q = np.zeros((ni, ni))
-    w = prob.space.weights
-    for c, x, idx in zip(prob._coef, prob.interior, prob.balls):
-        a = pos[int(x)]
-        for j in idx:
-            j = int(j)
-            if j == int(x):
-                continue
-            cw = c * w[j]
-            q[a, a] += cw
-            if j in pos:
-                b = pos[j]
-                q[b, b] += cw
-                q[a, b] -= cw
-                q[b, a] -= cw
-    mass = w[prob.interior]
-    factor = cho_factor(q)
-    x = np.ones(ni)
+    P = prob._averaging[0]
+    # the form sums c_x w_j (u_x - u_j)^2 over the ball members j != x of
+    # each interior x; with s_x = c_x times the mass of those members,
+    # c_x w_j is s_x P_xj for interior j
+    s = prob._coef * np.add.reduceat(prob._nbrx_w, prob._nbrx_ptr[:-1])
+    sp = diags(s) @ P
+    q = (diags(s + P.T @ s) - sp - sp.T).tocsc()
+    mass = prob.space.weights[prob.interior]
+    factor = splu(q)
+    x = np.ones(prob.interior.shape[0])
     lam_prev = math.inf
     for _ in range(max_iter):
-        y = cho_solve(factor, mass * x)
+        y = factor.solve(mass * x)
         y /= math.sqrt(float(np.dot(mass * y, y)))
         lam = float(np.dot(y, q @ y)) / float(np.dot(mass * y, y))
         x = y

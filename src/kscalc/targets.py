@@ -163,6 +163,11 @@ class GeodesicTarget:
         than ``tol`` and raise ``ConvergenceError`` after ``max_passes``
         iterations; exact kinds ignore both.
         """
+        return self._barycenters(rows, ptr, weights, tol, max_passes)[0]
+
+    def _barycenters(self, rows, ptr, weights, tol, max_passes):
+        """``barycenters`` and a bound on the distance from every returned
+        row to its group's exact barycenter: 0.0 for the exact kinds."""
         raise NotImplementedError
 
     def point_from_json(self, obj):
@@ -232,10 +237,10 @@ class EuclideanTarget(_CoordinateTarget):
     def _geodesics(self, A, B, s):
         return (1.0 - s) * A + s * B
 
-    def barycenters(self, rows, ptr, weights, tol=1e-9, max_passes=10_000):
+    def _barycenters(self, rows, ptr, weights, tol, max_passes):
         # the closed-form weighted means of all groups at once
         num = np.add.reduceat(weights[:, None] * rows, ptr[:-1], axis=0)
-        return num / np.add.reduceat(weights, ptr[:-1])[:, None]
+        return num / np.add.reduceat(weights, ptr[:-1])[:, None], 0.0
 
     def _from_draws(self, D):
         return D
@@ -454,7 +459,7 @@ class TreeTarget(GeodesicTarget):
         out[~moving] = A[~moving]
         return out.reshape(shape)
 
-    def barycenters(self, rows, ptr, weights, tol=1e-9, max_passes=10_000):
+    def _barycenters(self, rows, ptr, weights, tol, max_passes):
         """Exact barycenters; ``tol`` and ``max_passes`` are unused.
 
         On edge (a, b, l) the squared distance from offset s to a row p is
@@ -495,7 +500,7 @@ class TreeTarget(GeodesicTarget):
         out = self._rows_of(-1, best_e, best_s)[0]
         one = sizes == 1
         out[one] = rows[starts[one]]
-        return out
+        return out, 0.0
 
     def point_to_json(self, p):
         p = self.canonical(p)
@@ -575,7 +580,7 @@ class HyperbolicTarget(_CoordinateTarget):
         out[..., 0] = np.sqrt(1.0 + out[..., 1] ** 2 + out[..., 2] ** 2)
         return np.where(near, A, out)
 
-    def barycenters(self, rows, ptr, weights, tol=1e-9, max_passes=10_000):
+    def _barycenters(self, rows, ptr, weights, tol, max_passes):
         """Karcher means by damped Newton steps, all groups at once.
 
         Each iteration sums a group's objective F = sum w d^2(x, p), its
@@ -587,13 +592,17 @@ class HyperbolicTarget(_CoordinateTarget):
         groups leave the batch, so no group's row depends on the others.
         The start is the group's normalized weighted Minkowski mean.
         Iterates are columns: x is (x0, x1, x2) by group.
+
+        F / 2 is 1-strongly convex per unit weight, so the iterate lies
+        within its normalized gradient |sum w log_x p| / sum w of the
+        barycenter, and a returned row within that plus its last step.
         """
         ptr = np.asarray(ptr, dtype=np.intp)
         sizes = np.diff(ptr)
         out = rows[ptr[:-1]].copy()
         live = sizes > 1
         if not live.any():
-            return out
+            return out, 0.0
         act, n = np.flatnonzero(live), sizes[live]
         keep = np.repeat(live, sizes)
         P, w = np.ascontiguousarray(rows[keep].T), weights[keep]
@@ -605,6 +614,7 @@ class HyperbolicTarget(_CoordinateTarget):
         norm = np.sqrt((m0 - r) * (m0 + r))
         x = _lift_columns(m1 / norm, m2 / norm)
         base, step, f_old = x, np.zeros((2, act.size)), np.full(act.size, np.inf)
+        residual = 0.0
         for _ in range(max_passes):
             f, g1, g2, h11, h12, h22 = self._newton_sums(x, P, w, start, n)
             ok = ~(f > f_old * (1.0 + 1e-14))
@@ -616,11 +626,14 @@ class HyperbolicTarget(_CoordinateTarget):
             f_old = np.where(ok, f, f_old)
             step = np.where(ok, newton, 0.5 * step)
             x = self._exp(base, step)
-            done = ok & (np.hypot(*newton) < tol)
+            length = np.hypot(*newton)
+            done = ok & (length < tol)
             if done.any():
                 out[act[done]] = x.T[done]
+                gap = length + np.hypot(g1, g2) / np.add.reduceat(w, start)
+                residual = max(residual, float(gap[done].max()))
                 if done.all():
-                    return out
+                    return out, residual
                 kept = ~done
                 P, w = P[:, np.repeat(kept, n)], w[np.repeat(kept, n)]
                 act, n, f_old = act[kept], n[kept], f_old[kept]
@@ -752,11 +765,15 @@ class ProductTarget(GeodesicTarget):
             axis=-1,
         )
 
-    def barycenters(self, rows, ptr, weights, tol=1e-9, max_passes=10_000):
-        return np.concatenate(
-            [c.barycenters(rows[:, cols], ptr, weights, tol, max_passes)
-             for c, cols in zip(self.components, self._slices)],
-            axis=1,
+    def _barycenters(self, rows, ptr, weights, tol, max_passes):
+        parts = [
+            c._barycenters(rows[:, cols], ptr, weights, tol, max_passes)
+            for c, cols in zip(self.components, self._slices)
+        ]
+        # the 2-norm of the components' bounds bounds every group's distance
+        return (
+            np.concatenate([p for p, _ in parts], axis=1),
+            math.hypot(*(r for _, r in parts)),
         )
 
     def point_to_json(self, p):

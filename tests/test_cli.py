@@ -323,6 +323,29 @@ class TestExitCodes:
         code, _, _ = run_cli("dirichlet", "--problem", workdir / "problem_bad.json")
         assert code == 2
 
+    def test_dirichlet_ill_posed_exit_2(self, workdir):
+        # interior points 3 and 4 read only each other
+        write_json(
+            workdir / "split_space.json",
+            {"kind": "euclidean", "points": [[0.0], [0.1], [0.2], [5.0], [5.1]]},
+        )
+        write_json(
+            workdir / "split_problem.json",
+            {
+                "space": "split_space.json",
+                "target": "target.json",
+                "interior": [1, 3, 4],
+                "boundary_values": [[0, [0.0]], [2, [1.0]]],
+                "scale": 0.15,
+            },
+        )
+        code, _, err = run_cli(
+            "dirichlet", "--problem", workdir / "split_problem.json", "--out", workdir / "split"
+        )
+        assert code == 2
+        assert "component [3, 4] touches no boundary" in err
+        assert not (workdir / "split.report.json").exists()
+
     def test_verify_cat0(self, workdir):
         code, out, _ = run_cli(
             "verify", "--which", "cat0",

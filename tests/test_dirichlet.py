@@ -22,6 +22,7 @@ from kscalc import (
     solve,
 )
 
+from kscalc.dirichlet import _checked_step, _displacement, _error_bound, default_tolerance
 from conftest import grid_points
 
 
@@ -411,13 +412,13 @@ class TestSolve:
         with pytest.raises(ValidationError, match=name):
             solve(prob, uniqueness_audit=False, **options)
 
-    def test_integral_float_max_sweeps(self, path_problem):
-        _, _, prob = path_problem
+    def test_integral_float_max_sweeps(self, tripod):
+        _, prob = tripod_path_problem(tripod)
         _, report = solve(prob, tol=1e-12, max_sweeps=3.0, uniqueness_audit=False)
         assert report.iterations == 3
 
-    def test_max_sweeps_exhaustion_not_an_exception(self, path_problem):
-        _, _, prob = path_problem
+    def test_max_sweeps_exhaustion_not_an_exception(self, tripod):
+        _, prob = tripod_path_problem(tripod)
         _, report = solve(prob, tol=1e-12, max_sweeps=3, uniqueness_audit=False)
         assert not report.converged
         assert report.iterations == 3
@@ -560,6 +561,127 @@ class TestExactBarycenters:
         assert relaxation_energy(prob, new) < relaxation_energy(prob, values)
 
 
+def ill_posed_problem():
+    """Interior points 3 and 4 read only each other: their values are
+    arbitrary."""
+    sp = build_space(
+        {"kind": "euclidean", "points": [[0.0], [0.1], [0.2], [5.0], [5.1]]}
+    )
+    return DirichletProblem(sp, EuclideanTarget(1), [1, 3, 4], {0: [0.0], 2: [1.0]}, 0.15)
+
+
+def saddle(p):
+    return [p[0] ** 2 - p[1] ** 2, p[0] * p[1]]
+
+
+def euclidean_reference(prob):
+    """The Euclidean relaxation fixed point by one sparse direct solve, from
+    the space's own balls: each interior value is the weighted mean of the
+    other values of its ball."""
+    from scipy.sparse import coo_matrix
+    from scipy.sparse.linalg import spsolve
+
+    sp, interior = prob.space, prob.interior
+    pos = {int(x): k for k, x in enumerate(interior)}
+    width = prob.target.width
+    rows, cols, vals = [], [], []
+    rhs = np.zeros((interior.shape[0], width))
+    for k, x in enumerate(interior):
+        nbr = [int(j) for j in sp.ball_indices(int(x), prob.scale) if j != x]
+        w = sp.weights[nbr] / sp.weights[nbr].sum()
+        rows.append(k), cols.append(k), vals.append(1.0)
+        for j, wj in zip(nbr, w):
+            if j in pos:
+                rows.append(k), cols.append(pos[j]), vals.append(-wj)
+            else:
+                rhs[k] += wj * np.asarray(prob.boundary_data[j])
+    n = interior.shape[0]
+    A = coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsc()
+    out = prob.blank_values()
+    out[interior] = spsolve(A, rhs).reshape(n, width)
+    return out
+
+
+def bound_problem(kind, tripod):
+    hyp = HyperbolicTarget()
+    if kind == "euclidean":
+        return grid_problem(7, 1, EuclideanTarget(2), saddle)
+    if kind == "tree":
+        return grid_problem(7, 2, tripod, on_three_legs)
+    if kind == "hyperbolic":
+        return grid_problem(7, 1, hyp, lambda p: hyp.lift(2 * p - 1))
+    target = ProductTarget([EuclideanTarget(2), hyp, tripod])
+    return grid_problem(
+        7, 1, target, lambda p: (2 * p - 1, hyp.lift(2 * p - 1), on_three_legs(p))
+    )
+
+
+class TestCertifiedStop:
+    """``solve`` stops on (max h - 1) max displacement + max h residual, a
+    bound on the sup distance to the solution for every CAT(0) kind."""
+
+    @pytest.mark.parametrize("mode", ["jacobi", "gauss-seidel"])
+    @pytest.mark.parametrize("kind", ["euclidean", "tree", "hyperbolic", "product"])
+    def test_bound_holds_on_every_sweep(self, tripod, kind, mode):
+        prob = bound_problem(kind, tripod)
+        tol = default_tolerance(prob.target)
+        if kind == "euclidean":
+            ref, slack = euclidean_reference(prob), 0.0
+        else:
+            ref, rep = solve(prob, tol=1e-3 * tol, mode=mode, uniqueness_audit=False)
+            slack = rep.error_bound
+        idx = prob.interior
+
+        def error(values):
+            return prob.target.dists(values[idx], ref[idx]).max()
+
+        values = prob.default_init()
+        energy = relaxation_energy(prob, values)
+        for sweep in range(5000):
+            new, energy, residual = _checked_step(prob, values, energy, mode, 1e-2 * tol)
+            bound = _error_bound(prob, _displacement(prob, values, new), residual)
+            assert error(new) <= bound + slack, sweep
+            values = new
+            if bound < tol:
+                break
+        assert bound < tol
+        sol, report = solve(prob, tol=tol, mode=mode, uniqueness_audit=False)
+        assert report.converged and report.error_bound < tol
+        assert error(sol) <= report.error_bound + slack
+
+    def test_euclidean_grid_within_tol_of_direct_solve(self):
+        # on this problem the displacement and energy-decrease stop fired
+        # 1.5e-6 from the solution, and the uniqueness audit failed
+        prob = grid_problem(41, 1, EuclideanTarget(2), saddle)
+        sol, report = solve(prob)
+        assert report.converged and report.error_bound < 1e-8
+        assert report.uniqueness_gap <= 1e-7
+        ref = euclidean_reference(prob)
+        idx = prob.interior
+        assert prob.target.dists(sol[idx], ref[idx]).max() <= 1e-8
+
+    def test_euclidean_first_step_is_exact(self, path_problem):
+        xs, _, prob = path_problem
+        for mode in ("jacobi", "gauss-seidel"):
+            sol, report = solve(prob, mode=mode)
+            # the direct solve and one certifying sweep
+            assert report.iterations == len(report.energy_trajectory) - 1 == 2
+            assert report.error_bound < 1e-12
+            assert np.abs(sol[:, 0] - xs).max() <= 1e-12
+            assert report.to_json()["error_bound"] == report.error_bound
+
+    def test_direct_step_alone_is_not_certified(self, path_problem):
+        _, _, prob = path_problem
+        _, report = solve(prob, max_sweeps=1, uniqueness_audit=False)
+        assert not report.converged and report.error_bound is None
+        assert report.to_json()["error_bound"] is None
+
+    @pytest.mark.parametrize("mode", ["jacobi", "gauss-seidel"])
+    def test_ill_posed_problem_rejected(self, mode):
+        with pytest.raises(ValidationError, match=r"component \[3, 4\] touches no boundary"):
+            solve(ill_posed_problem(), mode=mode)
+
+
 class TestMidpointTest:
     def test_same_map_zero_slack(self, path_problem):
         xs, _, prob = path_problem
@@ -688,19 +810,5 @@ class TestPoincare:
         assert 0.2 <= values[3] <= 0.4  # regression band at this scale
 
     def test_disconnected_component_named(self):
-        pts = [[0.0], [0.1], [0.2], [5.0], [5.1], [5.2]]
-        sp = build_space({"kind": "euclidean", "points": pts})
-        prob = DirichletProblem(
-            sp,
-            EuclideanTarget(1),
-            [1, 4],
-            {0: [0.0], 2: [0.0], 3: [0.0], 5: [0.0]},
-            0.15,
-        )
-        # make the far cluster's boundary unreachable by pruning its data:
-        # construct directly with an interior component seeing no boundary
-        prob2 = DirichletProblem.__new__(DirichletProblem)
-        prob2.__dict__.update(prob.__dict__)
-        prob2.balls = [sp.ball_indices(1, 0.15), np.asarray([4])]
-        with pytest.raises(ValidationError, match="component"):
-            poincare_estimate(prob2)
+        with pytest.raises(ValidationError, match=r"component \[3, 4\]"):
+            poincare_estimate(ill_posed_problem())

@@ -1040,3 +1040,19 @@ def test_barycenter_rows_do_not_depend_on_the_batch(kind, data):
     got = t.barycenters(*_ragged([groups[k] for k in keep]), tol=1e-10)
     for row, k in zip(got, keep):
         assert row.tobytes() == alone[k].tobytes()
+
+
+@pytest.mark.parametrize("kind", ["euclidean", "tree", "hyperbolic", "product"])
+@pytest.mark.parametrize("tol", [0.5, 1e-2, 1e-4])
+def test_barycenter_residual_bounds_the_distance_to_exact(kind, tol):
+    # the Dirichlet solver certifies its stop with this bound
+    t = _GEO_TARGETS[kind]
+    rng = np.random.default_rng(7)
+    spreads = (0.01, 0.1, 0.5, 1.0, 3.0, 10.0)
+    rows, ptr, w = _ragged([_group(t, rng, int(rng.integers(1, 10)), s) for s in spreads])
+    got, residual = t._barycenters(rows, ptr, w, tol, 10_000)
+    assert got.tobytes() == t.barycenters(rows, ptr, w, tol).tobytes()
+    exact = t.barycenters(rows, ptr, w, 1e-13)
+    assert t.dists(got, exact).max() <= residual + 1e-12
+    if kind in ("euclidean", "tree"):
+        assert residual == 0.0
