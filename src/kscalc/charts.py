@@ -33,6 +33,10 @@ class Chart:
         self.phi = np.atleast_2d(np.asarray(self.phi, dtype=float))
         if self.phi.shape[0] != self.indices.shape[0]:
             raise ValidationError("one coordinate row per chart member")
+        bad = ~np.isfinite(self.phi).all(axis=1)
+        if np.any(bad):
+            k = int(self.indices[np.argmax(bad)])
+            raise ValidationError(f"non-finite chart coordinates at index {k}", detail=k)
         self._pos = {int(i): k for k, i in enumerate(self.indices)}
 
     @property

@@ -18,11 +18,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .charts import fit_metric_differential
 from .dirichlet import solve
-from .energy import density_extrapolated, energy_sweep
+from .energy import FitConfig, density_via_mdiff, energy_sweep
 from .errors import AuditError, ConvergenceError, ValidationError
-from .parallel import parallel_map
 from .seminorms import QuadratureSpec, Seminorm, consistency_constant, hs_norm, size_p
 from .serialize import (
     canonical_json,
@@ -109,11 +107,6 @@ def cmd_energy(args):
         omega = [int(i) for i in read_json(args.omega)]
     report = energy_sweep(u, args.p, scales, omega=omega)
     out = Path(args.out) if args.out else None
-    summary = report.to_json()
-    reliable_scales = [s for s, ok in zip(report.scales, report.reliable) if ok]
-    if len(reliable_scales) >= 1:
-        dens = density_extrapolated(u, args.p, reliable_scales, omega=omega)
-        summary["extrapolated_density_mean"] = float(np.mean(dens))
     sweep_rows = [
         (float(s), float(t), int(ok))
         for s, t, ok in zip(report.scales, report.per_scale_total, report.reliable)
@@ -129,7 +122,7 @@ def cmd_energy(args):
             _csv(density_rows, ["index", "density"]),
         )
     if out is not None or args.format == "json":
-        _emit(out.with_suffix(".json") if out else None, canonical_json(summary))
+        _emit(out.with_suffix(".json") if out else None, canonical_json(report.to_json()))
     if not all(report.reliable):
         sys.stderr.write("warning: some scales fall below the reliable resolution\n")
     return EXIT_OK
@@ -141,38 +134,24 @@ def cmd_mdiff(args):
     target = load_target(args.target) if args.target else None
     u = load_map(args.map, space=space, target=target)
     atlas.validate_cover(space.n)
+    points = None
     if args.points and args.points != "all":
         points = [int(i) for i in args.points.split(",")]
-    else:
-        points = [i for i in range(space.n) if atlas.chart_of(i) is not None]
-    quad = QuadratureSpec(seed=args.seed)
-
-    def fit_one(i):
-        chart = atlas.chart_of(i)
-        if chart is None:
-            return i, None, "point not covered by any chart"
-        try:
-            fit = fit_metric_differential(
-                space, chart, u, u.target, i, radius=args.radius, family=args.family
-            )
-            entry = fit.to_json()
-            entry["density"] = float(size_p(fit.seminorm, args.p, quad))
-            return i, entry, None
-        except Exception as exc:
-            return i, None, str(exc)
-
-    entries = []
-    errors = {}
-    for i, entry, err in parallel_map(fit_one, points, threads=args.threads):
-        if err is None:
-            entries.append(entry)
-        else:
-            errors[str(i)] = err
+    config = FitConfig(
+        family=args.family,
+        radius=args.radius,
+        quad=QuadratureSpec(seed=args.seed),
+        points=points,
+    )
+    result = density_via_mdiff(u, atlas, args.p, config, threads=args.threads)
     report = {
         "family": args.family,
         "p": args.p,
-        "fits": entries,
-        "errors": dict(sorted(errors.items())),
+        "fits": [
+            dict(fit.to_json(), density=float(result.densities[i]))
+            for i, fit in result.fits.items()
+        ],
+        "errors": {str(i): err for i, err in result.errors.items()},
     }
     _emit(args.out, canonical_json(report))
     return EXIT_OK

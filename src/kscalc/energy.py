@@ -14,14 +14,14 @@ consistency check.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .charts import default_fit_radius, fit_metric_differential
-from .errors import ValidationError
+from .charts import fit_metric_differential
+from .errors import FitError, ValidationError
 from .parallel import parallel_map
-from .seminorms import QUADRATIC, QuadratureSpec, hs_norm, size_p
+from .seminorms import QUADRATIC, QuadratureSpec, check_exponent, hs_norm, size_p
 from .spaces import check_radius
 from .targets import EuclideanTarget
 
@@ -75,6 +75,7 @@ def ks_profile(u, p, scales, omega=None):
     target distances are shared across scales, so sweeps cost one
     neighbor pass.
     """
+    p = check_exponent(p)
     scales = [check_radius(r, "scale") for r in scales]
     space = u.space
     mask = None
@@ -128,6 +129,7 @@ class EnergyReport:
     selected_scale: float
     per_point_density: np.ndarray
     extrapolated_total: float
+    extrapolated_density: np.ndarray
     spacing: float = field(default=0.0)
 
     def to_json(self):
@@ -138,6 +140,7 @@ class EnergyReport:
             "reliable": [bool(b) for b in self.reliable],
             "selected_scale": float(self.selected_scale),
             "extrapolated_total": float(self.extrapolated_total),
+            "extrapolated_density_mean": float(np.mean(self.extrapolated_density)),
             "median_nn_spacing": float(self.spacing),
         }
 
@@ -160,7 +163,9 @@ def energy_sweep(u, p, scales, omega=None):
 
     Scales below three median nearest-neighbor spacings are flagged
     unreliable and excluded from both selection and extrapolation; the
-    per-point density is the one at the smallest reliable scale.
+    per-point density is the one at the smallest reliable scale.  The
+    totals and the per-point densities are both extrapolated linearly in
+    r to r = 0 through the three smallest reliable scales.
     """
     scales = np.asarray(scales, dtype=float)
     valid = np.isfinite(scales) & (scales > 0)
@@ -183,9 +188,7 @@ def energy_sweep(u, p, scales, omega=None):
         if reliable[k]:
             selected = float(r)
             density = ks
-    rel_idx = np.nonzero(reliable)[0]
-    tail = rel_idx[-3:]
-    extrapolated = float(_affine_intercept(scales[tail], totals[tail]))
+    tail = np.nonzero(reliable)[0][-3:]
     return EnergyReport(
         p=p,
         scales=scales,
@@ -193,7 +196,8 @@ def energy_sweep(u, p, scales, omega=None):
         reliable=reliable,
         selected_scale=selected,
         per_point_density=density,
-        extrapolated_total=extrapolated,
+        extrapolated_total=float(_affine_intercept(scales[tail], totals[tail])),
+        extrapolated_density=_affine_intercept(scales[tail], profile[tail].T),
         spacing=spacing,
     )
 
@@ -201,17 +205,13 @@ def energy_sweep(u, p, scales, omega=None):
 def density_extrapolated(u, p, scales, omega=None):
     """Per-point density extrapolated linearly in r to r = 0.
 
-    Uses the three smallest reliable scales from the list; intended for
-    interior points where every used ball is resolution-honest.
+    The ``extrapolated_density`` of :func:`energy_sweep` over ``scales``
+    in any order: the intercept through the three smallest reliable
+    scales, meant for interior points where every used ball is
+    resolution-honest.
     """
-    scales = np.asarray(scales, dtype=float)
-    spacing = u.space.median_nn_spacing()
-    ok = scales[scales >= RELIABLE_SPACING_FACTOR * spacing]
-    if ok.shape[0] == 0:
-        raise ValidationError("all scales unreliable at this resolution")
-    use = np.sort(ok)[: min(3, ok.shape[0])]
-    ks = ks_profile(u, p, use, omega=omega).T
-    return _affine_intercept(use, ks)
+    scales = np.sort(np.asarray(scales, dtype=float))[::-1]
+    return energy_sweep(u, p, scales, omega=omega).extrapolated_density
 
 
 @dataclass
@@ -226,76 +226,93 @@ class FitConfig:
 
 @dataclass
 class DensityResult:
+    """Densities (NaN where no fit), fits and per-point fit errors by index."""
+
     densities: np.ndarray
-    residuals: np.ndarray
+    fits: dict
     errors: dict
 
     def evaluated(self):
         return np.nonzero(~np.isnan(self.densities))[0]
 
 
-def _fit_points(u, atlas, config, per_point, threads=1):
+def _fit_points(u, atlas, config, threads=1):
+    """The one per-point fit loop: ``(fits, errors)``, both keyed by index.
+
+    ``fits`` holds the :class:`FitResult` of each fitted index in the
+    order of ``config.points`` (default: every chart member), ``errors``
+    the message of each index whose fit raised :class:`FitError`.  A bad
+    radius or an index outside the domain raises ``ValidationError``
+    before any fit; any other exception propagates.
+    """
     space = u.space
+    if config.radius is not None:
+        check_radius(config.radius, "fit radius")
     if config.points is None:
-        points = [
-            int(i) for i in range(space.n) if atlas.chart_of(i) is not None
-        ]
+        points = [i for i in range(space.n) if atlas.chart_of(i) is not None]
     else:
-        points = [int(i) for i in config.points]
-    densities = np.full(space.n, np.nan)
-    residuals = np.full(space.n, np.nan)
-    errors = {}
+        points = list(dict.fromkeys(int(i) for i in config.points))
+        for i in points:
+            if not 0 <= i < space.n:
+                raise ValidationError(
+                    f"fit point {i} outside the domain [0, {space.n})", detail=i
+                )
 
     def work(i):
-        chart = atlas.chart_of(i)
-        if chart is None:
-            return i, None, None, "point not covered by any chart"
         try:
-            fit = fit_metric_differential(
+            chart = atlas.chart_of(i)
+            if chart is None:
+                raise FitError("point not covered by any chart", index=i)
+            return fit_metric_differential(
                 space, chart, u, u.target, i, radius=config.radius, family=config.family
             )
-            val = per_point(fit)
-            return i, val, fit.residual, None
-        except Exception as exc:  # per-point failures do not stop the rest
-            return i, None, None, str(exc)
+        except FitError as exc:  # per-point failures do not stop the rest
+            return exc
 
-    for i, val, res, err in parallel_map(work, points, threads=threads):
-        if err is None:
-            densities[i] = val
-            residuals[i] = res
+    fits, errors = {}, {}
+    for i, out in zip(points, parallel_map(work, points, threads=threads)):
+        if isinstance(out, FitError):
+            errors[i] = str(out)
         else:
-            errors[i] = err
-    return DensityResult(densities=densities, residuals=residuals, errors=errors)
+            fits[i] = out
+    return fits, errors
+
+
+def _density_result(u, atlas, config, threads, density):
+    """Fit every requested point and take ``density(fit)`` of each fit."""
+    fits, errors = _fit_points(u, atlas, config, threads=threads)
+    densities = np.full(u.space.n, np.nan)
+    for i, fit in fits.items():
+        densities[i] = density(fit)
+    return DensityResult(densities=densities, fits=fits, errors=errors)
 
 
 def density_via_mdiff(u, atlas, p=2.0, config=None, threads=1):
     """Energy density through local seminorm fits: p-size of the fit."""
+    p = check_exponent(p)
     config = config or FitConfig()
-    return _fit_points(
-        u,
-        atlas,
-        config,
-        lambda fit: size_p(fit.seminorm, p, config.quad),
-        threads=threads,
+    return _density_result(
+        u, atlas, config, threads, lambda fit: size_p(fit.seminorm, p, config.quad)
     )
 
 
 def hs_energy(u, atlas, config=None, threads=1):
     """Density through the Hilbert-Schmidt norm of quadratic fits.
 
-    Requires the quadratic family and a CAT(0) target; agrees with the
-    2-size route up to quadrature tolerance.
+    Requires the quadratic family and a CAT(0) target.  Each fit's norm is
+    divided by sqrt(d + 2), d the dimension of its own chart, so the
+    density agrees with the 2-size route up to quadrature tolerance.
     """
     config = config or FitConfig()
     if config.family != QUADRATIC:
         raise ValidationError("Hilbert-Schmidt energy needs the quadratic family")
     if not u.target.is_cat0:
         raise ValidationError("Hilbert-Schmidt energy needs a CAT(0) target")
-    d = atlas.charts[0].chart_dim if atlas.charts else 1
-    scale = math.sqrt(d + 2.0)
-    return _fit_points(
-        u, atlas, config, lambda fit: hs_norm(fit.seminorm) / scale, threads=threads
-    )
+
+    def density(fit):
+        return hs_norm(fit.seminorm) / math.sqrt(fit.seminorm.dim + 2.0)
+
+    return _density_result(u, atlas, config, threads, density)
 
 
 def contraction_check(u, post_map, p, r, seed=0, n_pairs=256):
@@ -369,30 +386,18 @@ def locality_check(u, v, p, r=None, source="ks", atlas=None, config=None):
     if source == "mdiff":
         if atlas is None:
             raise ValidationError("atlas required for the mdiff source")
-        config = config or FitConfig()
+        points = [i for i in np.flatnonzero(agree) if atlas.chart_of(i) is not None]
+        config = replace(config or FitConfig(), points=points)
+        du = density_via_mdiff(u, atlas, p, config)
+        dv = density_via_mdiff(v, atlas, p, config).densities
         worst = 0.0
-        for i in range(space.n):
-            if not agree[i]:
-                continue
+        for i, fit in du.fits.items():
+            # the fit reads the chart members of its open ball
             chart = atlas.chart_of(i)
-            if chart is None:
-                continue
-            try:
-                radius = config.radius or default_fit_radius(space, chart, i)
-            except Exception:
-                continue
-            ball_idx = space.ball_indices(i, radius)
-            member = np.asarray([chart.contains(j) for j in ball_idx])
-            region = ball_idx[member]
-            if not np.all(agree[region]):
-                continue
-            cfg = FitConfig(
-                family=config.family, radius=radius, quad=config.quad, points=[i]
-            )
-            du = density_via_mdiff(u, atlas, p, cfg).densities[i]
-            dv = density_via_mdiff(v, atlas, p, cfg).densities[i]
-            if not (np.isnan(du) or np.isnan(dv)):
-                worst = max(worst, abs(float(du - dv)))
+            ball_idx = space.ball_indices(i, fit.radius)
+            region = ball_idx[[chart.contains(j) for j in ball_idx]]
+            if np.all(agree[region]) and not np.isnan(dv[i]):
+                worst = max(worst, abs(float(du.densities[i] - dv[i])))
         return worst
     raise ValidationError(f"unknown density source {source!r}")
 

@@ -34,7 +34,6 @@ class QuadratureSpec:
 
     count: int = DEFAULT_QUAD_COUNT
     seed: int = DEFAULT_QUAD_SEED
-    rel_error_target: float = 1e-3
 
 
 class Seminorm:
@@ -263,6 +262,14 @@ def _ball_moment_matrices(dim, count, seed):
     return c, c1, c2
 
 
+def check_exponent(p):
+    """``p`` as a float; rejected unless finite with ``p > 1``."""
+    p = float(p)
+    if not 1.0 < p < math.inf:
+        raise ValidationError(f"exponent p must lie in (1, inf), got {p!r}")
+    return p
+
+
 def size_p(n, p, quad=None):
     """p-size: normalized L^p average of the seminorm over the unit ball."""
     return size_p_report(n, p, quad)[0]
@@ -270,8 +277,7 @@ def size_p(n, p, quad=None):
 
 def size_p_report(n, p, quad=None):
     """p-size plus a split-sample relative error estimate."""
-    if not 1.0 < p < math.inf:
-        raise ValidationError("exponent p must lie in (1, inf)")
+    p = check_exponent(p)
     quad = quad or QuadratureSpec()
     if n.family == QUADRATIC and p == 2.0:
         # mean of v'Qv over the nodes, contracted through the node moments

@@ -89,6 +89,23 @@ class TestAtlas:
         with pytest.raises(ValidationError):
             Atlas(charts=[a, b], epsilon=0.0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_coordinates_named(self, grid2d, bad):
+        sp, pts, _ = grid2d
+        phi = pts.copy()
+        phi[220, 1] = bad
+        with pytest.raises(ValidationError, match="index 220") as info:
+            Chart(indices=np.arange(sp.n), phi=phi, epsilon=0.0)
+        assert info.value.detail == 220
+
+    def test_non_finite_coordinates_named_by_domain_index(self, grid2d):
+        sp, pts, _ = grid2d
+        members = np.arange(100, 150)
+        phi = pts[members].copy()
+        phi[3, 0] = np.nan
+        with pytest.raises(ValidationError, match="index 103"):
+            Chart(indices=members, phi=phi, epsilon=0.0)
+
     def test_cover_validation(self, grid2d):
         sp, pts, chart = grid2d
         atlas = Atlas(charts=[chart], epsilon=0.0)

@@ -14,6 +14,7 @@ from kscalc import (
     build_space,
     make_fixture,
 )
+from kscalc.cli import main as cli_main
 from kscalc.errors import ValidationError
 from kscalc.serialize import (
     load_atlas,
@@ -38,6 +39,13 @@ def run_cli(*args):
         timeout=300,
     )
     return proc.returncode, proc.stdout, proc.stderr
+
+
+def run_main(capsys, *args):
+    """``run_cli`` in this process: the exit code ``main`` returns and its output."""
+    code = cli_main([str(a) for a in args])
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
 
 
 @pytest.fixture(scope="module")
@@ -233,6 +241,62 @@ class TestExitCodes:
         report = json.loads((workdir / "mdiff2.json").read_text())
         assert "0" in report["errors"]  # corner lacks neighbors
         assert any(f["index"] == 210 for f in report["fits"])
+
+    @pytest.mark.parametrize("p", ["0", "-1", "nan", "inf", "0.5"])
+    def test_energy_bad_exponent_exit_2(self, capsys, workdir, p):
+        out_prefix = workdir / f"energy_bad_p_{p}"
+        code, out, err = run_main(
+            capsys,
+            "energy", "--map", workdir / "map.json", "--scales", "0.45,0.35",
+            "--p", p, "--out", out_prefix,
+        )
+        assert code == 2
+        assert "exponent p must lie in (1, inf)" in err
+        assert not out_prefix.with_suffix(".json").exists()
+
+    @pytest.mark.parametrize(
+        "flags, says",
+        [
+            *(pytest.param(("--p", p), "exponent p must lie in (1, inf)", id=f"p={p}")
+              for p in ("0", "-1", "nan", "inf", "0.5")),
+            *(pytest.param(("--radius", r), "fit radius must be finite and positive",
+                           id=f"radius={r}")
+              for r in ("-1", "0", "nan")),
+            pytest.param(("--points", "10,99999"),
+                         "fit point 99999 outside the domain [0, 64)", id="points"),
+        ],
+    )
+    def test_mdiff_bad_option_exit_2(self, capsys, workdir, flags, says):
+        out_path = workdir / "mdiff_bad_option.json"
+        code, out, err = run_main(
+            capsys,
+            "mdiff",
+            "--space", workdir / "fixture" / "space.json",
+            "--atlas", workdir / "fixture" / "atlas.json",
+            "--map", workdir / "fixture" / "map_linear.json",
+            "--points", "10,30",
+            *flags,
+            "--out", out_path,
+        )
+        assert code == 2
+        assert says in err
+        assert not out_path.exists()
+
+    def test_mdiff_non_finite_chart_coordinate_exit_2(self, capsys, workdir):
+        atlas = json.loads((workdir / "fixture" / "atlas.json").read_text())
+        chart = atlas["charts"][0]
+        chart["coordinates"][20] = [float("nan")] * len(chart["coordinates"][20])
+        (workdir / "atlas_nan.json").write_text(json.dumps(atlas))
+        code, out, err = run_main(
+            capsys,
+            "mdiff",
+            "--space", workdir / "fixture" / "space.json",
+            "--atlas", workdir / "atlas_nan.json",
+            "--map", workdir / "fixture" / "map_linear.json",
+        )
+        assert code == 2
+        assert out == ""
+        assert f"non-finite chart coordinates at index {chart['indices'][20]}" in err
 
     def test_dirichlet_converged(self, workdir):
         code, _, _ = run_cli(

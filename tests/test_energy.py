@@ -3,7 +3,10 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import kscalc.energy as energy_module
 from kscalc import (
     Atlas,
     Chart,
@@ -22,9 +25,12 @@ from kscalc import (
     hajlasz_gradient,
     hs_energy,
     ks_at_scale,
+    ks_profile,
     locality_check,
     midpoint_scale_gap,
 )
+from kscalc.charts import FitResult
+from kscalc.energy import _affine_intercept, _fit_points
 from kscalc.spaces import CELL_PAIR_BUDGET
 
 from conftest import grid_points, random_map
@@ -119,6 +125,24 @@ class TestEnergySweep:
         assert np.all(rep.per_scale_total == 0.0)
         assert rep.extrapolated_total == 0.0
 
+    def test_extrapolated_density_through_three_smallest_reliable_scales(self, dense_line):
+        xs, sp = dense_line
+        u = MetricMap(sp, EuclideanTarget(1), np.sin(3 * xs)[:, None])
+        rep = energy_sweep(u, 2.0, [0.06, 0.05, 0.04, 0.03, 1e-3])
+        use = [0.03, 0.04, 0.05]
+        ref = _affine_intercept(use, ks_profile(u, 2.0, use).T)
+        assert np.allclose(rep.extrapolated_density, ref, rtol=1e-12, atol=1e-15)
+        assert rep.to_json()["extrapolated_density_mean"] == float(
+            np.mean(rep.extrapolated_density)
+        )
+
+    def test_density_extrapolated_is_the_sweep_intercept(self, dense_line):
+        xs, sp = dense_line
+        u = MetricMap(sp, EuclideanTarget(1), np.sin(3 * xs)[:, None])
+        rep = energy_sweep(u, 2.0, [0.05, 0.04, 0.03])
+        shuffled = density_extrapolated(u, 2.0, [0.04, 0.03, 0.05])
+        assert np.array_equal(shuffled, rep.extrapolated_density)
+
     def test_linear_map_extrapolated_density(self):
         xs = np.linspace(0.0, 1.0, 1001)
         sp = build_space({"kind": "euclidean", "points": xs[:, None].tolist()})
@@ -185,6 +209,102 @@ class TestDensityViaMdiff:
         assert np.all(np.isnan(out.densities[:4]))
 
 
+BAD_EXPONENTS = [0.0, -1.0, math.nan, math.inf, 0.5]
+
+
+class TestExponent:
+    @pytest.mark.parametrize("p", BAD_EXPONENTS)
+    def test_scale_route_rejects(self, line_space_11, p):
+        u = MetricMap(line_space_11, EuclideanTarget(1), np.linspace(0.0, 1.0, 11)[:, None])
+        for route in (ks_at_scale, energy_sweep, density_extrapolated):
+            scale = 0.35 if route is ks_at_scale else [0.45, 0.35]
+            with pytest.raises(ValidationError, match="exponent p"):
+                route(u, p, scale)
+
+    @pytest.mark.parametrize("p", BAD_EXPONENTS)
+    def test_fit_route_rejects_before_fitting(self, smooth_grid, monkeypatch, p):
+        sp, pts, atlas = smooth_grid
+        u = MetricMap(sp, EuclideanTarget(2), pts)
+
+        def no_fit(*args, **kwargs):
+            raise AssertionError("a fit ran before the exponent was checked")
+
+        monkeypatch.setattr(energy_module, "fit_metric_differential", no_fit)
+        with pytest.raises(ValidationError, match="exponent p"):
+            density_via_mdiff(u, atlas, p)
+
+
+@pytest.fixture(scope="module")
+def partial_atlas():
+    """A 10 x 10 grid whose chart leaves the last 20 points uncovered."""
+    pts = grid_points(10, 2)
+    sp = build_space({"kind": "euclidean", "points": pts.tolist()})
+    chart = Chart(indices=np.arange(80), phi=pts[:80], epsilon=0.0)
+    atlas = Atlas(charts=[chart], epsilon=0.0, uncovered=np.arange(80, 100))
+    return MetricMap(sp, EuclideanTarget(2), np.sin(3.0 * pts)), atlas
+
+
+class TestFitLoop:
+    def test_fits_and_errors_by_index(self, partial_atlas):
+        u, atlas = partial_atlas
+        fits, errors = _fit_points(u, atlas, FitConfig(points=[45, 90, 45, 12]))
+        assert list(fits) == [45, 12]
+        assert all(fits[i].index == i for i in fits)
+        assert errors == {90: "point not covered by any chart"}
+
+    def test_density_result_carries_the_fits(self, partial_atlas):
+        u, atlas = partial_atlas
+        out = density_via_mdiff(u, atlas, 2.0, FitConfig(points=[12, 45]))
+        assert list(out.fits) == [12, 45]
+        assert list(out.evaluated()) == [12, 45]
+
+    @pytest.mark.parametrize("radius", [-1.0, 0.0, math.nan, math.inf])
+    def test_bad_radius_rejected(self, partial_atlas, radius):
+        u, atlas = partial_atlas
+        with pytest.raises(ValidationError, match="fit radius"):
+            _fit_points(u, atlas, FitConfig(radius=radius, points=[45]))
+
+    @pytest.mark.parametrize("i", [-1, 100, 99999])
+    def test_index_outside_domain_named(self, partial_atlas, i):
+        u, atlas = partial_atlas
+        with pytest.raises(ValidationError, match=f"fit point {i} outside") as info:
+            _fit_points(u, atlas, FitConfig(points=[45, i]))
+        assert info.value.detail == i
+
+    def test_other_exceptions_propagate(self, partial_atlas, monkeypatch):
+        u, atlas = partial_atlas
+
+        def broken(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(energy_module, "fit_metric_differential", broken)
+        with pytest.raises(np.linalg.LinAlgError):
+            _fit_points(u, atlas, FitConfig(points=[45]))
+
+    @given(
+        points=st.lists(st.integers(-3, 103), max_size=6),
+        radius=st.one_of(st.none(), st.floats()),
+        family=st.sampled_from(["quadratic", "polyhedral"]),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_fits_fit_errors_or_validation_error(self, partial_atlas, points, radius, family):
+        u, atlas = partial_atlas
+        config = FitConfig(family=family, radius=radius, points=points)
+        bad = any(not 0 <= i < 100 for i in points) or not (
+            radius is None or (math.isfinite(radius) and radius > 0)
+        )
+        try:
+            fits, errors = _fit_points(u, atlas, config)
+        except ValidationError:
+            assert bad
+            return
+        assert not bad
+        assert set(fits) | set(errors) == set(points)
+        assert not set(fits) & set(errors)
+        assert all(isinstance(f, FitResult) and f.index == i for i, f in fits.items())
+        assert all(isinstance(msg, str) and msg for msg in errors.values())
+
+
 class TestHsEnergy:
     def test_identity_map(self, smooth_grid):
         sp, pts, atlas = smooth_grid
@@ -201,6 +321,25 @@ class TestHsEnergy:
         md = density_via_mdiff(u, atlas, 2.0)
         ok = hs.evaluated()
         assert np.abs(hs.densities[ok] - md.densities[ok]).max() < 1e-3
+
+    def test_each_chart_scaled_by_its_own_dimension(self):
+        grid = grid_points(10, 2)
+        line = np.stack([np.linspace(3.0, 4.0, 30), np.zeros(30)], axis=1)
+        sp = build_space({"kind": "euclidean", "points": np.vstack([grid, line]).tolist()})
+        atlas = Atlas(
+            charts=[
+                Chart(indices=np.arange(100), phi=grid, epsilon=0.0),
+                Chart(indices=np.arange(100, 130), phi=line[:, :1], epsilon=0.0),
+            ],
+            epsilon=0.0,
+        )
+        u = MetricMap(sp, EuclideanTarget(2), np.vstack([grid, line]))
+        cfg = FitConfig(points=[45, 115])
+        hs = hs_energy(u, atlas, cfg).densities[[45, 115]]
+        md = density_via_mdiff(u, atlas, 2.0, cfg).densities[[45, 115]]
+        # identity densities: sqrt(d / (d + 2)) on a chart of dimension d
+        assert np.allclose(hs, [math.sqrt(0.5), math.sqrt(1.0 / 3.0)], rtol=1e-9)
+        assert np.allclose(hs, md, rtol=1e-3)
 
     def test_polyhedral_family_rejected(self, smooth_grid):
         sp, pts, atlas = smooth_grid

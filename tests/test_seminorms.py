@@ -18,6 +18,7 @@ from kscalc import (
     sn_distance,
     sn_distance_report,
 )
+from kscalc.seminorms import check_exponent
 
 
 def random_psd(rng, d):
@@ -170,6 +171,13 @@ class TestSizeP:
     def test_p_out_of_range(self):
         with pytest.raises(ValidationError):
             size_p(Seminorm.zero(2), 1.0)
+
+    @pytest.mark.parametrize("p", [0.0, -1.0, math.nan, math.inf, 0.5])
+    def test_bad_exponent_named(self, p):
+        with pytest.raises(ValidationError, match=r"exponent p must lie in \(1, inf\)"):
+            check_exponent(p)
+        with pytest.raises(ValidationError, match="exponent p"):
+            size_p_report(random_poly(np.random.default_rng(0), 2), p)
 
     def test_p3_matches_radial_integral(self):
         # d=1 euclidean norm: average of |w|^3 over [-1, 1] is 1/4
