@@ -38,6 +38,9 @@ class Chart:
             k = int(self.indices[np.argmax(bad)])
             raise ValidationError(f"non-finite chart coordinates at index {k}", detail=k)
         self._pos = {int(i): k for k, i in enumerate(self.indices)}
+        if len(self._pos) < self.indices.shape[0]:
+            k = next(int(i) for n, i in enumerate(self.indices) if self._pos[int(i)] != n)
+            raise ValidationError(f"chart lists index {k} twice", detail=k)
 
     @property
     def chart_dim(self):
@@ -251,8 +254,7 @@ def fit_metric_differential(space, chart, u, target, i, radius=None, family=QUAD
             f"insufficient neighbors at point {i}: {members.shape[0]} < {d + 1}",
             index=i,
         )
-    pi = chart.phi[chart.position(i)]
-    v = np.stack([chart.phi[chart.position(j)] for j in members]) - pi
+    v = chart.phi[sel] - chart.phi[chart.position(i)]
     dy = target.dists(u.packed[int(i)], u.packed[members])
     if family == QUADRATIC:
         n = _fit_quadratic(v, dy, i)

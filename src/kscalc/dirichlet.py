@@ -147,6 +147,32 @@ class DirichletProblem:
         lu = splu((identity(ni, format="csr") - P).tocsc())
         return P, lu, float(lu.solve(np.ones(ni)).max())
 
+    def _classes(self, mode):
+        """A sweep's point classes in order: (points, members, pointers, weights)."""
+        if mode == JACOBI:
+            return [(self.interior, self._nbrx, self._nbrx_ptr, self._nbrx_w)]
+        if mode == GAUSS_SEIDEL:
+            return self._colored_classes
+        raise ValidationError(f"solver option mode: unknown sweep mode {mode!r}")
+
+    @cached_property
+    def _colored_classes(self):
+        """Gauss-Seidel's classes: a greedy coloring of the interior in index
+        order in which no class holds a point and a member of its ball
+        (balls are symmetric).  Classes go by color and points ascend, so a
+        sweep equals the point-by-point sweep in that order."""
+        ptr, color = self._nbrx_ptr, np.full(self.space.n, -1)
+        for k, x in enumerate(self.interior):
+            used = set(color[self._nbrx[ptr[k] : ptr[k + 1]]].tolist())
+            color[x] = next(c for c in range(len(used) + 1) if c not in used)
+        color, lens, classes = color[self.interior], np.diff(ptr), []
+        for c in range(color.max() + 1):
+            inc = color == c
+            sel = np.repeat(inc, lens)
+            cptr = np.concatenate([[0], np.cumsum(lens[inc])])
+            classes.append((self.interior[inc], self._nbrx[sel], cptr, self._nbrx_w[sel]))
+        return classes
+
     # -- value containers: (n, width) arrays of packed rows ----------------
 
     def blank_values(self):
@@ -238,10 +264,9 @@ def relax_sweep(prob, values, mode=JACOBI, bary_tol=1e-10):
     """One relaxation sweep: every interior point moves to the weighted
     barycenter of the other values in its ball.
 
-    Jacobi reads a frozen snapshot; Gauss-Seidel updates in index order.
+    Jacobi reads a frozen snapshot; Gauss-Seidel goes by color, then index.
     The relaxation energy never increases, and the sweep checks it.
     """
-    _check_mode(mode)
     return _checked_step(prob, values, relaxation_energy(prob, values), mode, bary_tol)[0]
 
 
@@ -269,25 +294,12 @@ def _error_bound(prob, disp, residual):
     return (h_max - 1.0) * disp + h_max * residual
 
 
-def _check_mode(mode):
-    if mode not in (JACOBI, GAUSS_SEIDEL):
-        raise ValidationError(f"solver option mode: unknown sweep mode {mode!r}")
-
-
 def _sweep(prob, values, mode, bary_tol):
-    """The swept values and the largest residual of their barycenters."""
-    target, nbr, ptr, w = prob.target, prob._nbrx, prob._nbrx_ptr, prob._nbrx_w
-    out = values.copy()
-    if mode == JACOBI:
-        out[prob.interior], residual = target._barycenters(
-            values[nbr], ptr, w, bary_tol, _BARY_PASSES
-        )
-        return out, residual
-    residual = 0.0
-    for k, x in enumerate(prob.interior):
-        a, b = ptr[k], ptr[k + 1]
-        rows, r = target._barycenters(out[nbr[a:b]], (0, b - a), w[a:b], bary_tol, _BARY_PASSES)
-        out[x] = rows[0]
+    """The swept values and the largest residual of their barycenters: each
+    class of the mode moves at once, reading the values swept so far."""
+    out, residual = values.copy(), 0.0
+    for points, nbr, ptr, w in prob._classes(mode):
+        out[points], r = prob.target._barycenters(out[nbr], ptr, w, bary_tol, _BARY_PASSES)
         residual = max(residual, r)
     return out, residual
 
@@ -384,7 +396,7 @@ def solve(
         raise ValidationError(
             f"solver option max_sweeps must be a positive integer, not {max_sweeps!r}"
         )
-    _check_mode(mode)
+    prob._classes(mode)  # an unknown mode is rejected before any step
     max_sweeps = int(max_sweeps)
     if bary_tol is None:
         bary_tol = max(tol * 1e-2, 1e-12)

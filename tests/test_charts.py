@@ -106,6 +106,13 @@ class TestAtlas:
         with pytest.raises(ValidationError, match="index 103"):
             Chart(indices=members, phi=phi, epsilon=0.0)
 
+    def test_repeated_index_named(self, grid2d):
+        sp, pts, _ = grid2d
+        members = np.asarray([3, 27, 5, 27, 9])
+        with pytest.raises(ValidationError, match="index 27 twice") as info:
+            Chart(indices=members, phi=pts[members], epsilon=0.0)
+        assert info.value.detail == 27
+
     def test_cover_validation(self, grid2d):
         sp, pts, chart = grid2d
         atlas = Atlas(charts=[chart], epsilon=0.0)

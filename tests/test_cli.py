@@ -298,6 +298,25 @@ class TestExitCodes:
         assert out == ""
         assert f"non-finite chart coordinates at index {chart['indices'][20]}" in err
 
+    def test_mdiff_repeated_chart_index_exit_2(self, capsys, workdir):
+        atlas = json.loads((workdir / "fixture" / "atlas.json").read_text())
+        chart = atlas["charts"][0]
+        chart["indices"][21] = chart["indices"][20]
+        (workdir / "atlas_repeated.json").write_text(json.dumps(atlas))
+        with pytest.raises(ValidationError) as info:
+            load_atlas(workdir / "atlas_repeated.json")
+        assert info.value.detail == chart["indices"][20]
+        code, out, err = run_main(
+            capsys,
+            "mdiff",
+            "--space", workdir / "fixture" / "space.json",
+            "--atlas", workdir / "atlas_repeated.json",
+            "--map", workdir / "fixture" / "map_linear.json",
+        )
+        assert code == 2
+        assert out == ""
+        assert f"chart lists index {chart['indices'][20]} twice" in err
+
     def test_dirichlet_converged(self, workdir):
         code, _, _ = run_cli(
             "dirichlet",

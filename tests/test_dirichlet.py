@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from kscalc import (
     DirichletProblem,
@@ -337,14 +339,71 @@ class TestRelaxSweep:
         t, w = prob.target, prob.space.weights
         values = prob.seeded_init(4)
         new = relax_sweep(prob, values, mode="gauss-seidel", bary_tol=self.BARY_TOL)
-        # oracle: point by point in index order, each reading the updates so far
+        # oracle: point by point in class order, each reading the updates so far
+        balls = dict(zip(prob.interior.tolist(), prob.balls))
         expect = values.copy()
-        for x, idx in zip(prob.interior, prob.balls):
+        for x in np.concatenate([points for points, *_ in prob._classes("gauss-seidel")]):
+            idx = balls[x]
             nbr = idx[idx != x]
             expect[x] = t.pack([barycenter(t, expect[nbr], w[nbr], tol=self.BARY_TOL)])[0]
         self.assert_rows_match(kind, new, expect)
         jacobi = relax_sweep(prob, values, mode="jacobi", bary_tol=self.BARY_TOL)
         assert not np.array_equal(new, jacobi)
+
+
+class TestSweepClasses:
+    """A sweep moves its classes one after another, one barycenters call each."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(3, 40),
+        dim=st.integers(1, 3),
+        share=st.floats(0.1, 0.9),
+        scale=st.floats(0.2, 1.5),
+    )
+    def test_classes_partition_the_interior_into_independent_sets(
+        self, seed, n, dim, share, scale
+    ):
+        rng = np.random.default_rng(seed)
+        sp = build_space({"kind": "euclidean", "points": rng.random((n, dim)).tolist()})
+        interior = np.flatnonzero(rng.random(n) < share)
+        assume(0 < interior.size < n)
+        data = {int(k): [0.0] for k in np.setdiff1d(np.arange(n), interior)}
+        try:
+            prob = DirichletProblem(sp, EuclideanTarget(1), interior, data, scale)
+        except ValidationError:
+            assume(False)  # an interior point with an empty ball
+        balls = dict(zip(prob.interior.tolist(), prob.balls))
+        classes = prob._classes("gauss-seidel")
+        order = np.concatenate([points for points, *_ in classes])
+        assert np.array_equal(np.sort(order), prob.interior)
+        for points, nbr, ptr, w in classes:
+            assert np.all(np.diff(points) > 0)
+            for k, x in enumerate(points.tolist()):
+                assert np.intersect1d(balls[x], points).tolist() == [x]
+                group = nbr[ptr[k] : ptr[k + 1]]
+                assert np.array_equal(group, balls[x][balls[x] != x])
+                assert np.array_equal(w[ptr[k] : ptr[k + 1]], sp.weights[group])
+        (jacobi,) = prob._classes("jacobi")
+        assert all(a is b for a, b in zip(
+            jacobi, (prob.interior, prob._nbrx, prob._nbrx_ptr, prob._nbrx_w)))
+
+    def test_one_barycenters_call_per_class(self, monkeypatch):
+        hyp = HyperbolicTarget()
+        prob = grid_problem(21, 1, hyp, lambda p: hyp.lift(2 * p - 1))
+        calls = []
+        batched = hyp._barycenters
+
+        def counted(*args):
+            calls.append(args[1])
+            return batched(*args)
+
+        monkeypatch.setattr(hyp, "_barycenters", counted)
+        relax_sweep(prob, prob.default_init(), mode="gauss-seidel")
+        assert prob.interior.size == sum(len(ptr) - 1 for ptr in calls) == 361
+        assert len(calls) <= 5
+        assert len(calls) == len(prob._classes("gauss-seidel"))
 
 
 class TestSolve:

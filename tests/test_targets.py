@@ -1024,7 +1024,7 @@ def test_tree_barycenters_match_brute_force(groups):
         assert SPIDER.dist(row, z) <= 1e-7
 
 
-@pytest.mark.parametrize("kind", ["tree", "hyperbolic", "product"])
+@pytest.mark.parametrize("kind", ["euclidean", "tree", "hyperbolic", "product"])
 @settings(max_examples=25, deadline=None)
 @given(data=st.data())
 def test_barycenter_rows_do_not_depend_on_the_batch(kind, data):
