@@ -345,10 +345,9 @@ def _fit_polyhedral(v, dy, max_covectors=8):
 
 def aplip_estimate(space, u, target, i, radius):
     """Max distance-quotient over the ball: sampled local Lipschitz ratio."""
-    idx = space.ball_indices(int(i), radius)
-    idx = idx[idx != int(i)]
-    if idx.shape[0] == 0:
+    _, idx, dom = space.all_balls(radius, [i])
+    other = idx != int(i)
+    if not other.any():
         return 0.0
-    dom = space.dist_subset(int(i), idx)
-    tar = target.dists(u.packed[int(i)], u.packed[idx])
-    return float((tar / dom).max())
+    tar = target.dists(u.packed[int(i)], u.packed[idx[other]])
+    return float((tar / dom[other]).max())

@@ -102,9 +102,7 @@ def _load_map_bundle(args):
 def cmd_energy(args):
     u = _load_map_bundle(args)
     scales = [float(s) for s in args.scales.split(",")]
-    omega = None
-    if args.omega:
-        omega = [int(i) for i in read_json(args.omega)]
+    omega = read_json(args.omega) if args.omega else None
     report = energy_sweep(u, args.p, scales, omega=omega)
     out = Path(args.out) if args.out else None
     sweep_rows = [

@@ -20,7 +20,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import AuditError, ValidationError
-from .spaces import check_radius
+from .spaces import check_radius, domain_indices
 from .targets import EuclideanTarget, _is_number
 
 JACOBI = "jacobi"
@@ -46,56 +46,35 @@ class DirichletProblem:
         self.target = target
         self.scale = check_radius(scale, "scale")
         self.p = 2.0
-        indices = np.ravel(np.asarray(interior, dtype=object))
-        self.interior = np.unique([_domain_index(k) for k in indices])
+        self.interior = np.unique(domain_indices(interior, space.n))
         if self.interior.size == 0:
             raise ValidationError("interior must be nonempty")
         if self.interior.size >= space.n:
             raise ValidationError("the complement of the interior must carry mass")
-        data = {_domain_index(k): v for k, v in dict(boundary_data).items()}
-        for k in (int(self.interior[0]), int(self.interior[-1]), *data):
-            if not 0 <= k < space.n:
-                raise ValidationError(f"index {k} outside the domain", detail=k)
-        inside = np.zeros(space.n, dtype=bool)
-        inside[self.interior] = True
-        self._inside = inside
-        self.balls = space.all_balls(self.scale, self.interior)
-        layer = set()
-        for x, idx in zip(self.interior, self.balls):
-            if idx.shape[0] < 2:
-                raise ValidationError(
-                    f"interior point {int(x)} has an empty ball at the scale",
-                    detail=int(x),
-                )
-            layer.update(int(j) for j in idx if not inside[j])
-        self.boundary_layer = np.asarray(sorted(layer), dtype=int)
-        for k in data:
-            if inside[k]:
-                raise ValidationError(f"boundary value given at interior index {k}")
+        given = dict(boundary_data)
+        data = dict(zip(domain_indices(list(given), space.n).tolist(), given.values()))
+        self._inside = inside = np.isin(np.arange(space.n), self.interior)
+        ptr, nbr, _ = space.all_balls(self.scale, self.interior)
+        self._ball_ptr, self._ball_nbr = ptr, nbr  # the interior balls as CSR arrays
+        sizes = np.diff(ptr)
+        if np.any(sizes < 2):
+            x = int(self.interior[np.argmax(sizes < 2)])
+            raise ValidationError(f"interior point {x} has an empty ball at the scale", detail=x)
+        self.boundary_layer = np.unique(nbr[~inside[nbr]])
         self._boundary = np.asarray(list(data), dtype=int)
+        _first_bad(
+            inside[self._boundary], self._boundary, "boundary value given at interior index"
+        )
         self._boundary_rows = target.pack(list(data.values()), index=self._boundary)
-        missing = [int(j) for j in self.boundary_layer if j not in data]
+        missing = np.setdiff1d(self.boundary_layer, self._boundary).tolist()
         if missing:
-            raise ValidationError(
-                f"missing boundary values at {missing[:8]}", detail=missing
-            )
+            raise ValidationError(f"missing boundary values at {missing[:8]}", detail=missing)
         # the trace as packed rows, by index
         self.boundary_data = dict(zip(data, self._boundary_rows))
-        self.referenced = np.asarray(
-            sorted(set(map(int, self.interior)) | set(map(int, self.boundary_layer))),
-            dtype=int,
-        )
+        self.referenced = np.union1d(self.interior, self.boundary_layer)
         w = space.weights
-        self._coef = np.asarray(
-            [
-                w[x] / (w[idx].sum() * self.scale**2)
-                for x, idx in zip(self.interior, self.balls)
-            ]
-        )
-        sizes = [b.shape[0] for b in self.balls]
+        self._coef = w[self.interior] / (np.add.reduceat(w[nbr], ptr[:-1]) * self.scale**2)
         centers = np.repeat(self.interior, sizes)
-        nbr = self._flat_nbr = np.concatenate(self.balls)
-        self._flat_ptr = np.concatenate([[0], np.cumsum(sizes)])
         # unordered in-ball pairs with an interior endpoint, interior pairs
         # counted once: the edge set of the relaxation's own energy
         # (conductance w_a w_b / r^2)
@@ -111,7 +90,7 @@ class DirichletProblem:
         # with their weights: the barycenters' inputs
         keep = nbr != centers
         self._nbrx = nbr[keep]
-        self._nbrx_ptr = np.concatenate([[0], np.cumsum(keep)])[self._flat_ptr]
+        self._nbrx_ptr = np.concatenate([[0], np.cumsum(keep)])[ptr]
         self._nbrx_w = w[self._nbrx]
 
     @cached_property
@@ -207,13 +186,6 @@ class DirichletProblem:
         )
 
 
-def _domain_index(k):
-    """A domain index as an int; a value that is not an integer is named."""
-    if _is_number(k) and float(k).is_integer():
-        return int(k)
-    raise ValidationError(f"domain index {k} is not an integer", detail=k)
-
-
 def _first_bad(bad, index, message):
     """Raise ``ValidationError`` naming the index of the first bad row."""
     if np.any(bad):
@@ -240,7 +212,7 @@ def discrete_energy(prob, values, target=None):
     centers, members = prob._ball_rows
     d2 = target.dists(packed[centers], packed[members], squared=True)
     w = prob.space.weights
-    per = np.add.reduceat(w[prob._flat_nbr] * d2, prob._flat_ptr[:-1])
+    per = np.add.reduceat(w[prob._ball_nbr] * d2, prob._ball_ptr[:-1])
     return float(np.dot(prob._coef, per))
 
 

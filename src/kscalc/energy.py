@@ -22,7 +22,7 @@ from .charts import fit_metric_differential
 from .errors import FitError, ValidationError
 from .parallel import parallel_map
 from .seminorms import QUADRATIC, QuadratureSpec, check_exponent, hs_norm, size_p
-from .spaces import check_radius
+from .spaces import check_radius, domain_indices
 from .targets import EuclideanTarget
 
 RELIABLE_SPACING_FACTOR = 3.0
@@ -41,10 +41,6 @@ class MetricMap:
         self.space = space
         self.target = target
         self.packed = target.pack(values)
-
-    def dist_to_many(self, i, idx):
-        """Target distances from value i to the values at ``idx``."""
-        return self.target.dists(self.packed[i], self.packed[idx])
 
     def distance_to(self, other):
         """Pointwise target distances to another map on the same domain."""
@@ -81,7 +77,7 @@ def ks_profile(u, p, scales, omega=None):
     mask = None
     if omega is not None:
         mask = np.zeros(space.n, dtype=bool)
-        mask[np.asarray(omega, dtype=int)] = True
+        mask[domain_indices(omega, space.n, "omega index")] = True
     w = space.weights
     out = np.zeros((len(scales), space.n))
     rmax = max(scales)
@@ -242,8 +238,8 @@ def _fit_points(u, atlas, config, threads=1):
     ``fits`` holds the :class:`FitResult` of each fitted index in the
     order of ``config.points`` (default: every chart member), ``errors``
     the message of each index whose fit raised :class:`FitError`.  A bad
-    radius or an index outside the domain raises ``ValidationError``
-    before any fit; any other exception propagates.
+    radius or a point that is not an index of the domain raises
+    ``ValidationError`` before any fit; any other exception propagates.
     """
     space = u.space
     if config.radius is not None:
@@ -251,12 +247,8 @@ def _fit_points(u, atlas, config, threads=1):
     if config.points is None:
         points = [i for i in range(space.n) if atlas.chart_of(i) is not None]
     else:
-        points = list(dict.fromkeys(int(i) for i in config.points))
-        for i in points:
-            if not 0 <= i < space.n:
-                raise ValidationError(
-                    f"fit point {i} outside the domain [0, {space.n})", detail=i
-                )
+        chosen = domain_indices(config.points, space.n, "fit point")
+        points = list(dict.fromkeys(chosen.tolist()))
 
     def work(i):
         try:
@@ -345,20 +337,12 @@ def hajlasz_gradient(u, R):
     By construction each value alone dominates the pair quotient, so the
     two-sided pair bound holds with room to spare.
     """
-    if R <= 0:
-        raise ValidationError("R must be positive")
-    space = u.space
-    out = np.zeros(space.n)
-    balls = space.all_balls(R)
-    for i in range(space.n):
-        idx = balls[i]
-        idx = idx[idx != i]
-        if idx.shape[0] == 0:
-            continue
-        dom = space.dist_subset(i, idx)
-        tar = u.dist_to_many(i, idx)
-        out[i] = float((tar / dom).max())
-    return out
+    ptr, members, dom = u.space.all_balls(check_radius(R, "R"))
+    owner = np.repeat(np.arange(u.space.n), np.diff(ptr))
+    tar = u.target.dists(u.packed[owner], u.packed[members])
+    # each ball holds its center, whose quotient is taken as 0
+    quotient = np.divide(tar, dom, out=np.zeros_like(tar), where=members != owner)
+    return np.maximum.reduceat(quotient, ptr[:-1])
 
 
 def locality_check(u, v, p, r=None, source="ks", atlas=None, config=None):
@@ -375,14 +359,10 @@ def locality_check(u, v, p, r=None, source="ks", atlas=None, config=None):
     if source == "ks":
         if r is None:
             raise ValidationError("scale r required for the ks source")
-        eu = ks_at_scale(u, p, r)
-        ev = ks_at_scale(v, p, r)
-        worst = 0.0
-        balls = space.all_balls(r)
-        for i in range(space.n):
-            if agree[i] and np.all(agree[balls[i]]):
-                worst = max(worst, abs(float(eu[i] - ev[i])))
-        return worst
+        gap = np.abs(ks_at_scale(u, p, r) - ks_at_scale(v, p, r))
+        ptr, members, _ = space.all_balls(r)
+        inside = agree & np.logical_and.reduceat(agree[members], ptr[:-1])
+        return float(gap[inside].max(initial=0.0))
     if source == "mdiff":
         if atlas is None:
             raise ValidationError("atlas required for the mdiff source")

@@ -16,6 +16,7 @@ from itertools import chain
 import numpy as np
 
 from .errors import ValidationError
+from .targets import _is_number
 
 EUCLIDEAN = "euclidean"
 TORUS = "torus"
@@ -29,6 +30,9 @@ _RADIUS_RATIO = 1.1
 _QUERY_SLACK = 1e-9
 # most rows times candidates in one ``cell_partition`` block
 CELL_PAIR_BUDGET = 1 << 18
+# centers per chunk of the sorted-ball scans of ``doubling_constant`` and
+# ``maximal_function``: their memory stays within this many balls
+_BALL_CHUNK = 16
 # fewest points per cell on average: a block costs about as much as a
 # thousand candidate pairs, so sparse cells are merged into larger ones
 _CELL_ROWS = 16
@@ -247,25 +251,51 @@ class PointCloudSpace:
 
     def ball_indices(self, i, r):
         """Indices with ``d(x_i, x_j) < r`` (the center always included)."""
-        return self.all_balls(r, [i])[0]
+        return self.all_balls(r, [i])[1]
 
     def all_balls(self, r, centers=None):
-        """Sorted ball index arrays ``B_r(x)`` for every center.
+        """The open balls ``B_r(x)`` of ``centers`` (default: every point).
 
-        ``centers`` defaults to every point.
+        Returns CSR arrays ``(ptr, members, dists)``: the ball of
+        ``centers[k]`` is ``members[ptr[k]:ptr[k + 1]]``, ascending, and
+        ``dists`` holds its members' distances to the center.  A center
+        that is not an index of the space is rejected by name.
         """
         r = check_radius(r)
         if centers is None:
             centers = np.arange(self.n)
-        centers = np.asarray(centers, dtype=np.intp).reshape(-1)
-        if centers.size == 0:
-            return []
+        else:
+            centers = domain_indices(centers, self.n, "ball center")
         if self.kind == MATRIX:
-            return [np.nonzero(self.matrix[c] < r)[0] for c in centers]
+            rows, members = np.nonzero(self.matrix[centers] < r)
+            ptr = np.searchsorted(rows, np.arange(centers.size + 1))
+            return ptr, members, self.matrix[centers[rows], members]
         sizes, flat = self._candidates(self.coords[centers], r)
-        keep = self._dists(np.repeat(centers, sizes), flat) < r
-        ends = np.concatenate([[0], np.cumsum(keep)])[np.cumsum(sizes)]
-        return np.split(flat[keep], ends[:-1])
+        d = self._dists(np.repeat(centers, sizes), flat)
+        keep = d < r
+        ptr = np.concatenate([[0], np.cumsum(keep)])[np.concatenate([[0], np.cumsum(sizes)])]
+        return ptr, flat[keep], d[keep]
+
+
+def domain_indices(values, n, what="domain index"):
+    """``values`` as a flat array of indices into ``range(n)``.
+
+    The first value that is not an integer (``True`` and ``False`` are
+    not) or lies outside ``[0, n)`` is rejected, named in the message and
+    in ``detail``.
+    """
+    raw = np.ravel(np.asarray(values, dtype=object))
+    # a list can mix True with integers, so only an integer array skips this
+    if not (isinstance(values, np.ndarray) and values.dtype.kind in "iu"):
+        whole = [_is_number(k) and float(k).is_integer() for k in raw]
+        if not all(whole):
+            k = raw[np.argmin(whole)]
+            raise ValidationError(f"{what} {k} is not an integer", detail=k)
+    outside = (raw < 0) | (raw >= n)
+    if outside.any():
+        k = int(raw[np.argmax(outside)])
+        raise ValidationError(f"{what} {k} outside the domain [0, {n})", detail=k)
+    return raw.astype(np.intp)
 
 
 def check_radius(r, name="radius"):
@@ -378,22 +408,13 @@ def doubling_constant(space, R, centers=None):
     if space.n == 1:
         return 1.0
     radii = space.radius_grid(R)
-    if centers is None:
-        centers = range(space.n)
+    centers = np.arange(space.n) if centers is None else list(centers)
     best = 1.0
-    w = space.weights
-    for i in centers:
-        d = space.dist_row(i)
-        order = np.argsort(d, kind="stable")
-        ds = d[order]
-        cw = np.cumsum(w[order])
-        k1 = np.searchsorted(ds, radii, side="left")
-        k2 = np.searchsorted(ds, 2.0 * radii, side="left")
+    for ds, (cw,) in _sorted_balls(space, 2.0 * radii[-1], centers, [space.weights]):
+        k1 = _counts(ds, radii)
         valid = k1 > 1  # require more than the center alone
-        if not np.any(valid):
-            continue
-        ratios = cw[k2[valid] - 1] / cw[k1[valid] - 1]
-        best = max(best, float(ratios.max()))
+        ratios = _at(cw, _counts(ds, 2.0 * radii))[valid] / _at(cw, k1)[valid]
+        best = float(ratios.max(initial=best))
     return best
 
 
@@ -401,24 +422,55 @@ def maximal_function(space, f, R):
     """Restricted Hardy-Littlewood maximal function at scale ``R``.
 
     ``M_R(f)(x)`` is the sup over radii on the geometric grid of the
-    weighted average of ``|f|`` over ``B_r(x)``.
+    weighted average of ``|f|`` over ``B_r(x)``.  ``f`` holds one finite
+    value per point; the first bad index is named.
     """
     R = check_radius(R, "R")
-    f = np.abs(np.asarray(f, dtype=float))
+    f = np.asarray(f, dtype=float).reshape(-1)
+    bad = np.flatnonzero(~np.isfinite(f[: space.n]))
+    if bad.size or f.shape[0] != space.n:
+        k = int(bad[0]) if bad.size else min(f.shape[0], space.n)
+        raise ValidationError(f"f needs one finite value per point; bad index {k}", detail=k)
     radii = space.radius_grid(R)
     w = space.weights
-    wf = w * f
-    out = np.empty(space.n)
-    for i in range(space.n):
-        d = space.dist_row(i)
-        order = np.argsort(d, kind="stable")
-        ds = d[order]
-        cw = np.cumsum(w[order])
-        cwf = np.cumsum(wf[order])
-        k = np.searchsorted(ds, radii, side="left")
-        k = k[k > 0]
-        out[i] = float((cwf[k - 1] / cw[k - 1]).max())
-    return out
+    out = []
+    for ds, (cw, cwf) in _sorted_balls(space, radii[-1], np.arange(space.n), [w, w * np.abs(f)]):
+        k = _counts(ds, radii)  # positive: every ball holds its center
+        out.append((_at(cwf, k) / _at(cw, k)).max(axis=1))
+    return np.concatenate(out)
+
+
+def _sorted_balls(space, r, centers, columns):
+    """The balls ``B_r(x)`` of ``centers``, sorted stably by distance, in chunks.
+
+    Yields ``(ds, sums)`` per chunk of ``_BALL_CHUNK`` centers: row k of
+    ``ds`` holds the distances of the chunk's k-th ball in ascending
+    order, ties by index, padded with inf, and ``sums`` the cumulative
+    sums in that order of each per-point array of ``columns``.  A row is
+    the leading part of the stable sort of the center's full distance
+    row, so its sums agree with the full row's bit for bit.
+    """
+    for start in range(0, len(centers), _BALL_CHUNK):
+        ptr, members, dists = space.all_balls(r, centers[start : start + _BALL_CHUNK])
+        sizes = np.diff(ptr)
+        at = np.nonzero(np.arange(sizes.max()) < sizes[:, None])  # row-major: CSR order
+        padded = np.full((sizes.size, sizes.max()), np.inf)
+        index = np.full(padded.shape, space.n)  # padding reads an appended 0
+        padded[at], index[at] = dists, members
+        order = np.argsort(padded, axis=1, kind="stable")
+        index = np.take_along_axis(index, order, axis=1)
+        sums = [np.cumsum(np.append(c, 0.0)[index], axis=1) for c in columns]
+        yield np.take_along_axis(padded, order, axis=1), sums
+
+
+def _counts(ds, radii):
+    """Per row of sorted ``ds``, how many entries lie below each radius."""
+    return np.count_nonzero(ds[:, None, :] < np.asarray(radii)[:, None], axis=2)
+
+
+def _at(sums, counts):
+    """The cumulative sums through the first ``counts`` entries of each row."""
+    return np.take_along_axis(sums, counts - 1, axis=1)
 
 
 def maximal_bound(space, R):
@@ -452,10 +504,8 @@ class PartitionOfUnity:
 
     def overlap_counts(self):
         """Number of support balls (radius 2r) containing each point."""
-        counts = np.zeros(self.space.n, dtype=int)
-        for c in self.centers:
-            counts += self.space.dist_row(int(c)) < 2.0 * self.radius
-        return counts
+        members = self.space.all_balls(2.0 * self.radius, self.centers)[1]
+        return np.bincount(members, minlength=self.space.n)
 
     def lipschitz_constants(self):
         """Empirical Lipschitz constant of each function over all pairs."""
@@ -487,17 +537,19 @@ def partition_of_unity(space, r, reference_scale=1.0):
         raise ValidationError("empty space")
     if not 0 < r < reference_scale / 4:
         raise ValidationError("radius must lie in (0, reference_scale / 4)")
+    # distances are symmetric: a point is r-close to a chosen center exactly
+    # when it lies in the center's r-ball
+    blocked = np.zeros(space.n, dtype=bool)
     centers = []
     for i in range(space.n):
-        d = space.dist_subset(i, np.asarray(centers, dtype=int)) if centers else None
-        if d is None or np.all(d >= r):
+        if not blocked[i]:
             centers.append(i)
+            blocked[space.ball_indices(i, r)] = True
     centers = np.asarray(centers, dtype=int)
-    tents = np.empty((len(centers), space.n))
-    for k, c in enumerate(centers):
-        tents[k] = np.maximum(1.5 * r - space.dist_row(int(c)), 0.0)
-    sums = tents.sum(axis=0)
-    values = tents / sums[None, :]
+    ptr, members, dists = space.all_balls(1.5 * r, centers)
+    tents = np.zeros((len(centers), space.n))
+    tents[np.repeat(np.arange(len(centers)), np.diff(ptr)), members] = 1.5 * r - dists
+    values = tents / tents.sum(axis=0)[None, :]
     return PartitionOfUnity(radius=r, centers=centers, values=values, space=space)
 
 
@@ -514,11 +566,8 @@ def density_theta(space, i, d, radii):
     if d < 1:
         raise ValidationError("dimension must be at least 1")
     omega = unit_ball_volume(d)
-    out = []
-    row = space.dist_row(i)
-    w = space.weights
-    for r in radii:
-        r = check_radius(r)
-        mass = float(w[row < r].sum())
-        out.append(mass / (omega * r**d))
-    return out
+    radii = [check_radius(r) for r in radii]
+    # one ball at the largest radius (any radius names a bad center)
+    _, members, dists = space.all_balls(max(radii, default=1.0), [i])
+    w = space.weights[members]
+    return [float(w[dists < r].sum()) / (omega * r**d) for r in radii]

@@ -56,6 +56,13 @@ def random_map(space, target, seed):
     return MetricMap(space, target, [target.random_point(rng) for _ in range(space.n)])
 
 
+def interior_balls(prob):
+    """Each interior point's ball of a Dirichlet problem, sliced from the
+    space's CSR ball arrays."""
+    ptr, members, _ = prob.space.all_balls(prob.scale, prob.interior)
+    return np.split(members, ptr[1:-1])
+
+
 def grid_points(res, dim):
     g = np.linspace(0.0, 1.0, res)
     if dim == 1:

@@ -50,7 +50,7 @@ from kscalc.serialize import (
     write_json,
 )
 
-from conftest import grid_points, random_map
+from conftest import grid_points, interior_balls, random_map
 
 
 def report(number, elapsed, budget, detail):
@@ -250,8 +250,7 @@ def _averaging_oracle(prob, boundary_vals):
     A = np.eye(len(interior))
     b = np.zeros((len(interior), m))
     w = prob.space.weights
-    for row, x in enumerate(interior):
-        idx = prob.balls[row]
+    for row, (x, idx) in enumerate(zip(interior, interior_balls(prob))):
         nbr = idx[idx != x]
         W = w[nbr].sum()
         for j in nbr:
@@ -350,14 +349,15 @@ def _tripod_brute_force(prob):
             return ta + tb
         return ta + tb
 
+    balls = interior_balls(prob)
     cur = [(1, 1.0)] * prob.space.n
     cur[10] = (2, 1.0)
 
     def descend(cands_for, step):
         for _ in range(500):
             moved = 0.0
-            for row, x in enumerate(prob.interior):
-                nbr = [j for j in prob.balls[row] if j != x]
+            for x, idx in zip(prob.interior, balls):
+                nbr = [j for j in idx if j != x]
                 best, best_val = None, np.inf
                 for z in cands_for(cur[int(x)]):
                     val = sum(w[j] * d_o(z, cur[j]) ** 2 for j in nbr)
@@ -434,7 +434,7 @@ def test_criterion_7_structure_audits():
             idx = idx[idx != i]
             if idx.shape[0]:
                 dd = spg.dist_subset(i, idx)
-                dy = u.dist_to_many(i, idx)
+                dy = u.target.dists(u.packed[i], u.packed[idx])
                 assert np.all(dy <= dd * (G[i] + G[idx]) + 1e-12)
             bidx = spg.ball_indices(i, r)
             avg = float(np.dot(spg.weights[bidx], G[bidx] ** 2) / spg.weights[bidx].sum())

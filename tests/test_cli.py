@@ -125,6 +125,34 @@ class TestExitCodes:
         assert out == ""
         assert "finite and positive" in err
 
+    @pytest.mark.parametrize("center", ["-1", "11", "99999"])
+    def test_space_check_bad_center_exit_2(self, capsys, workdir, center):
+        code, out, err = run_main(
+            capsys, "space-check", "--space", workdir / "space.json",
+            "--dim", "1", "--center", center,
+        )
+        assert (code, out) == (2, "")
+        assert f"ball center {center} outside the domain [0, 11)" in err
+
+    @pytest.mark.parametrize(
+        "index, says",
+        [
+            (99999, "omega index 99999 outside the domain [0, 11)"),
+            (-1, "omega index -1 outside the domain [0, 11)"),
+            (2.7, "omega index 2.7 is not an integer"),
+        ],
+    )
+    def test_energy_bad_omega_index_exit_2(self, capsys, workdir, index, says):
+        write_json(workdir / "omega_bad.json", [3, 4, index])
+        out_prefix = workdir / "energy_bad_omega"
+        code, out, err = run_main(
+            capsys, "energy", "--map", workdir / "map.json", "--scales", "0.3",
+            "--omega", workdir / "omega_bad.json", "--out", out_prefix,
+        )
+        assert code == 2
+        assert says in err
+        assert not out_prefix.with_suffix(".json").exists()
+
     def test_verify_cat0_one_vertex_tree_exit_2(self, workdir):
         write_json(workdir / "one_vertex.json", {"kind": "tree", "vertices": 1, "edges": []})
         code, out, err = run_cli(

@@ -25,7 +25,7 @@ from kscalc import (
 )
 
 from kscalc.dirichlet import _checked_step, _displacement, _error_bound, default_tolerance
-from conftest import grid_points
+from conftest import grid_points, interior_balls
 
 
 @pytest.fixture(scope="module")
@@ -63,8 +63,35 @@ class TestProblemValidation:
         sp = build_space(
             {"kind": "euclidean", "points": [[0.0], [1.0], [5.0], [6.0]]}
         )
-        with pytest.raises(ValidationError, match="empty ball"):
+        with pytest.raises(ValidationError, match="point 2 has an empty ball") as exc:
             DirichletProblem(sp, EuclideanTarget(1), [2], {3: [0.0]}, 0.5)
+        assert exc.value.detail == 2
+
+    def test_boundary_value_at_interior_index_named(self, path_problem):
+        _, sp, _ = path_problem
+        data = {0: [0.0], 10: [1.0], 5: [0.5]}
+        with pytest.raises(ValidationError, match="given at interior index 5"):
+            DirichletProblem(sp, EuclideanTarget(1), list(range(1, 10)), data, 0.15)
+
+    def test_ball_structure_matches_per_ball_oracle(self):
+        rng = np.random.default_rng(5)
+        pts = grid_points(15, 2)
+        weights = rng.uniform(0.5, 2.0, len(pts)).tolist()
+        sp = build_space({"kind": "euclidean", "points": pts.tolist(), "weights": weights})
+        inner = np.all((pts > 0.2) & (pts < 0.8), axis=1)
+        interior, r = np.flatnonzero(inner), 0.16
+        data = {int(k): [0.0] for k in np.flatnonzero(~inner)}
+        prob = DirichletProblem(sp, EuclideanTarget(1), interior, data, r)
+        w, layer, coef = sp.weights, set(), []
+        for x in interior:
+            idx = np.flatnonzero(sp.dist_row(x) < r)
+            layer.update(int(j) for j in idx if not inner[j])
+            coef.append(w[x] / (w[idx].sum() * r**2))
+        assert prob.boundary_layer.tolist() == sorted(layer)
+        assert prob.referenced.tolist() == sorted(set(interior.tolist()) | layer)
+        # ball masses come from np.add.reduceat, which may associate a sum
+        # differently from a slice's own sum
+        np.testing.assert_allclose(prob._coef, coef, rtol=1e-14, atol=0)
 
     def test_missing_boundary_value(self):
         sp = build_space({"kind": "euclidean", "points": [[0.0], [0.1], [0.2]]})
@@ -172,7 +199,7 @@ class TestDiscreteEnergy:
 
         def local_terms(values):
             total = 0.0
-            for c, x, idx in zip(prob._coef, prob.interior, prob.balls):
+            for c, x, idx in zip(prob._coef, prob.interior, interior_balls(prob)):
                 if not (
                     a in idx or b in idx or int(x) in (a, b)
                 ):
@@ -237,7 +264,7 @@ class TestEnergiesAgainstScalarDist:
         inside = set(int(x) for x in prob.interior)
         scale_sum = 0.0
         pair_sum = 0.0
-        for x, idx in zip(prob.interior, prob.balls):
+        for x, idx in zip(prob.interior, interior_balls(prob)):
             x = int(x)
             ball = sum(w[j] * t.dist(values[x], values[int(j)]) ** 2 for j in idx)
             scale_sum += w[x] / (w[idx].sum() * r**2) * ball
@@ -271,7 +298,7 @@ class TestRelaxSweep:
         # oracle: weighted-Jacobi step of the neighbor-averaging system
         w = sp.weights
         expect = vals.copy()
-        for x, idx in zip(prob.interior, prob.balls):
+        for x, idx in zip(prob.interior, interior_balls(prob)):
             nbr = idx[idx != x]
             expect[int(x)] = np.dot(w[nbr], vals[nbr, 0]) / w[nbr].sum()
         assert np.allclose(new, expect, atol=1e-14)
@@ -327,7 +354,7 @@ class TestRelaxSweep:
         new = relax_sweep(prob, values, mode="jacobi", bary_tol=self.BARY_TOL)
         # oracle: one barycenter per ball, all reading the frozen values
         expect = values.copy()
-        for x, idx in zip(prob.interior, prob.balls):
+        for x, idx in zip(prob.interior, interior_balls(prob)):
             nbr = idx[idx != x]
             expect[x] = t.pack([barycenter(t, values[nbr], w[nbr], tol=self.BARY_TOL)])[0]
         assert not np.array_equal(new, values)
@@ -340,7 +367,7 @@ class TestRelaxSweep:
         values = prob.seeded_init(4)
         new = relax_sweep(prob, values, mode="gauss-seidel", bary_tol=self.BARY_TOL)
         # oracle: point by point in class order, each reading the updates so far
-        balls = dict(zip(prob.interior.tolist(), prob.balls))
+        balls = dict(zip(prob.interior.tolist(), interior_balls(prob)))
         expect = values.copy()
         for x in np.concatenate([points for points, *_ in prob._classes("gauss-seidel")]):
             idx = balls[x]
@@ -374,7 +401,7 @@ class TestSweepClasses:
             prob = DirichletProblem(sp, EuclideanTarget(1), interior, data, scale)
         except ValidationError:
             assume(False)  # an interior point with an empty ball
-        balls = dict(zip(prob.interior.tolist(), prob.balls))
+        balls = dict(zip(prob.interior.tolist(), interior_balls(prob)))
         classes = prob._classes("gauss-seidel")
         order = np.concatenate([points for points, *_ in classes])
         assert np.array_equal(np.sort(order), prob.interior)
@@ -415,8 +442,7 @@ class TestSolve:
         w = sp.weights
         A = np.eye(9)
         b = np.zeros(9)
-        for row, x in enumerate(prob.interior):
-            idx = prob.balls[row]
+        for row, (x, idx) in enumerate(zip(prob.interior, interior_balls(prob))):
             nbr = idx[idx != x]
             W = w[nbr].sum()
             for j in nbr:
@@ -521,14 +547,14 @@ class TestSolve:
             return ta + tb
 
         w = sp.weights
+        balls = interior_balls(prob)
         cur = [(1, 1.0)] * 11
         cur[10] = (2, 1.0)
 
         def descend(candidates_for, step):
             for _ in range(400):
                 moved = 0.0
-                for row, x in enumerate(prob.interior):
-                    idx = prob.balls[row]
+                for x, idx in zip(prob.interior, balls):
                     nbr = [j for j in idx if j != x]
                     best, best_val = None, np.inf
                     for z in candidates_for(cur[int(x)]):
@@ -831,8 +857,7 @@ class TestPoincare:
 
         w = sp.weights
         q = np.zeros((9, 9))
-        for row, x in enumerate(prob.interior):
-            idx = prob.balls[row]
+        for row, (x, idx) in enumerate(zip(prob.interior, interior_balls(prob))):
             c = w[x] / (w[idx].sum() * 0.15**2)
             for j in idx:
                 if j == x:

@@ -80,6 +80,21 @@ class TestKsAtScale:
         for i in (4, 5, 6, 7):
             assert ks[i] > 0.0
 
+    @pytest.mark.parametrize(
+        "index, says",
+        [
+            (99999, "omega index 99999 outside the domain [0, 11)"),
+            (-1, "omega index -1 outside the domain [0, 11)"),
+            (2.7, "omega index 2.7 is not an integer"),
+            (True, "omega index True is not an integer"),
+        ],
+    )
+    def test_bad_omega_index_named(self, line_space_11, index, says):
+        u = MetricMap(line_space_11, EuclideanTarget(1), np.zeros((11, 1)))
+        with pytest.raises(ValidationError, match=re.escape(says)) as info:
+            ks_profile(u, 2.0, [0.15], omega=[3, 4, index])
+        assert info.value.detail is index or info.value.detail == index
+
     def test_weight_rescaling_invariance(self, dense_line):
         xs, sp = dense_line
         sp2 = build_space(
@@ -271,6 +286,12 @@ class TestFitLoop:
             _fit_points(u, atlas, FitConfig(points=[45, i]))
         assert info.value.detail == i
 
+    @pytest.mark.parametrize("i", [2.7, True, math.nan])
+    def test_non_integral_index_named(self, partial_atlas, i):
+        u, atlas = partial_atlas
+        with pytest.raises(ValidationError, match=f"fit point {i} is not an integer"):
+            _fit_points(u, atlas, FitConfig(points=[45, i]))
+
     def test_other_exceptions_propagate(self, partial_atlas, monkeypatch):
         u, atlas = partial_atlas
 
@@ -413,7 +434,7 @@ class TestHajlasz:
             if idx.shape[0] == 0:
                 continue
             dd = sp.dist_subset(i, idx)
-            dy = u.dist_to_many(i, idx)
+            dy = u.target.dists(u.packed[i], u.packed[idx])
             assert np.all(dy <= dd * (G[i] + G[idx]) + 1e-12)
 
     def test_scale_bound_with_constant_four(self, grid_space_21):
@@ -523,7 +544,7 @@ def _ks_brute_force(u, p, r):
     for i in range(sp.n):
         member = sp.dist_row(i) < r
         if member.sum() > 1:
-            tar = u.dist_to_many(i, np.nonzero(member)[0])
+            tar = u.target.dists(u.packed[i], u.packed[member])
             out[i] = (np.dot(w[member], tar**p) / (w[member].sum() * r**p)) ** (1.0 / p)
     return out
 

@@ -1,4 +1,5 @@
 import math
+import re
 import time
 
 import numpy as np
@@ -7,18 +8,22 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from kscalc import (
+    EuclideanTarget,
+    HyperbolicTarget,
+    ProductTarget,
     ValidationError,
     ball,
     build_space,
     density_theta,
     doubling_constant,
+    hajlasz_gradient,
     maximal_bound,
     maximal_function,
     partition_of_unity,
 )
 from kscalc.spaces import CELL_PAIR_BUDGET
 
-from conftest import grid_points
+from conftest import grid_points, random_map
 
 
 class TestBuildSpace:
@@ -252,7 +257,13 @@ class TestDensityTheta:
 
 
 def _oracle_balls(sp, r):
-    return [np.nonzero(sp.dist_row(i) < r)[0] for i in range(sp.n)]
+    """Members and distances of every ball, from full distance rows."""
+    out = []
+    for i in range(sp.n):
+        row = sp.dist_row(i)
+        members = np.nonzero(row < r)[0]
+        out.append((members, row[members]))
+    return out
 
 
 def _oracle_nn(sp):
@@ -266,12 +277,13 @@ def _oracle_nn(sp):
 
 @st.composite
 def clouds(draw):
-    """Euclidean and torus clouds: uniform, hugging the seam, or lattices.
+    """Euclidean, torus and matrix clouds: uniform, hugging the seam, or
+    lattices.  A matrix cloud holds the Euclidean distances of its points.
 
     Returns the space, radii to probe (some equal to exact distances
     between its points) and the input points.
     """
-    kind = draw(st.sampled_from(["euclidean", "torus"]))
+    kind = draw(st.sampled_from(["euclidean", "torus", "matrix"]))
     dim = draw(st.integers(1, 3))
     n = draw(st.integers(1, 300))
     layout = draw(st.sampled_from(["uniform", "seam", "lattice"]))
@@ -291,13 +303,15 @@ def clouds(draw):
     spec = {"kind": kind, "points": pts.tolist()}
     if kind == "torus":
         spec["period"] = period.tolist()
+    if kind == "matrix":
+        spec = {"kind": kind, "matrix": _euclidean_matrix(pts).tolist()}
     try:
         sp = build_space(spec)
     except ValidationError:  # points that coincide (modulo the period)
         assume(False)
     pairs = rng.integers(0, sp.n, (3, 2))
     exact = [sp.dist(int(i), int(j)) for i, j in pairs if i != j]
-    scale = float(np.ptp(sp.coords, axis=0).max()) if sp.n > 1 else 1.0
+    scale = float(np.ptp(pts, axis=0).max()) if sp.n > 1 else 1.0
     radii = exact + [float(f) * scale for f in rng.uniform(0.01, 1.5, 2)]
     return sp, [r for r in radii if r > 0], pts
 
@@ -322,21 +336,22 @@ class TestNeighborEngine:
         assert sp.median_nn_spacing() == float(np.median(nn))
         for r in radii:
             oracle = _oracle_balls(sp, r)
-            balls = sp.all_balls(r)
-            assert len(balls) == sp.n
-            for i in range(sp.n):
-                np.testing.assert_array_equal(balls[i], oracle[i])
-            centers = np.arange(sp.n)[::3]
-            for c, b in zip(centers, sp.all_balls(r, centers)):
-                np.testing.assert_array_equal(b, oracle[c])
-            np.testing.assert_array_equal(sp.ball_indices(sp.n - 1, r), oracle[-1])
-            assert sp.all_balls(r, []) == []
+            everyone = np.arange(sp.n)
+            for centers in (None, everyone, everyone[::3], everyone[:0]):
+                chosen = everyone if centers is None else centers
+                ptr, members, dists = sp.all_balls(r, centers)
+                sizes = [oracle[c][0].shape[0] for c in chosen]
+                np.testing.assert_array_equal(ptr, np.concatenate([[0], np.cumsum(sizes)]))
+                for k in (0, 1):  # bit for bit: members, then distances
+                    expect = [np.empty(0)] + [oracle[c][k] for c in chosen]
+                    np.testing.assert_array_equal((members, dists)[k], np.concatenate(expect))
+            np.testing.assert_array_equal(sp.ball_indices(sp.n - 1, r), oracle[-1][0])
             covered = np.zeros(sp.n, dtype=int)
             for pts, cand in sp.cell_partition(r):
                 covered[pts] += 1
                 assert pts.shape[0] * cand.shape[0] <= max(CELL_PAIR_BUDGET, cand.shape[0])
                 for p in pts:
-                    assert np.all(np.isin(oracle[p], cand))
+                    assert np.all(np.isin(oracle[p][0], cand))
             assert np.all(covered == 1)
 
     def test_torus_seam_above_4096_points(self):
@@ -379,3 +394,186 @@ class TestNeighborEngine:
         ):
             with pytest.raises(ValidationError):
                 call()
+
+
+def _euclidean_matrix(pts):
+    return np.sqrt(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=-1))
+
+
+class TestBallCenters:
+    """A ball center that is not an index of the space is named, never
+    wrapped or truncated."""
+
+    @pytest.mark.parametrize(
+        "center, says",
+        [
+            (-1, "ball center -1 outside the domain [0, 11)"),
+            (11, "ball center 11 outside the domain [0, 11)"),
+            (2.7, "ball center 2.7 is not an integer"),
+            (True, "ball center True is not an integer"),
+            (math.nan, "ball center nan is not an integer"),
+        ],
+    )
+    def test_bad_center_named(self, line_space_11, center, says):
+        sp = line_space_11
+        for call in (
+            lambda: sp.ball_indices(center, 0.15),
+            lambda: sp.all_balls(0.15, [0, 4, center]),
+            lambda: doubling_constant(sp, 0.3, centers=[center]),
+            lambda: density_theta(sp, center, 1, [0.2]),
+        ):
+            with pytest.raises(ValidationError, match=re.escape(says)) as exc:
+                call()
+            assert exc.value.detail is center or exc.value.detail == center or center != center
+
+    def test_bad_center_in_index_array_named(self, line_space_11):
+        with pytest.raises(ValidationError, match="ball center 11 outside") as exc:
+            line_space_11.all_balls(0.15, np.array([3, 11, -1]))
+        assert exc.value.detail == 11
+        with pytest.raises(ValidationError, match="ball center True is not an integer"):
+            line_space_11.all_balls(0.15, np.array([True, False]))
+
+    def test_integral_float_center_accepted(self, line_space_11):
+        assert line_space_11.ball_indices(2.0, 0.15).tolist() == [1, 2, 3]
+
+
+class TestMaximalFunctionInput:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_value_named(self, line_space_11, bad):
+        f = np.ones(11)
+        f[4] = bad
+        with pytest.raises(ValidationError, match="index 4") as exc:
+            maximal_function(line_space_11, f, 0.3)
+        assert exc.value.detail == 4
+
+    @pytest.mark.parametrize("n, first", [(10, 10), (12, 11), (0, 0)])
+    def test_wrong_length_named(self, line_space_11, n, first):
+        with pytest.raises(ValidationError, match=f"index {first}") as exc:
+            maximal_function(line_space_11, np.ones(n), 0.3)
+        assert exc.value.detail == first
+
+
+# -- the full-row scans the ball structure replaced, kept as oracles --------
+
+
+def _doubling_oracle(space, R, centers=None):
+    if space.n == 1:
+        return 1.0
+    radii = space.radius_grid(R)
+    best = 1.0
+    w = space.weights
+    for i in range(space.n) if centers is None else centers:
+        d = space.dist_row(i)
+        order = np.argsort(d, kind="stable")
+        ds = d[order]
+        cw = np.cumsum(w[order])
+        k1 = np.searchsorted(ds, radii, side="left")
+        k2 = np.searchsorted(ds, 2.0 * radii, side="left")
+        valid = k1 > 1
+        if np.any(valid):
+            best = max(best, float((cw[k2[valid] - 1] / cw[k1[valid] - 1]).max()))
+    return best
+
+
+def _maximal_oracle(space, f, R):
+    radii = space.radius_grid(R)
+    w = space.weights
+    wf = w * np.abs(f)
+    out = np.empty(space.n)
+    for i in range(space.n):
+        d = space.dist_row(i)
+        order = np.argsort(d, kind="stable")
+        ds, cw, cwf = d[order], np.cumsum(w[order]), np.cumsum(wf[order])
+        k = np.searchsorted(ds, radii, side="left")
+        k = k[k > 0]
+        out[i] = float((cwf[k - 1] / cw[k - 1]).max())
+    return out
+
+
+def _partition_oracle(space, r):
+    """Greedy r-separated centers, their normalized tents and the overlap
+    counts of their 2r-balls."""
+    centers = []
+    for i in range(space.n):
+        d = space.dist_subset(i, np.asarray(centers, dtype=int)) if centers else None
+        if d is None or np.all(d >= r):
+            centers.append(i)
+    tents = np.array([np.maximum(1.5 * r - space.dist_row(c), 0.0) for c in centers])
+    counts = sum((space.dist_row(c) < 2.0 * r).astype(int) for c in centers)
+    return np.asarray(centers), tents / tents.sum(axis=0)[None, :], counts
+
+
+def _hajlasz_oracle(u, R):
+    sp = u.space
+    out = np.zeros(sp.n)
+    for i in range(sp.n):
+        idx = np.nonzero(sp.dist_row(i) < R)[0]
+        idx = idx[idx != i]
+        if idx.shape[0]:
+            tar = u.target.dists(u.packed[i], u.packed[idx])
+            out[i] = float((tar / sp.dist_subset(i, idx)).max())
+    return out
+
+
+@pytest.fixture(scope="module", params=["euclidean", "torus", "matrix"])
+def seeded_cloud(request):
+    """144 points with uneven seeded weights: a lattice, whose distances tie
+    often (Euclidean), uniform points (torus), and the L1 metric of the
+    lattice (matrix)."""
+    rng = np.random.default_rng(21)
+    weights = rng.uniform(0.5, 2.0, 144).tolist()
+    lattice = grid_points(12, 2)
+    spec = {"kind": "euclidean", "points": lattice.tolist()}
+    if request.param == "torus":
+        spec = {"kind": "torus", "points": rng.uniform(0.0, 1.0, (144, 2)).tolist(),
+                "period": [1.0, 1.3]}
+    if request.param == "matrix":
+        l1 = np.abs(lattice[:, None, :] - lattice[None, :, :]).sum(axis=-1)
+        spec = {"kind": "matrix", "matrix": l1.tolist()}
+    return build_space({**spec, "weights": weights})
+
+
+class TestBallScansMatchFullRows:
+    """Every scan over ball slices equals the full-row scan it replaced, bit
+    for bit."""
+
+    def test_doubling_constant(self, seeded_cloud):
+        sp = seeded_cloud
+        for R in (0.2, 0.45):
+            assert doubling_constant(sp, R) == _doubling_oracle(sp, R)
+        centers = [5, 70, 143]
+        assert doubling_constant(sp, 0.3, centers) == _doubling_oracle(sp, 0.3, centers)
+
+    def test_maximal_function(self, seeded_cloud):
+        sp = seeded_cloud
+        f = np.random.default_rng(3).normal(0.0, 1.0, sp.n)
+        for R in (0.2, 0.45):
+            np.testing.assert_array_equal(maximal_function(sp, f, R), _maximal_oracle(sp, f, R))
+
+    def test_partition_of_unity(self, seeded_cloud):
+        sp = seeded_cloud
+        for r in (0.1, 0.2):
+            pu = partition_of_unity(sp, r)
+            centers, values, counts = _partition_oracle(sp, r)
+            np.testing.assert_array_equal(pu.centers, centers)
+            np.testing.assert_array_equal(pu.values, values)
+            np.testing.assert_array_equal(pu.overlap_counts(), counts)
+
+    def test_density_theta(self, seeded_cloud):
+        sp = seeded_cloud
+        radii = [0.1, 0.25, 0.4]
+        row = sp.dist_row(77)
+        expect = [float(sp.weights[row < r].sum()) / (math.pi * r**2) for r in radii]
+        assert density_theta(sp, 77, 2, radii) == expect
+
+    @pytest.mark.parametrize("kind", ["euclidean", "tree", "hyperbolic", "product"])
+    def test_hajlasz_gradient(self, seeded_cloud, tripod, kind):
+        target = {
+            "euclidean": EuclideanTarget(2),
+            "tree": tripod,
+            "hyperbolic": HyperbolicTarget(),
+            "product": ProductTarget([EuclideanTarget(1), tripod, HyperbolicTarget()]),
+        }[kind]
+        u = random_map(seeded_cloud, target, 9)
+        for R in (0.1, 0.3):
+            np.testing.assert_array_equal(hajlasz_gradient(u, R), _hajlasz_oracle(u, R))
