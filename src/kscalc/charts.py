@@ -16,8 +16,10 @@ import numpy as np
 
 from .errors import FitError, ValidationError
 from .seminorms import POLYHEDRAL, QUADRATIC, Seminorm
+from .spaces import _BALL_CHUNK
 
 _FIT_NEIGHBOR_FACTOR = 4  # default ball holds 4 (d+1) chart members
+_FIT_ROWS = 2**18  # (point, neighbor) rows gathered before they are fitted
 
 
 @dataclass
@@ -181,18 +183,30 @@ def alignment_defect(space, c1, c2):
 
 def default_fit_radius(space, chart, i):
     """Smallest radius whose ball holds the default chart-member count."""
-    return _fit_radius(space.dist_subset(int(i), chart.indices), chart, i)
+    radii, held = _default_radii(space.pair_dist_block([int(i)], chart.indices), chart)
+    if np.isnan(radii[0]):
+        raise _too_few(held[0], i)
+    return float(radii[0])
 
 
-def _fit_radius(dists, chart, i):
-    """``default_fit_radius`` from the distances of ``i`` to the chart members."""
-    min_members = _FIT_NEIGHBOR_FACTOR * (chart.chart_dim + 1)
-    dists = np.sort(dists[dists > 0])
-    if dists.shape[0] < min_members:
-        raise FitError(
-            f"chart holds only {dists.shape[0]} neighbors of point {i}", index=i
-        )
-    return float(dists[min_members - 1] * (1.0 + 1e-9))
+def _default_radii(dists, chart):
+    """Default fit radii from rows of distances to the chart members.
+
+    Returns ``(radii, held)``: the k-th smallest positive distance of each
+    row times ``1 + 1e-9``, k the default member count (NaN where a row
+    holds fewer), and the number of positive distances of each row.
+    """
+    k = _FIT_NEIGHBOR_FACTOR * (chart.chart_dim + 1)
+    held = (dists > 0).sum(axis=1)
+    radii = np.full(dists.shape[0], np.nan)
+    if dists.shape[1] >= k:
+        kth = np.partition(np.where(dists > 0, dists, np.inf), k - 1, axis=1)[:, k - 1]
+        radii[held >= k] = kth[held >= k] * (1.0 + 1e-9)
+    return radii, held
+
+
+def _too_few(held, i):
+    return FitError(f"chart holds only {int(held)} neighbors of point {int(i)}", index=int(i))
 
 
 @dataclass
@@ -235,44 +249,108 @@ def _direction_dictionary(d):
 def fit_metric_differential(space, chart, u, target, i, radius=None, family=QUADRATIC):
     """Fit a seminorm to target distances around point ``i``.
 
-    Quadratic fits solve least squares for the form entries against
-    squared distances and project onto the PSD cone; polyhedral fits
-    greedily pick scaled covectors from a fixed direction dictionary
-    against plain distances.  Returns the seminorm with the relative
-    RMS residual.
+    The one-point call of :func:`fit_metric_differentials`: returns the
+    :class:`FitResult` or raises the :class:`FitError`.
     """
-    if not chart.contains(i):
-        raise FitError(f"point {i} is not a chart member", index=i)
-    d = chart.chart_dim
-    dists = space.dist_subset(int(i), chart.indices)
-    if radius is None:
-        radius = _fit_radius(dists, chart, i)
-    sel = (dists > 0) & (dists < radius)
-    members = chart.indices[sel]
-    if members.shape[0] < d + 1:
-        raise FitError(
-            f"insufficient neighbors at point {i}: {members.shape[0]} < {d + 1}",
-            index=i,
-        )
-    v = chart.phi[sel] - chart.phi[chart.position(i)]
-    dy = target.dists(u.packed[int(i)], u.packed[members])
-    if family == QUADRATIC:
-        n = _fit_quadratic(v, dy, i)
-    elif family == POLYHEDRAL:
-        n = _fit_polyhedral(v, dy)
-    else:
+    out = fit_metric_differentials(space, chart, u, target, [i], radius, family)[0]
+    if isinstance(out, FitError):
+        raise out
+    return out
+
+
+def fit_metric_differentials(space, chart, u, target, points, radius=None, family=QUADRATIC):
+    """Fit a seminorm to target distances around each of ``points``.
+
+    The neighbors of a point are the chart members in its open ball of
+    ``radius`` (default: the smallest ball holding ``4 (d + 1)`` of
+    them), their chart displacements the arguments.  Quadratic fits solve
+    least squares for the form entries against squared distances and
+    project onto the PSD cone; polyhedral fits greedily pick scaled
+    covectors from a fixed direction dictionary against plain distances.
+    Each fit carries the relative RMS residual.
+
+    Returns one entry per point, in order: its :class:`FitResult`, or the
+    :class:`FitError` that stopped its fit.  One pass serves every point:
+    distances to the chart members for ``_BALL_CHUNK`` points at a time,
+    then per batch of neighbor rows one ``target.dists`` call and, for
+    the quadratic family, batched rank checks, solves and projections
+    over the points with equal neighbor counts.
+    """
+    if family not in (QUADRATIC, POLYHEDRAL):
         raise ValidationError(f"unknown fit family {family!r}")
-    pred = n.evaluate(v)
-    rms_d = math.sqrt(float(np.mean(dy**2)))
-    rms_e = math.sqrt(float(np.mean((dy - pred) ** 2)))
-    residual = rms_e / rms_d if rms_d > 0 else 0.0
-    return FitResult(
-        seminorm=n,
-        residual=residual,
-        n_neighbors=int(members.shape[0]),
-        radius=float(radius),
-        index=int(i),
-    )
+    points = [int(i) for i in points]
+    out = [None] * len(points)
+    slots = []
+    for k, i in enumerate(points):
+        if chart.contains(i):
+            slots.append(k)
+        else:
+            out[k] = FitError(f"point {i} is not a chart member", index=i)
+    d = chart.chart_dim
+    batch, rows = [], 0  # (slot, point, radius, neighbor positions) awaiting fits
+    for start in range(0, len(slots), _BALL_CHUNK):
+        chunk = slots[start : start + _BALL_CHUNK]
+        dists = space.pair_dist_block([points[k] for k in chunk], chart.indices)
+        if radius is None:
+            radii, held = _default_radii(dists, chart)
+        else:
+            radii = np.full(len(chunk), float(radius))
+        near = (dists > 0) & (dists < radii[:, None])
+        for row, k in enumerate(chunk):
+            i = points[k]
+            nbrs = np.flatnonzero(near[row])
+            if radius is None and np.isnan(radii[row]):
+                out[k] = _too_few(held[row], i)
+            elif nbrs.shape[0] < d + 1:
+                out[k] = FitError(
+                    f"insufficient neighbors at point {i}: {nbrs.shape[0]} < {d + 1}",
+                    index=i,
+                )
+            else:
+                batch.append((k, i, float(radii[row]), nbrs))
+                rows += nbrs.shape[0]
+        if batch and (rows >= _FIT_ROWS or start + _BALL_CHUNK >= len(slots)):
+            for (k, *_), fit in zip(batch, _fit_batch(chart, u, target, batch, family)):
+                out[k] = fit
+            batch, rows = [], 0
+    return out
+
+
+def _fit_batch(chart, u, target, batch, family):
+    """The fits of the gathered neighborhoods ``(slot, point, radius,
+    neighbor positions)``: a :class:`FitResult` or :class:`FitError` each."""
+    counts = np.asarray([nbrs.shape[0] for *_, nbrs in batch])
+    ptr = np.concatenate([[0], np.cumsum(counts)])
+    centers = np.asarray([i for _, i, _, _ in batch])
+    owner = np.repeat(np.arange(len(batch)), counts)
+    nbrs = np.concatenate([nbrs for *_, nbrs in batch])
+    own = np.asarray([chart.position(i) for i in centers])
+    v = chart.phi[nbrs] - chart.phi[own[owner]]
+    dy = target.dists(u.packed[centers[owner]], u.packed[chart.indices[nbrs]])
+    if family == QUADRATIC:
+        forms = _fit_quadratics(v, dy, ptr, centers)
+    else:
+        forms = [_fit_polyhedral(v[a:b], dy[a:b]) for a, b in zip(ptr[:-1], ptr[1:])]
+    fits = []
+    for j, (_, i, radius, _) in enumerate(batch):
+        n = forms[j]
+        if isinstance(n, FitError):
+            fits.append(n)
+            continue
+        vj, dyj = v[ptr[j] : ptr[j + 1]], dy[ptr[j] : ptr[j + 1]]
+        pred = n.evaluate(vj)
+        rms_d = math.sqrt(float(np.mean(dyj**2)))
+        rms_e = math.sqrt(float(np.mean((dyj - pred) ** 2)))
+        fits.append(
+            FitResult(
+                seminorm=n,
+                residual=rms_e / rms_d if rms_d > 0 else 0.0,
+                n_neighbors=int(counts[j]),
+                radius=radius,
+                index=i,
+            )
+        )
+    return fits
 
 
 def _quad_monomials(v):
@@ -284,24 +362,40 @@ def _quad_monomials(v):
     return np.stack(cols, axis=1)
 
 
-def _fit_quadratic(v, dy, i):
+def _fit_quadratics(v, dy, ptr, centers):
+    """Quadratic fits of the row groups ``ptr[j]:ptr[j + 1]``, batched over
+    the groups of equal size: a seminorm, or a :class:`FitError` where the
+    design is rank-deficient."""
     d = v.shape[1]
-    design = _quad_monomials(v)
     n_params = d * (d + 1) // 2
-    if np.linalg.matrix_rank(design) < n_params:
-        raise FitError(
-            f"rank-deficient design at point {i} (collinear neighbors)", index=i
-        )
-    coef, *_ = np.linalg.lstsq(design, dy**2, rcond=None)
-    q = np.empty((d, d))
-    k = 0
-    for a in range(d):
-        for b in range(a, d):
-            q[a, b] = q[b, a] = coef[k]
-            k += 1
-    vals, vecs = np.linalg.eigh(q)
-    vals = np.maximum(vals, 0.0)
-    return Seminorm.quadratic((vecs * vals) @ vecs.T)
+    design = _quad_monomials(v)
+    rhs = dy**2
+    sizes = np.diff(ptr)
+    upper = np.triu_indices(d)
+    out = [None] * sizes.shape[0]
+    for size in np.unique(sizes):
+        group = np.flatnonzero(sizes == size)
+        at = ptr[group][:, None] + np.arange(size)
+        full = np.linalg.matrix_rank(design[at]) == n_params
+        for j in group[~full]:
+            i = int(centers[j])
+            out[j] = FitError(
+                f"rank-deficient design at point {i} (collinear neighbors)", index=i
+            )
+        group, at = group[full], at[full]
+        if group.shape[0] == 0:
+            continue
+        # least squares through the thin SVD, as lstsq solves a full-rank design
+        U, sv, Vt = np.linalg.svd(design[at], full_matrices=False)
+        coef = np.einsum("gpk,gp->gk", Vt, np.einsum("gcp,gc->gp", U, rhs[at]) / sv)
+        q = np.empty((group.shape[0], d, d))
+        q[:, upper[0], upper[1]] = coef
+        q[:, upper[1], upper[0]] = coef
+        vals, vecs = np.linalg.eigh(q)
+        q = (vecs * np.maximum(vals, 0.0)[:, None, :]) @ np.swapaxes(vecs, 1, 2)
+        for j, form in zip(group, q):
+            out[j] = Seminorm.quadratic(form)
+    return out
 
 
 def _fit_polyhedral(v, dy, max_covectors=8):

@@ -48,7 +48,7 @@ EXIT_NONCONVERGED = 3
 SUBCOMMAND_IMPORTS = {
     "space-check": ("scipy.spatial",),
     "energy": ("scipy.spatial",),
-    "mdiff": ("scipy.spatial", "scipy.special", "scipy.stats"),
+    "mdiff": ("scipy.special",),
     "dirichlet": ("scipy.spatial", "scipy.sparse.csgraph", "scipy.sparse.linalg"),
     "verify": ("numpy.random",),
 }

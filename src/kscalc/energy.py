@@ -18,10 +18,10 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .charts import fit_metric_differential
+from .charts import fit_metric_differentials
 from .errors import FitError, ValidationError
 from .parallel import parallel_map
-from .seminorms import QUADRATIC, QuadratureSpec, check_exponent, hs_norm, size_p
+from .seminorms import POLYHEDRAL, QUADRATIC, QuadratureSpec, check_exponent, hs_norm, size_p
 from .spaces import check_radius, domain_indices
 from .targets import EuclideanTarget
 
@@ -233,11 +233,11 @@ class DensityResult:
 
 
 def _fit_points(u, atlas, config, threads=1):
-    """The one per-point fit loop: ``(fits, errors)``, both keyed by index.
+    """The one fit loop: ``(fits, errors)``, both keyed by index.
 
     ``fits`` holds the :class:`FitResult` of each fitted index in the
     order of ``config.points`` (default: every chart member), ``errors``
-    the message of each index whose fit raised :class:`FitError`.  A bad
+    the message of each index whose fit ended in a :class:`FitError`.  A bad
     radius or a point that is not an index of the domain raises
     ``ValidationError`` before any fit; any other exception propagates.
     """
@@ -250,23 +250,36 @@ def _fit_points(u, atlas, config, threads=1):
         chosen = domain_indices(config.points, space.n, "fit point")
         points = list(dict.fromkeys(chosen.tolist()))
 
-    def work(i):
-        try:
-            chart = atlas.chart_of(i)
-            if chart is None:
-                raise FitError("point not covered by any chart", index=i)
-            return fit_metric_differential(
-                space, chart, u, u.target, i, radius=config.radius, family=config.family
-            )
-        except FitError as exc:  # per-point failures do not stop the rest
-            return exc
-
-    fits, errors = {}, {}
-    for i, out in zip(points, parallel_map(work, points, threads=threads)):
-        if isinstance(out, FitError):
-            errors[i] = str(out)
+    # one fit pass per chart; polyhedral fits run point by point, so their
+    # pass is split in ``threads`` parts that run side by side
+    parts_per_chart = max(threads, 1) if config.family == POLYHEDRAL else 1
+    outcomes, jobs = {}, {}
+    for i in points:
+        chart = atlas.chart_of(i)
+        if chart is None:
+            outcomes[i] = FitError("point not covered by any chart", index=i)
         else:
-            fits[i] = out
+            jobs.setdefault(id(chart), (chart, []))[1].append(i)
+    parts = [
+        (chart, part)
+        for chart, members in jobs.values()
+        for part in np.array_split(np.asarray(members, dtype=int), parts_per_chart)
+    ]
+
+    def work(job):
+        chart, part = job
+        return fit_metric_differentials(
+            space, chart, u, u.target, part, radius=config.radius, family=config.family
+        )
+
+    for (_, part), done in zip(parts, parallel_map(work, parts, threads=threads)):
+        outcomes.update(zip(part.tolist(), done))
+    fits, errors = {}, {}
+    for i in points:
+        if isinstance(outcomes[i], FitError):  # per-point failures do not stop the rest
+            errors[i] = str(outcomes[i])
+        else:
+            fits[i] = outcomes[i]
     return fits, errors
 
 

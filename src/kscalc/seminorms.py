@@ -12,9 +12,12 @@ reproducible across runs.
 
 from __future__ import annotations
 
+import importlib.util
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 
@@ -26,14 +29,35 @@ POLYHEDRAL = "polyhedral"
 _EIG_CLAMP = -1e-12
 DEFAULT_QUAD_COUNT = 2**16
 DEFAULT_QUAD_SEED = 0
+_SOBOL_BITS = 30  # a stream holds at most 2**30 points
+
+
+def _is_integer(x):
+    """Whether a value is an integer (``True`` and ``False`` are not)."""
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
 
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Unit-ball quadrature configuration: node count and scramble seed."""
+    """Unit-ball quadrature configuration: node count and scramble seed.
+
+    The count must be an integer in [2, 2**30], since the split-sample
+    error needs two halves and the Sobol' stream holds 2**30 points; the
+    seed must be a non-negative integer.
+    """
 
     count: int = DEFAULT_QUAD_COUNT
     seed: int = DEFAULT_QUAD_SEED
+
+    def __post_init__(self):
+        if not (_is_integer(self.count) and 2 <= self.count <= 2**_SOBOL_BITS):
+            raise ValidationError(
+                f"quadrature count must be an integer in [2, 2**30], got {self.count!r}"
+            )
+        if not (_is_integer(self.seed) and self.seed >= 0):
+            raise ValidationError(
+                f"quadrature seed must be a non-negative integer, got {self.seed!r}"
+            )
 
 
 class Seminorm:
@@ -122,6 +146,50 @@ def op_norm(n):
     return float(np.sqrt((n.covectors**2).sum(axis=1)).max())
 
 
+# -- the scrambled Sobol' stream ---------------------------------------------
+
+
+def _sobol(dim, count, seed):
+    """``count`` points of the scrambled Sobol' stream in ``[0, 1)^dim``.
+
+    Bit for bit ``scipy.stats.qmc.Sobol(dim, scramble=True, seed=seed)
+    .random(count)``, from the Joe-Kuo direction numbers scipy ships, so
+    that ``scipy.stats`` is never imported: the 30-bit direction numbers
+    by the Bratley-Fox recurrence, a linear matrix scramble plus digital
+    shift (Matousek 1998) drawn in scipy's order, and the points in
+    Gray-code order, each the last one XOR one direction number.
+    """
+    bits = _SOBOL_BITS
+    table = Path(importlib.util.find_spec("scipy").origin).parent / "stats"
+    with np.load(table / "_sobol_direction_numbers.npz") as z:
+        poly, vinit = z["poly"][:dim], z["vinit"][:dim]
+    v = np.ones((dim, bits), dtype=np.uint32)
+    for d in range(1, dim):
+        p = int(poly[d])
+        m = p.bit_length() - 1  # the primitive polynomial's degree
+        v[d, :m] = vinit[d, :m]
+        for j in range(m, bits):
+            new = int(v[d, j - m])
+            for k in range(m):
+                if (p >> (m - 1 - k)) & 1:
+                    new ^= int(v[d, j - k - 1]) << (k + 1)
+            v[d, j] = new
+    high = np.arange(bits - 1, -1, -1, dtype=np.uint32)  # k -> bit 29 - k
+    v <<= high
+    rng = np.random.default_rng(seed)
+    shift = rng.integers(2, size=(dim, bits), dtype=np.uint32) @ (np.uint32(1) << high[::-1])
+    ltm = np.tril(rng.integers(2, size=(dim, bits, bits), dtype=np.uint32))
+    ltm[:, np.arange(bits), np.arange(bits)] = 1
+    # bit 29 - p of a scrambled number: row p of the matrix dotted with
+    # the bits 29 - k of the plain one, mod 2
+    parity = np.einsum("dpk,djk->djp", ltm, (v[:, :, None] >> high) & 1) & 1
+    v = parity @ (np.uint32(1) << high)
+    i = np.arange(1, count, dtype=np.int64)
+    ctz = np.log2(i & -i).astype(np.intp)  # trailing zeros of i
+    steps = np.concatenate([shift[None, :], v[:, ctz].T])
+    return np.bitwise_xor.accumulate(steps[:count], axis=0) * 2.0**-bits
+
+
 # -- unit-sphere meshes for the seminorm distance ---------------------------
 
 
@@ -140,24 +208,26 @@ def _sphere_mesh(dim, resolution):
         rho = np.sqrt(np.maximum(1.0 - z * z, 0.0))
         return np.stack([rho * np.cos(phi), rho * np.sin(phi), z], axis=1)
     from scipy.special import ndtri
-    from scipy.stats import qmc
 
-    eng = qmc.Sobol(d=dim, scramble=True, seed=1234)
-    u = np.clip(eng.random(resolution), 1e-12, 1.0 - 1e-12)
+    u = np.clip(_sobol(dim, resolution, 1234), 1e-12, 1.0 - 1e-12)
     g = ndtri(u)
     return g / np.linalg.norm(g, axis=1, keepdims=True)
 
 
-def _mesh_gap(mesh):
-    """Max nearest-neighbor spacing of a direction mesh."""
-    if mesh.shape[0] < 2:
+@lru_cache(maxsize=32)
+def _mesh_gap(dim, resolution):
+    """Max nearest-neighbor spacing of the direction mesh ``_sphere_mesh``."""
+    mesh = _sphere_mesh(dim, resolution)
+    n = mesh.shape[0]
+    if n < 2:
         return 2.0
-    gaps = np.empty(mesh.shape[0])
-    for i in range(mesh.shape[0]):
-        d = np.linalg.norm(mesh - mesh[i], axis=1)
-        d[i] = np.inf
-        gaps[i] = d.min()
-    return float(gaps.max())
+    rows = max(1, 2**18 // (n * dim))  # about 2 MB of differences a chunk
+    gap = 0.0
+    for start in range(0, n, rows):
+        d = np.linalg.norm(mesh[None, :, :] - mesh[start : start + rows, None, :], axis=2)
+        d[np.arange(d.shape[0]), np.arange(start, start + d.shape[0])] = np.inf
+        gap = max(gap, float(d.min(axis=1).max()))
+    return gap
 
 
 def sn_distance_report(n1, n2, resolution=512):
@@ -204,7 +274,7 @@ def sn_distance_report(n1, n2, resolution=512):
     elif d > 2:
         # shrinking pattern search around the best mesh direction
         x = mesh[best]
-        delta = _mesh_gap(mesh)
+        delta = _mesh_gap(d, resolution)
         basis = np.eye(d)
         for _ in range(40):
             cands = np.concatenate([x + delta * basis, x - delta * basis])
@@ -216,7 +286,7 @@ def sn_distance_report(n1, n2, resolution=512):
                 x = cands[j]
             else:
                 delta *= 0.5
-    gap = (op_norm(n1) + op_norm(n2)) * _mesh_gap(mesh)
+    gap = (op_norm(n1) + op_norm(n2)) * _mesh_gap(d, resolution)
     return value, gap
 
 
@@ -237,10 +307,8 @@ def ball_nodes(dim, count=DEFAULT_QUAD_COUNT, seed=DEFAULT_QUAD_SEED):
     through the radial inverse CDF ``u^(1/d)``.
     """
     from scipy.special import ndtri
-    from scipy.stats import qmc
 
-    eng = qmc.Sobol(d=dim + 1, scramble=True, seed=seed)
-    u = np.clip(eng.random(count), 1e-12, 1.0 - 1e-12)
+    u = np.clip(_sobol(dim + 1, count, seed), 1e-12, 1.0 - 1e-12)
     g = ndtri(u[:, :dim])
     dirs = g / np.linalg.norm(g, axis=1, keepdims=True)
     radii = u[:, dim] ** (1.0 / dim)

@@ -1,13 +1,18 @@
+import math
+
 import numpy as np
 import pytest
 
 from kscalc import (
     EuclideanTarget,
+    FitError,
     MetricMap,
+    Seminorm,
     TreePoint,
     TreeTarget,
     build_space,
 )
+from kscalc.charts import FitResult, _fit_polyhedral, _quad_monomials
 
 
 @pytest.fixture(scope="session")
@@ -79,3 +84,80 @@ def linear_map(space, pts, a, m_out=1):
     a = np.asarray(a, dtype=float)
     vals = pts @ a.reshape(-1, m_out) if a.ndim > 1 else (pts @ a)[:, None]
     return MetricMap(space, EuclideanTarget(vals.shape[1]), vals)
+
+
+def reference_fit(space, chart, u, target, i, radius=None, family="quadratic"):
+    """The per-point metric-differential fit, one point at a time: the
+    oracle of the batched pass ``fit_metric_differentials``."""
+    if not chart.contains(i):
+        raise FitError(f"point {i} is not a chart member", index=i)
+    d = chart.chart_dim
+    dists = space.dist_subset(int(i), chart.indices)
+    if radius is None:
+        min_members = 4 * (d + 1)
+        held = np.sort(dists[dists > 0])
+        if held.shape[0] < min_members:
+            raise FitError(f"chart holds only {held.shape[0]} neighbors of point {i}", index=i)
+        radius = float(held[min_members - 1] * (1.0 + 1e-9))
+    sel = (dists > 0) & (dists < radius)
+    members = chart.indices[sel]
+    if members.shape[0] < d + 1:
+        raise FitError(
+            f"insufficient neighbors at point {i}: {members.shape[0]} < {d + 1}", index=i
+        )
+    v = chart.phi[sel] - chart.phi[chart.position(i)]
+    dy = target.dists(u.packed[int(i)], u.packed[members])
+    if family == "quadratic":
+        design = _quad_monomials(v)
+        if np.linalg.matrix_rank(design) < d * (d + 1) // 2:
+            raise FitError(f"rank-deficient design at point {i} (collinear neighbors)", index=i)
+        coef, *_ = np.linalg.lstsq(design, dy**2, rcond=None)
+        q = np.empty((d, d))
+        k = 0
+        for a in range(d):
+            for b in range(a, d):
+                q[a, b] = q[b, a] = coef[k]
+                k += 1
+        vals, vecs = np.linalg.eigh(q)
+        vals = np.maximum(vals, 0.0)
+        n = Seminorm.quadratic((vecs * vals) @ vecs.T)
+    else:
+        n = _fit_polyhedral(v, dy)
+    pred = n.evaluate(v)
+    rms_d = math.sqrt(float(np.mean(dy**2)))
+    rms_e = math.sqrt(float(np.mean((dy - pred) ** 2)))
+    return FitResult(
+        seminorm=n,
+        residual=rms_e / rms_d if rms_d > 0 else 0.0,
+        n_neighbors=int(members.shape[0]),
+        radius=float(radius),
+        index=int(i),
+    )
+
+
+def reference_outcome(*args, **kwargs):
+    """``reference_fit``'s result, or the :class:`FitError` it raised."""
+    try:
+        return reference_fit(*args, **kwargs)
+    except FitError as exc:
+        return exc
+
+
+def assert_same_outcome(got, want, rel=1e-12):
+    """Batched and per-point fit outcomes agree: the same error message,
+    or equal radius and neighbor count with the form (exact for the
+    polyhedral family) and the residual within ``rel``."""
+    if isinstance(want, FitError):
+        assert isinstance(got, FitError) and str(got) == str(want)
+        return
+    assert not isinstance(got, FitError), str(got)
+    assert (got.index, got.radius, got.n_neighbors) == (want.index, want.radius, want.n_neighbors)
+    a, b = got.seminorm, want.seminorm
+    assert a.family == b.family
+    if a.family == "polyhedral":
+        assert np.array_equal(a.covectors, b.covectors)
+        assert got.residual == want.residual
+        return
+    scale = max(np.abs(b.matrix).max(), 1e-300)
+    assert np.abs(a.matrix - b.matrix).max() <= rel * scale
+    assert abs(got.residual - want.residual) <= rel

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import kscalc.charts as charts_module
 from kscalc import (
     Atlas,
     Chart,
@@ -18,8 +19,9 @@ from kscalc import (
     op_norm,
     sn_distance,
 )
+from kscalc.charts import FitResult, fit_metric_differentials
 
-from conftest import grid_points
+from conftest import assert_same_outcome, grid_points, reference_outcome
 
 
 @pytest.fixture(scope="module")
@@ -288,3 +290,116 @@ class TestDefaultRadius:
         r = default_fit_radius(sp, chart, i)
         dists = sp.dist_subset(i, chart.indices)
         assert ((dists > 0) & (dists < r)).sum() >= 4 * 3
+
+
+class TestBatchedFits:
+    """``fit_metric_differentials`` against the per-point oracle
+    ``reference_fit``: equal radii, neighbor counts and error messages,
+    forms and residuals within 1e-12 (polyhedral forms exactly)."""
+
+    @staticmethod
+    def check(sp, chart, u, points, radius=None, family="quadratic"):
+        got = fit_metric_differentials(sp, chart, u, u.target, points, radius, family)
+        want = [reference_outcome(sp, chart, u, u.target, i, radius, family) for i in points]
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert_same_outcome(g, w)
+        return got
+
+    @pytest.mark.parametrize("family", ["quadratic", "polyhedral"])
+    def test_default_radius_every_point(self, grid2d, family):
+        sp, pts, chart = grid2d
+        vals = np.stack([np.sin(3 * pts[:, 0]), pts[:, 1] ** 2 + pts[:, 0]], axis=1)
+        u = MetricMap(sp, EuclideanTarget(2), vals)
+        points = range(0, sp.n, 1 if family == "quadratic" else 7)
+        got = self.check(sp, chart, u, points, family=family)
+        assert all(isinstance(g, FitResult) for g in got)
+
+    @pytest.mark.parametrize("family", ["quadratic", "polyhedral"])
+    def test_explicit_radius_ragged_counts(self, family):
+        rng = np.random.default_rng(3)
+        pts = rng.uniform(0.0, 1.0, (300, 2))
+        sp = build_space({"kind": "euclidean", "points": pts.tolist()})
+        chart = Chart(indices=np.arange(sp.n), phi=pts, epsilon=0.0)
+        u = MetricMap(sp, EuclideanTarget(3), np.stack([pts[:, 0], pts[:, 1] ** 2, pts.sum(1) ** 3], 1))
+        got = self.check(sp, chart, u, range(0, 300, 1 if family == "quadratic" else 5), 0.11, family)
+        counts = {g.n_neighbors for g in got if isinstance(g, FitResult)}
+        assert len(counts) > 5
+
+    def test_collinear_and_full_rank_mixed(self, grid2d):
+        sp, pts, _ = grid2d
+        members = [21 * 10 + k for k in range(21)] + [21 * 11 + k for k in range(5)]
+        chart = Chart(indices=members, phi=pts[members], epsilon=0.0)
+        u = MetricMap(sp, EuclideanTarget(2), np.sin(2 * pts))
+        got = self.check(sp, chart, u, members, radius=0.12)
+        messages = [str(g) for g in got if isinstance(g, FitError)]
+        assert any("collinear" in m for m in messages)
+        assert any(isinstance(g, FitResult) for g in got)
+
+    def test_every_error_in_order(self, grid2d):
+        sp, pts, chart = grid2d
+        small = Chart(indices=np.arange(10), phi=pts[:10], epsilon=0.0)
+        u = MetricMap(sp, EuclideanTarget(2), pts)
+        got = self.check(sp, small, u, [3, 400, 3, 0])  # 400 is no member
+        assert [str(g) for g in got] == [
+            "chart holds only 9 neighbors of point 3",
+            "point 400 is not a chart member",
+            "chart holds only 9 neighbors of point 3",
+            "chart holds only 9 neighbors of point 0",
+        ]
+        got = self.check(sp, chart, u, [0, 220, 440], radius=0.06)
+        assert [str(g).split(" at ")[0] for g in got] == [
+            "insufficient neighbors", "rank-deficient design", "insufficient neighbors"
+        ]
+        for family in ("quadratic", "polyhedral"):
+            self.check(sp, chart, u, [], family=family)
+            self.check(sp, chart, u, [220], radius=1e-3, family=family)
+
+    def test_open_ball_excludes_the_radius(self):
+        xs = np.arange(21.0)  # integer distances, exact in floating point
+        sp = build_space({"kind": "euclidean", "points": xs[:, None].tolist()})
+        chart = Chart(indices=np.arange(sp.n), phi=xs[:, None], epsilon=0.0)
+        u = MetricMap(sp, EuclideanTarget(1), np.sin(xs)[:, None])
+        for family in ("quadratic", "polyhedral"):
+            got = self.check(sp, chart, u, [5, 10], radius=2.0, family=family)
+            assert [g.n_neighbors for g in got] == [2, 2]
+
+    def test_row_batches_match_one_batch(self, grid2d, monkeypatch):
+        sp, pts, chart = grid2d
+        u = MetricMap(sp, EuclideanTarget(2), np.cos(pts))
+        points = list(range(0, sp.n, 3))
+        whole = fit_metric_differentials(sp, chart, u, u.target, points, 0.2)
+        monkeypatch.setattr(charts_module, "_FIT_ROWS", 50)
+        for a, b in zip(whole, fit_metric_differentials(sp, chart, u, u.target, points, 0.2)):
+            assert_same_outcome(a, b, rel=0.0)
+
+    def test_default_radius_is_the_fit_radius(self, grid2d):
+        sp, pts, chart = grid2d
+        u = MetricMap(sp, EuclideanTarget(2), pts)
+        for i in (0, 20, 220, 433):
+            assert default_fit_radius(sp, chart, i) == fit_metric_differential(
+                sp, chart, u, u.target, i
+            ).radius
+
+    def test_one_point_call_raises(self, grid2d):
+        sp, pts, _ = grid2d
+        small = Chart(indices=np.arange(10), phi=pts[:10], epsilon=0.0)
+        u = MetricMap(sp, EuclideanTarget(2), pts)
+        with pytest.raises(FitError, match="chart holds only 9 neighbors of point 4"):
+            fit_metric_differential(sp, small, u, u.target, 4)
+        with pytest.raises(ValidationError, match="unknown fit family"):
+            fit_metric_differentials(sp, small, u, u.target, [4], family="cubic")
+
+    def test_tree_target(self, tripod):
+        xs = np.linspace(-1.0, 1.0, 81)
+        sp = build_space({"kind": "euclidean", "points": xs[:, None].tolist()})
+        vals = [
+            TreePoint(vertex=0) if s == 0.0
+            else tripod.canonical(TreePoint(edge=0 if s < 0 else 1, t=abs(s)))
+            for s in xs
+        ]
+        u = MetricMap(sp, tripod, vals)
+        chart = Chart(indices=np.arange(sp.n), phi=xs[:, None], epsilon=0.0)
+        for family in ("quadratic", "polyhedral"):
+            self.check(sp, chart, u, range(sp.n), family=family)
+            self.check(sp, chart, u, range(0, sp.n, 4), radius=0.2, family=family)

@@ -720,6 +720,26 @@ class TestStartupImports:
             assert report["scipy"] == []
             assert report["late"] == []
 
+    @pytest.mark.parametrize("family", ["quadratic", "polyhedral"])
+    def test_mdiff_loads_no_stats_or_spatial(self, workdir, tmp_path, family):
+        fx = workdir / "fixture"
+        report = probe_imports(
+            tmp_path, "mdiff", "--space", fx / "space.json", "--atlas", fx / "atlas.json",
+            "--map", fx / "map_linear.json", "--points", "10,30", "--family", family,
+            "--out", tmp_path / "mdiff.json",
+        )
+        assert report["code"] == 0
+        assert "scipy.special" in report["scipy"]
+        assert not [m for m in report["scipy"] if m.startswith(("scipy.stats", "scipy.spatial"))]
+
+    def test_seminorm_identities_loads_no_stats(self, tmp_path):
+        report = probe_imports(
+            tmp_path, "verify", "--which", "seminorm-identities", "--out", tmp_path / "id.json"
+        )
+        assert report["code"] == 0
+        assert "scipy.special" in report["scipy"]  # on first use
+        assert not [m for m in report["scipy"] if m.startswith("scipy.stats")]
+
     @pytest.mark.parametrize(
         "args",
         [

@@ -12,6 +12,7 @@ from kscalc import (
     Chart,
     EuclideanTarget,
     FitConfig,
+    FitError,
     HyperbolicTarget,
     MetricMap,
     ProductTarget,
@@ -33,7 +34,7 @@ from kscalc.charts import FitResult
 from kscalc.energy import _affine_intercept, _fit_points
 from kscalc.spaces import CELL_PAIR_BUDGET
 
-from conftest import grid_points, random_map
+from conftest import assert_same_outcome, grid_points, random_map, reference_outcome
 
 
 @pytest.fixture(scope="module")
@@ -244,7 +245,7 @@ class TestExponent:
         def no_fit(*args, **kwargs):
             raise AssertionError("a fit ran before the exponent was checked")
 
-        monkeypatch.setattr(energy_module, "fit_metric_differential", no_fit)
+        monkeypatch.setattr(energy_module, "fit_metric_differentials", no_fit)
         with pytest.raises(ValidationError, match="exponent p"):
             density_via_mdiff(u, atlas, p)
 
@@ -298,7 +299,7 @@ class TestFitLoop:
         def broken(*args, **kwargs):
             raise np.linalg.LinAlgError("SVD did not converge")
 
-        monkeypatch.setattr(energy_module, "fit_metric_differential", broken)
+        monkeypatch.setattr(energy_module, "fit_metric_differentials", broken)
         with pytest.raises(np.linalg.LinAlgError):
             _fit_points(u, atlas, FitConfig(points=[45]))
 
@@ -324,6 +325,27 @@ class TestFitLoop:
         assert not set(fits) & set(errors)
         assert all(isinstance(f, FitResult) and f.index == i for i, f in fits.items())
         assert all(isinstance(msg, str) and msg for msg in errors.values())
+
+    @given(
+        points=st.lists(st.integers(0, 99), max_size=12),
+        radius=st.one_of(st.none(), st.floats(0.05, 0.6)),
+        family=st.sampled_from(["quadratic", "polyhedral"]),
+        threads=st.integers(1, 3),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_fits_match_the_per_point_oracle(self, partial_atlas, points, radius, family, threads):
+        u, atlas = partial_atlas
+        config = FitConfig(family=family, radius=radius, points=points)
+        fits, errors = _fit_points(u, atlas, config, threads=threads)
+        assert set(fits) | set(errors) == set(points) and not set(fits) & set(errors)
+        assert list(fits) == [i for i in dict.fromkeys(points) if i in fits]
+        for i in dict.fromkeys(points):
+            chart = atlas.chart_of(i)
+            if chart is None:
+                assert errors[i] == "point not covered by any chart"
+                continue
+            want = reference_outcome(u.space, chart, u, u.target, i, radius, family)
+            assert_same_outcome(fits[i] if i in fits else FitError(errors[i]), want)
 
 
 class TestHsEnergy:

@@ -18,7 +18,7 @@ from kscalc import (
     sn_distance,
     sn_distance_report,
 )
-from kscalc.seminorms import check_exponent
+from kscalc.seminorms import _mesh_gap, _sobol, _sphere_mesh, check_exponent
 
 
 def random_psd(rng, d):
@@ -252,3 +252,78 @@ class TestSerialization:
             m = Seminorm.from_json(n.to_json())
             v = rng.normal(0.0, 1.0, n.dim)
             assert m(v) == pytest.approx(n(v), abs=1e-12)
+
+
+@pytest.mark.filterwarnings("ignore:The balance properties")
+class TestSobolStream:
+    """The numpy Sobol' stream equals ``scipy.stats.qmc.Sobol`` bit for bit."""
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4, 7, 12])
+    def test_equals_scipy(self, dim):
+        from scipy.stats import qmc
+
+        for seed in (0, 1, 1234):
+            for n in (1, 2, 3, 1000, 2**16, 2**17):
+                want = qmc.Sobol(d=dim, scramble=True, seed=seed).random(n)
+                got = _sobol(dim, n, seed)
+                assert got.shape == want.shape and np.array_equal(got, want), (seed, n)
+
+    @pytest.mark.parametrize("dim,count,seed", [(1, 1024, 0), (2, 2**16, 0), (3, 4096, 3), (4, 1000, 1)])
+    def test_ball_nodes_equal_scipy(self, dim, count, seed):
+        from scipy.special import ndtri
+        from scipy.stats import qmc
+
+        u = np.clip(qmc.Sobol(d=dim + 1, scramble=True, seed=seed).random(count), 1e-12, 1.0 - 1e-12)
+        g = ndtri(u[:, :dim])
+        want = g / np.linalg.norm(g, axis=1, keepdims=True) * (u[:, dim] ** (1.0 / dim))[:, None]
+        assert np.array_equal(ball_nodes(dim, count, seed), want)
+
+    def test_sphere_mesh_equals_scipy(self):
+        from scipy.special import ndtri
+        from scipy.stats import qmc
+
+        u = np.clip(qmc.Sobol(d=5, scramble=True, seed=1234).random(512), 1e-12, 1.0 - 1e-12)
+        g = ndtri(u)
+        assert np.array_equal(_sphere_mesh(5, 512), g / np.linalg.norm(g, axis=1, keepdims=True))
+
+
+class TestMeshGap:
+    @staticmethod
+    def looped(mesh):
+        gaps = np.empty(mesh.shape[0])
+        for i in range(mesh.shape[0]):
+            d = np.linalg.norm(mesh - mesh[i], axis=1)
+            d[i] = np.inf
+            gaps[i] = d.min()
+        return float(gaps.max())
+
+    @pytest.mark.parametrize("dim,resolution", [(1, 512), (2, 512), (3, 300), (4, 1000), (5, 512), (9, 300), (12, 1000)])
+    def test_equals_the_point_loop(self, dim, resolution):
+        assert _mesh_gap(dim, resolution) == self.looped(_sphere_mesh(dim, resolution))
+
+    def test_computed_once(self):
+        _mesh_gap(3, 256)
+        hits = _mesh_gap.cache_info().hits
+        n1, n2 = Seminorm.quadratic(np.eye(3)), Seminorm.polyhedral(np.eye(3))
+        sn_distance_report(n1, n2, resolution=256)
+        assert _mesh_gap.cache_info().hits == hits + 2  # pattern-search step and gap
+
+
+class TestQuadratureSpec:
+    @pytest.mark.parametrize("count", [0, 1, 2.5, -4, True, 2**30 + 1, "8", None])
+    def test_bad_count_named(self, count):
+        with pytest.raises(ValidationError, match="quadrature count"):
+            QuadratureSpec(count=count)
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, True, "0", None])
+    def test_bad_seed_named(self, seed):
+        with pytest.raises(ValidationError, match="quadrature seed"):
+            QuadratureSpec(seed=seed)
+
+    @pytest.mark.parametrize("count", [2, 3, np.int64(64), 2**30])
+    def test_integer_counts_accepted(self, count):
+        assert QuadratureSpec(count=count, seed=np.int64(5)).count == count
+
+    def test_smallest_count_is_finite(self):
+        val, err = size_p_report(random_poly(np.random.default_rng(1), 2), 3.0, QuadratureSpec(count=2))
+        assert math.isfinite(val) and math.isfinite(err)
