@@ -373,7 +373,7 @@ def _fit_quadratics(v, dy, ptr, centers):
     sizes = np.diff(ptr)
     upper = np.triu_indices(d)
     out = [None] * sizes.shape[0]
-    for size in np.unique(sizes):
+    for size in np.flatnonzero(np.bincount(sizes)):  # the distinct sizes, ascending
         group = np.flatnonzero(sizes == size)
         at = ptr[group][:, None] + np.arange(size)
         full = np.linalg.matrix_rank(design[at]) == n_params

@@ -46,10 +46,10 @@ EXIT_NONCONVERGED = 3
 # uses before it reads any input, so their cost is paid at start-up, not
 # inside the computation, and a broken install fails before any work.
 SUBCOMMAND_IMPORTS = {
-    "space-check": ("scipy.spatial",),
-    "energy": ("scipy.spatial",),
-    "mdiff": ("scipy.special",),
-    "dirichlet": ("scipy.spatial", "scipy.sparse.csgraph", "scipy.sparse.linalg"),
+    "space-check": (),
+    "energy": (),
+    "mdiff": ("numpy.random",),
+    "dirichlet": ("scipy.sparse", "scipy.sparse.linalg"),
     "verify": ("numpy.random",),
 }
 

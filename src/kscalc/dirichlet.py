@@ -31,6 +31,28 @@ _ENERGY_SLACK = 1e-12
 _BARY_PASSES = 10_000
 
 
+def _component_labels(indptr, indices):
+    """Each node's connected component, labelled by its lowest node, in the
+    undirected graph of a square CSR structure.
+
+    Label propagation: every node takes the lowest label among itself and
+    its neighbors, then the label of its label (which shortcuts chains),
+    until no label changes.
+    """
+    n = indptr.size - 1
+    row = np.repeat(np.arange(n), np.diff(indptr))
+    a = np.concatenate([row, indices])  # both directions of every edge
+    b = np.concatenate([indices, row])
+    label = np.arange(n)
+    while True:
+        low = label.copy()
+        np.minimum.at(low, a, label[b])
+        low = low[low]
+        if np.array_equal(low, label):
+            return label
+        label = low
+
+
 class DirichletProblem:
     """Interior mask, boundary trace, CAT(0) target, and the scale.
 
@@ -105,7 +127,6 @@ class DirichletProblem:
         component, numbered by its lowest member, is rejected by name.
         """
         from scipy.sparse import csr_matrix, identity
-        from scipy.sparse.csgraph import connected_components
         from scipy.sparse.linalg import splu
 
         ni = self.interior.shape[0]
@@ -115,11 +136,12 @@ class DirichletProblem:
         inner = self._inside[self._nbrx]
         col = np.searchsorted(self.interior, self._nbrx[inner])
         P = csr_matrix((share[inner], (row[inner], col)), shape=(ni, ni))
-        n_comp, label = connected_components(P, directed=False)
-        touched = np.zeros(n_comp, dtype=bool)
+        label = _component_labels(P.indptr, P.indices)
+        touched = np.zeros(ni, dtype=bool)
         touched[label[row[~inner]]] = True
-        if not touched.all():
-            members = [int(x) for x in self.interior[label == np.argmin(touched)]]
+        lonely = np.flatnonzero(~touched[label])
+        if lonely.size:
+            members = [int(x) for x in self.interior[label == label[lonely[0]]]]
             raise ValidationError(
                 f"interior component {members[:8]} touches no boundary", detail=members
             )

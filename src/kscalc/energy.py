@@ -83,7 +83,7 @@ def ks_profile(u, p, scales, omega=None):
     rmax = max(scales)
     packed = u.packed
     for pts, cand in space.cell_partition(rmax):
-        dom2 = space.pair_dist_block(pts, cand, squared=True)
+        dom = space.pair_dist_block(pts, cand)
         tar_p = u.target.dists(
             packed[pts][:, None], packed[cand][None, :], squared=(p == 2.0)
         )
@@ -91,7 +91,7 @@ def ks_profile(u, p, scales, omega=None):
             tar_p = tar_p**p
         wc = w[cand]
         for k, r in enumerate(scales):
-            member = dom2 < r * r
+            member = dom < r
             counts = member.sum(axis=1)
             num = (wc[None, :] * tar_p * member).sum(axis=1)
             mass = (wc[None, :] * member).sum(axis=1)

@@ -190,6 +190,83 @@ def _sobol(dim, count, seed):
     return np.bitwise_xor.accumulate(steps[:count], axis=0) * 2.0**-bits
 
 
+# -- the normal quantile ---------------------------------------------------
+
+# Cephes ``ndtri`` (S. L. Moshier): a rational function of y - 1/2 for
+# exp(-2) < y < 1 - exp(-2); in the tails, x = sqrt(-2 log y) corrected by a
+# rational function of 1/x, one coefficient set below x = 8 and one above
+_EXP_M2 = 0.13533528323661269189
+_SQRT_2PI = 2.50662827463100050242
+_NDTRI_P0 = (
+    -5.99633501014107895267e1, 9.80010754185999661536e1, -5.66762857469070293439e1,
+    1.39312609387279679503e1, -1.23916583867381258016e0,
+)
+_NDTRI_Q0 = (
+    1.95448858338141759834e0, 4.67627912898881538453e0, 8.63602421390890590575e1,
+    -2.25462687854119370527e2, 2.00260212380060660359e2, -8.20372256168333339912e1,
+    1.59056225126211695515e1, -1.18331621121330003142e0,
+)
+_NDTRI_P1 = (
+    4.05544892305962419923e0, 3.15251094599893866154e1, 5.71628192246421288162e1,
+    4.40805073893200834700e1, 1.46849561928858024014e1, 2.18663306850790267539e0,
+    -1.40256079171354495875e-1, -3.50424626827848203418e-2, -8.57456785154685413611e-4,
+)
+_NDTRI_Q1 = (
+    1.57799883256466749731e1, 4.53907635128879210584e1, 4.13172038254672030440e1,
+    1.50425385692907503408e1, 2.50464946208309415979e0, -1.42182922854787788574e-1,
+    -3.80806407691578277194e-2, -9.33259480895457427372e-4,
+)
+_NDTRI_P2 = (
+    3.23774891776946035970e0, 6.91522889068984211695e0, 3.93881025292474443415e0,
+    1.33303460815807542389e0, 2.01485389549179081538e-1, 1.23716634817820021358e-2,
+    3.01581553508235416007e-4, 2.65806974686737550832e-6, 6.23974539184983293730e-9,
+)
+_NDTRI_Q2 = (
+    6.02427039364742014255e0, 3.67983563856160859403e0, 1.37702099489081330271e0,
+    2.16236993594496635890e-1, 1.34204006088543189037e-2, 3.28014464682127739104e-4,
+    2.89247864745380683936e-6, 6.79019408009981274425e-9,
+)
+
+
+def _polevl(x, coef, monic=False):
+    """Horner's rule, highest coefficient first; ``monic`` prepends a 1."""
+    out = x + coef[0] if monic else np.full_like(x, coef[0])
+    for c in coef[1:]:
+        out = out * x + c
+    return out
+
+
+def _libm_log(x):
+    """Natural logarithms through libm, one element at a time."""
+    return np.fromiter(map(math.log, x.ravel().tolist()), dtype=float, count=x.size)
+
+
+def _ndtri(y):
+    """The standard normal quantile of each ``y`` in [0, 1] (NaN outside).
+
+    Bit for bit ``scipy.special.ndtri``: Cephes' coefficients in its
+    evaluation order, with the tails' logarithms taken through libm, as C
+    takes them (numpy's vectorized ``log`` rounds some differently).
+    """
+    y = np.asarray(y, dtype=float)
+    upper = y > 1.0 - _EXP_M2
+    t = np.where(upper, 1.0 - y, y)
+    out = np.full_like(t, np.nan)
+    mid = t > _EXP_M2
+    c = t[mid] - 0.5
+    c2 = c * c
+    out[mid] = (c + c * (c2 * _polevl(c2, _NDTRI_P0) / _polevl(c2, _NDTRI_Q0, True))) * _SQRT_2PI
+    tail = ~mid & (t > 0)
+    x = np.sqrt(-2.0 * _libm_log(t[tail]))
+    z = 1.0 / x
+    near = z * _polevl(z, _NDTRI_P1) / _polevl(z, _NDTRI_Q1, True)
+    far = z * _polevl(z, _NDTRI_P2) / _polevl(z, _NDTRI_Q2, True)
+    x = x - _libm_log(x) / x - np.where(x < 8.0, near, far)
+    out[tail] = np.where(upper[tail], x, -x)
+    out[t == 0] = np.where(upper[t == 0], np.inf, -np.inf)
+    return out
+
+
 # -- unit-sphere meshes for the seminorm distance ---------------------------
 
 
@@ -207,10 +284,8 @@ def _sphere_mesh(dim, resolution):
         phi = k * math.pi * (3.0 - math.sqrt(5.0))
         rho = np.sqrt(np.maximum(1.0 - z * z, 0.0))
         return np.stack([rho * np.cos(phi), rho * np.sin(phi), z], axis=1)
-    from scipy.special import ndtri
-
     u = np.clip(_sobol(dim, resolution, 1234), 1e-12, 1.0 - 1e-12)
-    g = ndtri(u)
+    g = _ndtri(u)
     return g / np.linalg.norm(g, axis=1, keepdims=True)
 
 
@@ -306,10 +381,8 @@ def ball_nodes(dim, count=DEFAULT_QUAD_COUNT, seed=DEFAULT_QUAD_SEED):
     direction through the normal inverse CDF, the last one the radius
     through the radial inverse CDF ``u^(1/d)``.
     """
-    from scipy.special import ndtri
-
     u = np.clip(_sobol(dim + 1, count, seed), 1e-12, 1.0 - 1e-12)
-    g = ndtri(u[:, :dim])
+    g = _ndtri(u[:, :dim])
     dirs = g / np.linalg.norm(g, axis=1, keepdims=True)
     radii = u[:, dim] ** (1.0 / dim)
     nodes = dirs * radii[:, None]

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import chain
 
 import numpy as np
 
@@ -26,8 +25,12 @@ _TRIANGLE_TOL = 1e-9
 _TRIANGLE_SAMPLES = 10_000
 _EXHAUSTIVE_LIMIT = 200
 _RADIUS_RATIO = 1.1
-# relative inflation of tree query radii: far above the tree's rounding
-_QUERY_SLACK = 1e-9
+# inflation of cell-query radii, relative to the radius and to the
+# coordinates' magnitude: far above the rounding of a cell key or a
+# distance, so a query never misses a point the exact distances keep
+_CELL_MARGIN = 1e-9
+# cell indexes a space keeps, one per cell side
+_INDEX_CACHE = 4
 # most rows times candidates in one ``cell_partition`` block
 CELL_PAIR_BUDGET = 1 << 18
 # centers per chunk of the sorted-ball scans of ``doubling_constant`` and
@@ -83,8 +86,8 @@ class PointCloudSpace:
             self.ambient_dim = None
         else:
             coords = np.atleast_2d(np.asarray(coords, dtype=float))
-            if coords.ndim != 2:
-                raise ValidationError("coordinates must form an (n, d) array")
+            if coords.ndim != 2 or coords.shape[1] == 0:
+                raise ValidationError("coordinates must form an (n, d) array, d >= 1")
             bad = np.flatnonzero(~np.isfinite(coords).all(axis=1))
             if bad.size:
                 raise ValidationError(
@@ -116,7 +119,7 @@ class PointCloudSpace:
         self.weights = w
         self.total_mass = float(w.sum())
         self._nn = None
-        self._tree = None
+        self._indexes = {}
 
     # -- metric oracle -------------------------------------------------
 
@@ -125,9 +128,14 @@ class PointCloudSpace:
         if self.kind == MATRIX:
             d = self.matrix[i, idx]
             return d * d if squared else d
-        delta = self.coords[idx] - self.coords[i]
+        # ``take`` gathers rows faster than fancy indexing
+        rows = self.coords[idx] if isinstance(idx, slice) else np.take(self.coords, idx, axis=0)
+        return self._length(rows - np.take(self.coords, i, axis=0), squared)
+
+    def _length(self, delta, squared=False):
+        """Lengths of coordinate differences, each below the period on a torus."""
         if self.kind == TORUS:
-            delta = np.abs(delta)  # below the period: coordinates are wrapped
+            delta = np.abs(delta)
             delta = np.minimum(delta, self.period - delta)
         d2 = np.einsum("...k,...k->...", delta, delta)
         return d2 if squared else np.sqrt(d2)
@@ -149,31 +157,14 @@ class PointCloudSpace:
 
     # -- neighbor structure --------------------------------------------
 
-    @property
-    def _kdtree(self):
-        """k-d tree of the coordinates (periodic on the torus), built on
-        first use: the only neighbor cache of a coordinate space."""
-        if self._tree is None:
-            from scipy.spatial import cKDTree
-
-            self._tree = cKDTree(self.coords, boxsize=self.period)
-        return self._tree
-
-    def _candidates(self, points, radii):
-        """Tree candidates within ``radii`` of coordinate rows ``points``.
-
-        Returns the candidate count per row and the candidates, sorted
-        within each row.  The radii are inflated to cover the tree's own
-        rounding, so every index within ``radii`` by :meth:`dist` is a
-        candidate; callers filter with the exact distances.
-        """
-        radii = np.asarray(radii, dtype=float) * (1.0 + _QUERY_SLACK)
-        if self.kind == TORUS:  # the wrap rounds in units of the period
-            radii = radii + _QUERY_SLACK * float(self.period.max())
-        lists = self._kdtree.query_ball_point(points, radii, return_sorted=True)
-        sizes = np.fromiter(map(len, lists), dtype=np.intp, count=len(lists))
-        flat = np.fromiter(chain.from_iterable(lists), dtype=np.intp, count=int(sizes.sum()))
-        return sizes, flat
+    def _cell_index(self, side):
+        """The :class:`_CellIndex` of cell side ``side``, built on first use."""
+        index = self._indexes.get(side)
+        if index is None:
+            if len(self._indexes) >= _INDEX_CACHE:
+                self._indexes.pop(next(iter(self._indexes)))
+            index = self._indexes[side] = _CellIndex._build(self, side)
+        return index
 
     def nn_distances(self):
         """Distance from every point to its nearest other point (inf alone)."""
@@ -181,27 +172,76 @@ class PointCloudSpace:
             if self.kind == MATRIX:
                 self._nn = (self.matrix + np.diag(np.full(self.n, np.inf))).min(axis=1)
             else:
-                near = self._kdtree.query(self.coords, k=2)[0][:, 1]
-                sizes, flat = self._candidates(self.coords, near)
-                owner = np.repeat(np.arange(self.n), sizes)
-                d = self._dists(owner, flat)
-                d[flat == owner] = np.inf
-                self._nn = np.minimum.reduceat(d, np.cumsum(sizes) - sizes)
+                self._nn = self._ring_search()
         return self._nn
+
+    def _ring_search(self):
+        """Exact nearest-neighbor distances of a coordinate space.
+
+        Each point scans the cells within a radius of 1.5 mean spacings
+        (taken from the bounding box of the first min(d, 3) coordinates).
+        A point whose nearest candidate lies within that radius is
+        resolved: every closer point was a candidate.  The rest scan again
+        with the radius doubled, until they resolve or their scan held
+        every point, which a radius above the box's extent guarantees.
+        """
+        n = self.n
+        nn = np.full(n, np.inf)
+        if n == 1:
+            return nn
+        x = self.coords[:, : min(self.ambient_dim, 3)]
+        extent = self.period[: x.shape[1]] if self.kind == TORUS else np.ptp(x, axis=0)
+        extent = extent[extent > 0]
+        if extent.size == 0:  # one cell holds every point
+            side = 1.0
+        else:
+            # 1.5 mean spacings, or a cell per point along the widest axis
+            top = float(extent.max())
+            side = 1.5 * math.exp(float(np.log(extent).mean()) - math.log(n) / extent.size)
+            side = max(side, top / n) or top
+            if side == math.inf:  # the extent overflows
+                side = float(np.finfo(float).max) / 4.0
+        index = self._cell_index(side)
+        todo, radius = np.arange(n), side
+        while todo.size:
+            owner, cand = index._near(self.coords[todo], np.full(todo.size, radius))
+            d = self._dists(todo[owner], cand)
+            d[cand == todo[owner]] = np.inf
+            scanned = np.bincount(owner, minlength=todo.size)
+            best = np.minimum.reduceat(d, np.cumsum(scanned) - scanned)
+            done = (best <= radius) | (scanned == n)
+            nn[todo[done]] = best[done]
+            todo, radius = todo[~done], 2.0 * radius
+        return nn
 
     def min_spacing(self):
         return float(self.nn_distances().min())
 
     def median_nn_spacing(self):
-        return float(np.median(self.nn_distances()))
+        """``np.median`` of the spacings, which are never NaN, without the
+        ``numpy.ma`` import of its NaN check."""
+        nn = np.sort(self.nn_distances())
+        k = nn.size // 2
+        return float(nn[k] if nn.size % 2 else (nn[k - 1] + nn[k]) / 2.0)
 
     def radius_grid(self, R, r_min=None):
-        """Geometric radius grid with ratio 1.1 from ``r_min`` up to ``R``."""
+        """Geometric radius grid with ratio 1.1 from ``r_min`` up to ``R``.
+
+        ``r_min`` defaults to twice the smallest spacing; a zero spacing,
+        or an ``r_min`` too small for the ratio to grow, is rejected.
+        """
         R = check_radius(R, "R")
-        r_min = 2.0 * self.min_spacing() if r_min is None else check_radius(r_min, "r_min")
+        if r_min is None:
+            r_min = 2.0 * self.min_spacing()
+            if not r_min > 0:
+                raise ValidationError("r_min: the smallest spacing is 0")
+        else:
+            r_min = check_radius(r_min, "r_min")
+        if r_min * _RADIUS_RATIO == r_min and math.isfinite(r_min):
+            raise ValidationError(f"r_min {r_min!r} is too small for a geometric grid")
         radii = []
         r = r_min
-        while r <= R * (1 + 1e-12):
+        while r <= R * (1 + 1e-12) and r < math.inf:
             radii.append(min(r, R))
             r *= _RADIUS_RATIO
         if not radii:
@@ -213,12 +253,13 @@ class PointCloudSpace:
 
         Yields ``(points, candidates)`` index arrays: the blocks partition
         the points, and a block's sorted candidates include every point
-        within ``r`` of any of its points.  Blocks are grid cells of side
-        ``r / 2``, doubled until the cells average 16 points; a cell's
-        candidates come from one tree query around its bounding box, and
-        cells are cut into row chunks so that rows times candidates stays
-        within ``CELL_PAIR_BUDGET`` (a block keeps one row at least).  The
-        matrix kind has one cell with every point.
+        within ``r`` of any of its points.  Blocks are the cells of the
+        cell index of side ``r / 2``, doubled until the cells average 16
+        points; a cell's candidates are the points within ``r`` plus half
+        its bounding box's diagonal of the box's center, read from the
+        same index, and cells are cut into row chunks so that rows times
+        candidates stays within ``CELL_PAIR_BUDGET`` (a block keeps one
+        row at least).  The matrix kind has one cell with every point.
         """
         r = check_radius(r)
         for pts, cand in self._cells(r):
@@ -229,25 +270,28 @@ class PointCloudSpace:
     def _cells(self, r):
         if self.kind == MATRIX:
             everyone = np.arange(self.n)
-            yield everyone, everyone
-            return
+            return [(everyone, everyone)]
         side = 0.5 * r
         while True:
-            keys = np.floor(self.coords / side)
-            order = np.lexsort(keys.T[::-1])
-            keys = keys[order]
-            starts = np.flatnonzero(np.any(keys[1:] != keys[:-1], axis=1)) + 1
+            index = self._cell_index(side)
+            starts = np.flatnonzero(np.diff(index.ids)) + 1
             if starts.size == 0 or (starts.size + 1) * _CELL_ROWS <= self.n:
                 break
             side *= 2.0
-        for pts in np.split(order, starts):
-            box = self.coords[pts]
-            lo, hi = box.min(axis=0), box.max(axis=0)
-            # a point within r of the box lies within r + half its diagonal
-            # of the box's center
-            reach = r + 0.5 * math.sqrt(float(np.dot(hi - lo, hi - lo)))
-            _, cand = self._candidates([0.5 * (lo + hi)], [reach])
-            yield pts, cand
+        box = self.coords[index.order]
+        first = np.concatenate([[0], starts])
+        lo, hi = np.minimum.reduceat(box, first), np.maximum.reduceat(box, first)
+        center = 0.5 * (lo + hi)
+        # a point within r of the box lies within r + half its diagonal of
+        # the box's center
+        reach = r + 0.5 * np.sqrt(np.einsum("ij,ij->i", hi - lo, hi - lo))
+        owner, cand = index._near(center, reach)
+        delta = np.take(self.coords, cand, axis=0) - np.take(center, owner, axis=0)
+        keep = self._length(delta) <= np.take(index._inflate(reach), owner)
+        key = np.sort(owner[keep] * self.n + cand[keep])  # by block, then index
+        owner, cand = np.divmod(key, self.n)
+        cut = np.cumsum(np.bincount(owner, minlength=first.size))[:-1]
+        return list(zip(np.split(index.order, starts), np.split(cand, cut)))
 
     def ball_indices(self, i, r):
         """Indices with ``d(x_i, x_j) < r`` (the center always included)."""
@@ -270,11 +314,121 @@ class PointCloudSpace:
             rows, members = np.nonzero(self.matrix[centers] < r)
             ptr = np.searchsorted(rows, np.arange(centers.size + 1))
             return ptr, members, self.matrix[centers[rows], members]
-        sizes, flat = self._candidates(self.coords[centers], r)
-        d = self._dists(np.repeat(centers, sizes), flat)
+        owner, cand = self._cell_index(r)._near(self.coords[centers], np.full(centers.size, r))
+        d = self._dists(centers[owner], cand)
         keep = d < r
-        ptr = np.concatenate([[0], np.cumsum(keep)])[np.concatenate([[0], np.cumsum(sizes)])]
-        return ptr, flat[keep], d[keep]
+        owner, cand, d = owner[keep], cand[keep], d[keep]
+        order = np.argsort(owner * self.n + cand)  # by center, then index
+        ptr = np.concatenate([[0], np.cumsum(np.bincount(owner, minlength=centers.size))])
+        return ptr, cand[order], d[order]
+
+
+@dataclass(frozen=True, eq=False)
+class _CellIndex:
+    """The points of a coordinate space bucketed into grid cells, sorted by cell.
+
+    A point's cell is ``floor(x / side)`` in its first min(d, 3)
+    coordinates: a projection never lengthens a distance, so the cells
+    serve any dimension, and on a torus (whose coordinates lie in
+    ``[0, period)``) each axis's cells are cyclic.  Each axis numbers its
+    occupied cells by rank, and a cell's id is its ranks in mixed radix,
+    so that the cells of one run along the last axis are one slice of
+    ``order`` however far apart the points lie.  Its methods are private:
+    their time belongs to the neighbor question that calls them.
+    """
+
+    space: PointCloudSpace
+    side: float
+    order: np.ndarray  # the points by cell, lexicographically, then by index
+    axes: list  # the occupied cell keys of each axis, ascending
+    ids: np.ndarray  # the cell id of each point of ``order``, ascending
+    table: np.ndarray | None  # each cell id's first position in ``order``, if dense
+    scale: float  # the coordinates' magnitude (the largest period on a torus)
+
+    @classmethod
+    def _build(cls, space, side):
+        keys = np.floor(space.coords[:, : min(space.ambient_dim, 3)] / side)
+        order = np.lexsort(keys.T[::-1])
+        axes, ids = [], np.zeros(space.n, dtype=np.int64)
+        for column in keys.T:
+            occupied, rank = np.unique(column, return_inverse=True)
+            axes.append(occupied)
+            ids = ids * occupied.size + rank.reshape(-1)
+        cells = math.prod(a.size for a in axes)
+        if cells >= 2**62:
+            raise ValidationError("too many distinct cells for the neighbor index")
+        ids = ids[order]
+        # sparse ids are searched instead of tabled
+        table = np.searchsorted(ids, np.arange(cells + 1)) if cells <= 4 * space.n else None
+        if space.kind == TORUS:
+            scale = float(space.period.max())
+        else:
+            scale = float(np.abs(space.coords).max())
+        return cls(space, side, order, axes, ids, table, scale)
+
+    def _inflate(self, radii):
+        """``radii`` with the conservative margin ``_CELL_MARGIN``."""
+        return radii * (1.0 + _CELL_MARGIN) + _CELL_MARGIN * self.scale
+
+    def _position(self, cells):
+        """The first position in ``order`` whose cell id is ``cells`` or above."""
+        if self.table is None:
+            return np.searchsorted(self.ids, cells)
+        return np.take(self.table, cells)
+
+    def _near(self, points, radii):
+        """Candidates within ``radii`` of coordinate rows ``points``.
+
+        Returns ``(owner, cand)``: the candidates of query ``k`` are
+        ``cand[owner == k]``, grouped by query in ascending order and by
+        cell within a query.  They are the points of every cell that meets
+        the box ``points[k] +- radii[k]`` with margin (``_inflate``), so
+        every point that the space's own distance puts within ``radii[k]``
+        of the query is one; callers filter with exact distances.
+        """
+        q = np.asarray(points, dtype=float)
+        reach = self._inflate(np.asarray(radii, dtype=float))
+        torus = self.space.kind == TORUS
+        firsts, counts = [], []  # per axis: the first rank and the run length
+        for a, occupied in enumerate(self.axes):
+            lo, hi = q[:, a] - reach, q[:, a] + reach
+            size = occupied.size
+            if torus:
+                period = self.space.period[a]
+                full = 2.0 * reach >= period
+                lo = np.mod(np.where(full, 0.0, lo), period)
+                hi = np.mod(np.where(full, 0.0, hi), period)
+            first = np.searchsorted(occupied, np.floor(lo / self.side), "left")
+            count = np.searchsorted(occupied, np.floor(hi / self.side), "right") - first
+            if torus:  # a run through the seam wraps past the last rank
+                count = np.where(full, size, np.minimum(count + size * (lo > hi), size))
+                first = np.where(full, 0, first)
+            firsts.append(first)
+            counts.append(count)
+        # every rank combination of the leading axes (prefixes of cell ids),
+        # then one slice of ``order`` per run of the last axis: two where a
+        # torus run wraps, the second empty otherwise
+        width = [int(c.max(initial=0)) for c in counts[:-1]]
+        steps = np.indices(width).reshape(len(width), math.prod(width))
+        prefix = np.zeros((q.shape[0], steps.shape[1]), dtype=np.int64)
+        valid = np.ones(prefix.shape, dtype=bool)
+        for a, j in enumerate(steps):
+            size = self.axes[a].size
+            prefix = prefix * size + (firsts[a][:, None] + j) % size
+            valid &= j < counts[a][:, None]
+        size = self.axes[-1].size
+        end = firsts[-1] + counts[-1]
+        lo = np.stack([firsts[-1], np.zeros_like(end)], axis=1)
+        hi = np.stack([np.minimum(end, size), np.maximum(end - size, 0)], axis=1)
+        prefix = prefix[:, :, None] * size
+        begin = self._position((prefix + lo[:, None, :]).ravel())
+        stop = self._position((prefix + hi[:, None, :]).ravel())
+        runs = (valid[:, :, None] & (hi > lo)[:, None, :]).ravel()
+        length = np.where(runs, stop - begin, 0)
+        per_query = length.reshape(valid.shape + (2,)).sum(axis=(1, 2))
+        offset = np.cumsum(length) - length
+        at = np.repeat(begin - offset, length) + np.arange(length.sum())
+        return np.repeat(np.arange(q.shape[0]), per_query), self.order[at]
 
 
 def domain_indices(values, n, what="domain index"):
@@ -351,9 +505,13 @@ def build_space(spec):
 
 
 def _reject_duplicates(space):
-    """Reject coordinate rows that coincide (modulo the period on a torus).
+    """Reject coordinate rows that coincide (modulo the period on a torus),
+    and distinct rows that the distance formula still puts at 0 (their
+    squared difference underflows).
 
-    Names the first pair: the smallest ``j`` repeating an earlier ``i``.
+    Names the first pair: the smallest ``j`` repeating an earlier ``i``,
+    then the smallest ``i`` at distance 0 from some ``j``, with the
+    smallest such ``j``.
     """
     _, first, inverse = np.unique(
         space.coords, axis=0, return_index=True, return_inverse=True
@@ -363,6 +521,11 @@ def _reject_duplicates(space):
     if dup.size:
         i, j = int(first[dup[0]]), int(dup[0])
         raise ValidationError(f"duplicate points ({i}, {j})", detail=(i, j))
+    zero = np.flatnonzero(space.nn_distances() == 0)
+    if zero.size:
+        i = int(zero[0])
+        j = int(np.flatnonzero(space.dist_row(i) == 0)[1])  # the first is i itself
+        raise ValidationError(f"distinct points ({i}, {j}) at distance 0", detail=(i, j))
 
 
 def _audit_triangles(m, seed=0):

@@ -434,6 +434,26 @@ class TestExitCodes:
         code, _, _ = run_cli("dirichlet", "--problem", workdir / "problem_bad.json")
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            {"kind": "euclidean", "points": [[0.0], [1e-170], [1.0]]},
+            {"kind": "torus", "points": [[0.0], [5e-321]], "period": [1e-320]},
+        ],
+        ids=["underflowing-spacing", "subnormal-period"],
+    )
+    def test_space_check_zero_spacing_exits_2(self, tmp_path, spec):
+        # distinct coordinates the metric puts at distance 0 once made the
+        # radius grid multiply r = 0 forever
+        write_json(tmp_path / "space.json", spec)
+        proc = subprocess.run(
+            [sys.executable, "-m", "kscalc.cli", "space-check",
+             "--space", str(tmp_path / "space.json"), "--radius", "0.5"],
+            capture_output=True, text=True, timeout=60,
+        )
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert "distinct points (0, 1) at distance 0" in proc.stderr
+
     def test_dirichlet_ill_posed_exit_2(self, workdir):
         # interior points 3 and 4 read only each other
         write_json(
@@ -695,8 +715,9 @@ def probe_imports(tmp_path, *args):
 
 
 class TestStartupImports:
-    """``import kscalc`` loads numpy only; each subcommand imports the scipy
-    modules it uses before its inputs load (``cli.SUBCOMMAND_IMPORTS``)."""
+    """``import kscalc`` loads numpy only; each subcommand imports the
+    modules it uses before its inputs load (``cli.SUBCOMMAND_IMPORTS``),
+    and only ``dirichlet`` loads scipy."""
 
     def test_import_loads_no_scipy(self):
         proc = subprocess.run(
@@ -729,16 +750,14 @@ class TestStartupImports:
             "--out", tmp_path / "mdiff.json",
         )
         assert report["code"] == 0
-        assert "scipy.special" in report["scipy"]
-        assert not [m for m in report["scipy"] if m.startswith(("scipy.stats", "scipy.spatial"))]
+        assert report["scipy"] == []
 
     def test_seminorm_identities_loads_no_stats(self, tmp_path):
         report = probe_imports(
             tmp_path, "verify", "--which", "seminorm-identities", "--out", tmp_path / "id.json"
         )
         assert report["code"] == 0
-        assert "scipy.special" in report["scipy"]  # on first use
-        assert not [m for m in report["scipy"] if m.startswith("scipy.stats")]
+        assert report["scipy"] == []
 
     @pytest.mark.parametrize(
         "args",
@@ -761,6 +780,13 @@ class TestStartupImports:
         report = probe_imports(tmp_path, *resolved, "--out", tmp_path / "out")
         assert report["code"] == 0
         assert report["late"] == []
+        if args[0] == "dirichlet":  # the sparse operator and its LU factors
+            assert "scipy.sparse.linalg" in report["scipy"]
+            assert not [m for m in report["scipy"] if m.startswith(
+                ("scipy.sparse.csgraph", "scipy.spatial", "scipy.special")
+            )]
+        else:
+            assert report["scipy"] == []
 
 
 class TestDeterminism:

@@ -24,7 +24,13 @@ from kscalc import (
     solve,
 )
 
-from kscalc.dirichlet import _checked_step, _displacement, _error_bound, default_tolerance
+from kscalc.dirichlet import (
+    _checked_step,
+    _component_labels,
+    _displacement,
+    _error_bound,
+    default_tolerance,
+)
 from conftest import grid_points, interior_balls
 
 
@@ -765,6 +771,32 @@ class TestCertifiedStop:
     def test_ill_posed_problem_rejected(self, mode):
         with pytest.raises(ValidationError, match=r"component \[3, 4\] touches no boundary"):
             solve(ill_posed_problem(), mode=mode)
+
+
+class TestComponentLabels:
+    """Label propagation finds scipy's connected components, each labelled
+    by its lowest node."""
+
+    @given(st.integers(1, 60), st.integers(0, 120), st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_connected_components(self, n, edges, seed):
+        from scipy.sparse import csr_matrix
+        from scipy.sparse.csgraph import connected_components
+
+        rng = np.random.default_rng(seed)
+        a, b = rng.integers(0, n, (2, edges))  # directed, as P's rows are
+        graph = csr_matrix((np.ones(edges), (a, b)), shape=(n, n))
+        label = _component_labels(graph.indptr, graph.indices)
+        count, want = connected_components(graph, directed=False)
+        lowest = np.array([np.flatnonzero(want == c)[0] for c in range(count)])
+        np.testing.assert_array_equal(label, lowest[want])
+
+    def test_long_path_terminates(self):
+        # a chain 0 - 1 - ... - 4999 as one-directional edges
+        n = 5000
+        indptr = np.concatenate([[0], np.arange(1, n), [n - 1]])
+        label = _component_labels(indptr, np.arange(1, n))
+        assert not label.any()
 
 
 class TestMidpointTest:

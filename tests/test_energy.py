@@ -571,6 +571,30 @@ def _ks_brute_force(u, p, r):
     return out
 
 
+class TestStrictBlockBalls:
+    """``ks_profile`` keeps ball members by ``d < r``, as ``all_balls`` does,
+    even when the scale is itself a computed pair distance."""
+
+    def test_pair_distance_scale_matches_all_balls(self):
+        pts = np.random.default_rng(3).random((60, 2))
+        sp = build_space({"kind": "euclidean", "points": pts.tolist()})
+        d2 = sp.pair_dist_block(np.arange(60), np.arange(60), squared=True)
+        d = np.sqrt(d2)
+        # a pair whose rounded distance squares above its squared distance:
+        # d < r leaves each end out of the other's ball, d^2 < r^2 did not
+        i, j = next((i, j) for i in range(60) for j in range(i + 1, 60) if d[i, j] ** 2 > d2[i, j])
+        r = sp.dist(i, j)
+        u = MetricMap(sp, EuclideanTarget(2), np.stack([np.sin(5 * pts[:, 0]), pts[:, 1]], axis=1))
+        ks = ks_at_scale(u, 2.0, r)
+        for k, other in ((i, j), (j, i)):
+            _, members, _ = sp.all_balls(r, [k])
+            assert other not in members
+            w = sp.weights[members]
+            tar = u.target.dists(u.packed[k], u.packed[members])
+            expect = math.sqrt(np.dot(w, tar**2) / (w.sum() * r**2))
+            assert ks[k] == pytest.approx(expect, rel=1e-12)
+
+
 class TestBlockMemoryBound:
     """Large radii relative to the space stay within the block pair budget."""
 

@@ -18,7 +18,7 @@ from kscalc import (
     sn_distance,
     sn_distance_report,
 )
-from kscalc.seminorms import _mesh_gap, _sobol, _sphere_mesh, check_exponent
+from kscalc.seminorms import _mesh_gap, _ndtri, _sobol, _sphere_mesh, check_exponent
 
 
 def random_psd(rng, d):
@@ -285,6 +285,27 @@ class TestSobolStream:
         u = np.clip(qmc.Sobol(d=5, scramble=True, seed=1234).random(512), 1e-12, 1.0 - 1e-12)
         g = ndtri(u)
         assert np.array_equal(_sphere_mesh(5, 512), g / np.linalg.norm(g, axis=1, keepdims=True))
+
+
+class TestNdtri:
+    """The numpy normal quantile equals ``scipy.special.ndtri`` bit for bit."""
+
+    def test_equals_scipy(self):
+        from scipy.special import ndtri
+
+        rng = np.random.default_rng(16)
+        y = np.concatenate([
+            rng.random(200_000),  # mostly the central branch
+            10.0 ** rng.uniform(-13.9, -0.87, 50_000),  # lower tail, x < 8
+            1.0 - 10.0 ** rng.uniform(-15.9, -0.87, 50_000),  # upper tail
+            10.0 ** rng.uniform(-320.0, -14.0, 50_000),  # x >= 8
+            [0.0, 1.0, 0.5, 5e-324, 1e-12, 1.0 - 1e-12, math.exp(-2.0), 1.0 - math.exp(-2.0),
+             math.exp(-32.0), np.nextafter(1.0, 0.0), -0.5, 1.5, np.nan],
+        ])
+        got, want = _ndtri(y), ndtri(y)
+        assert np.array_equal(got, want, equal_nan=True)
+        assert np.sqrt(-2.0 * np.log(y[(y > 0) & (y < 1e-14)])).min() >= 8.0  # both tail sets ran
+        assert np.array_equal(_ndtri(y.reshape(-1, 1)), want.reshape(-1, 1), equal_nan=True)
 
 
 class TestMeshGap:

@@ -21,7 +21,7 @@ from kscalc import (
     maximal_function,
     partition_of_unity,
 )
-from kscalc.spaces import CELL_PAIR_BUDGET
+from kscalc.spaces import CELL_PAIR_BUDGET, PointCloudSpace
 
 from conftest import grid_points, random_map
 
@@ -284,7 +284,7 @@ def clouds(draw):
     between its points) and the input points.
     """
     kind = draw(st.sampled_from(["euclidean", "torus", "matrix"]))
-    dim = draw(st.integers(1, 3))
+    dim = draw(st.integers(1, 4))  # 4: the cells read the first three
     n = draw(st.integers(1, 300))
     layout = draw(st.sampled_from(["uniform", "seam", "lattice"]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -317,7 +317,7 @@ def clouds(draw):
 
 
 class TestNeighborEngine:
-    """The k-d tree answers exactly what the brute-force row scan does."""
+    """The cell index answers exactly what the brute-force row scan does."""
 
     @given(clouds())
     @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -368,6 +368,47 @@ class TestNeighborEngine:
         assert nn[0] == row.min()
         assert 1 in sp.ball_indices(0, 1e-3)
 
+    def test_nn_ring_grows_past_a_far_outlier(self):
+        # the first ring is 1.5 mean spacings of the whole bounding box
+        # (about 1200 here): the far outlier's scan must double four times
+        # before it reaches the cloud, which holds a dense cluster and
+        # sparse points whose neighbors lie beyond a cluster-sized ring
+        rng = np.random.default_rng(11)
+        pts = np.concatenate([
+            rng.uniform(0.0, 1.0, (20, 2)), rng.uniform(0.0, 1e-3, (300, 2)), [[1e4, 2e4]]
+        ])
+        sp = build_space({"kind": "euclidean", "points": pts.tolist()})
+        nn = _oracle_nn(sp)
+        np.testing.assert_array_equal(sp.nn_distances(), nn)
+        assert nn[-1] > 2e4
+        sp = build_space({"kind": "euclidean", "points": pts[:-1].tolist()})
+        np.testing.assert_array_equal(sp.nn_distances(), _oracle_nn(sp))
+        for r in (0.05, 3e4):
+            ptr, members, dists = sp.all_balls(r)
+            oracle = _oracle_balls(sp, r)
+            np.testing.assert_array_equal(members, np.concatenate([m for m, _ in oracle]))
+            np.testing.assert_array_equal(dists, np.concatenate([d for _, d in oracle]))
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 6])
+    def test_torus_seam_small_n(self, n):
+        # points within a hair of both sides of the seam, in 1-3 dimensions
+        rng = np.random.default_rng(n)
+        for dim in (1, 2, 3):
+            period = rng.uniform(0.5, 2.0, dim)
+            pts = rng.uniform(-1e-3, 1e-3, (n, dim)) * period
+            pts[:, 0] += period[0] * (np.arange(n) % 2)
+            sp = build_space({"kind": "torus", "points": pts.tolist(), "period": period.tolist()})
+            nn = _oracle_nn(sp)
+            np.testing.assert_array_equal(sp.nn_distances(), nn)
+            for r in (float(nn.min()), 1.5 * float(nn.max()), 0.3 * float(period.min())):
+                oracle = _oracle_balls(sp, r)
+                ptr, members, dists = sp.all_balls(r)
+                np.testing.assert_array_equal(members, np.concatenate([m for m, _ in oracle]))
+                np.testing.assert_array_equal(dists, np.concatenate([d for _, d in oracle]))
+                for block, cand in sp.cell_partition(r):
+                    for q in block:
+                        assert np.all(np.isin(oracle[q][0], cand))
+
     def test_torus_coordinates_beyond_one_and_a_half_periods(self):
         sp = build_space({"kind": "torus", "points": [[0.0], [2.2], [0.5]], "period": [1.0]})
         assert sp.dist(0, 1) == pytest.approx(0.2)
@@ -375,6 +416,41 @@ class TestNeighborEngine:
         assert sp.nn_distances()[0] == sp.dist(0, 1)
         assert list(sp.ball_indices(0, 0.25)) == [0, 1]
         assert np.all((sp.coords >= 0.0) & (sp.coords < 1.0))
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            {"kind": "euclidean", "points": [[0.0], [1e-170], [1.0]]},
+            {"kind": "euclidean", "points": [[1.0, 0.0], [1.0, 1e-170], [0.0, 0.0]]},
+            {"kind": "torus", "points": [[0.0], [5e-321]], "period": [1e-320]},
+        ],
+        ids=["line", "plane", "subnormal-torus"],
+    )
+    def test_distinct_points_at_distance_zero_named(self, spec):
+        # the squared difference underflows, so the metric puts them at 0
+        says = re.escape("distinct points (0, 1) at distance 0")
+        with pytest.raises(ValidationError, match=says) as exc:
+            build_space(spec)
+        assert exc.value.detail == (0, 1)
+
+    def test_radius_grid_rejects_zero_spacing(self):
+        sp = PointCloudSpace("euclidean", coords=[[0.0], [1e-170], [1.0]])
+        assert sp.min_spacing() == 0.0
+        with pytest.raises(ValidationError, match="smallest spacing is 0"):
+            sp.radius_grid(0.5)
+        with pytest.raises(ValidationError, match="r_min"):
+            sp.radius_grid(0.5, r_min=0.0)
+        with pytest.raises(ValidationError, match="too small for a geometric grid"):
+            sp.radius_grid(0.5, r_min=5e-324)
+
+    def test_radius_grid_stops_below_overflow(self, line_space_11):
+        # R * (1 + 1e-12) is inf here, and so is the grid's last step
+        grid = line_space_11.radius_grid(np.finfo(float).max)
+        assert np.all(np.isfinite(grid)) and grid.size < 8000
+
+    def test_zero_dimensional_coordinates_rejected(self):
+        with pytest.raises(ValidationError, match="d >= 1"):
+            build_space({"kind": "euclidean", "points": [[]]})
 
     def test_non_finite_coordinates_rejected(self):
         with pytest.raises(ValidationError, match="index 1") as exc:
