@@ -25,11 +25,17 @@ _TRIANGLE_TOL = 1e-9
 _TRIANGLE_SAMPLES = 10_000
 _EXHAUSTIVE_LIMIT = 200
 _RADIUS_RATIO = 1.1
-# inflation of cell-query radii, relative to the radius and to the
-# coordinates' magnitude: far above the rounding of a cell key or a
-# distance, so a query never misses a point the exact distances keep
+# inflation of cell-query radii: relative to the radius, and in ulps of
+# the coordinates' magnitude (the largest period on a torus).  Both lie
+# far above the rounding of a cell key, a box center or a distance, so a
+# query never misses a point that the exact distances keep
 _CELL_MARGIN = 1e-9
-# cell indexes a space keeps, one per cell side
+_CELL_ULPS = 64 * np.finfo(float).eps
+# cell indexes a space keeps, the most recently used, one per cell side:
+# a point's ``all_balls`` side is its radius's binade, and the per-point
+# fit balls of ``locality_check(source="mdiff")`` on 2,000 uniform plane
+# points alternate between two binades besides the spacing search's
+# side, so keeping 1, 2 or 4 indexes builds 82, 15 or 3 of them
 _INDEX_CACHE = 4
 # most rows times candidates in one ``cell_partition`` block
 CELL_PAIR_BUDGET = 1 << 18
@@ -158,12 +164,14 @@ class PointCloudSpace:
     # -- neighbor structure --------------------------------------------
 
     def _cell_index(self, side):
-        """The :class:`_CellIndex` of cell side ``side``, built on first use."""
-        index = self._indexes.get(side)
+        """The :class:`_CellIndex` of cell side ``side``, built on first use;
+        the space keeps the ``_INDEX_CACHE`` most recently used."""
+        index = self._indexes.pop(side, None)
         if index is None:
+            index = _CellIndex._build(self, side)
             if len(self._indexes) >= _INDEX_CACHE:
                 self._indexes.pop(next(iter(self._indexes)))
-            index = self._indexes[side] = _CellIndex._build(self, side)
+        self._indexes[side] = index  # the most recent last
         return index
 
     def nn_distances(self):
@@ -314,7 +322,8 @@ class PointCloudSpace:
             rows, members = np.nonzero(self.matrix[centers] < r)
             ptr = np.searchsorted(rows, np.arange(centers.size + 1))
             return ptr, members, self.matrix[centers[rows], members]
-        owner, cand = self._cell_index(r)._near(self.coords[centers], np.full(centers.size, r))
+        index = self._cell_index(_ball_side(r))
+        owner, cand = index._near(self.coords[centers], np.full(centers.size, r))
         d = self._dists(centers[owner], cand)
         keep = d < r
         owner, cand, d = owner[keep], cand[keep], d[keep]
@@ -342,7 +351,6 @@ class _CellIndex:
     order: np.ndarray  # the points by cell, lexicographically, then by index
     axes: list  # the occupied cell keys of each axis, ascending
     ids: np.ndarray  # the cell id of each point of ``order``, ascending
-    table: np.ndarray | None  # each cell id's first position in ``order``, if dense
     scale: float  # the coordinates' magnitude (the largest period on a torus)
 
     @classmethod
@@ -357,24 +365,15 @@ class _CellIndex:
         cells = math.prod(a.size for a in axes)
         if cells >= 2**62:
             raise ValidationError("too many distinct cells for the neighbor index")
-        ids = ids[order]
-        # sparse ids are searched instead of tabled
-        table = np.searchsorted(ids, np.arange(cells + 1)) if cells <= 4 * space.n else None
         if space.kind == TORUS:
             scale = float(space.period.max())
         else:
             scale = float(np.abs(space.coords).max())
-        return cls(space, side, order, axes, ids, table, scale)
+        return cls(space, side, order, axes, ids[order], scale)
 
     def _inflate(self, radii):
-        """``radii`` with the conservative margin ``_CELL_MARGIN``."""
-        return radii * (1.0 + _CELL_MARGIN) + _CELL_MARGIN * self.scale
-
-    def _position(self, cells):
-        """The first position in ``order`` whose cell id is ``cells`` or above."""
-        if self.table is None:
-            return np.searchsorted(self.ids, cells)
-        return np.take(self.table, cells)
+        """``radii`` with the conservative margins ``_CELL_MARGIN`` and ``_CELL_ULPS``."""
+        return radii * (1.0 + _CELL_MARGIN) + _CELL_ULPS * self.scale
 
     def _near(self, points, radii):
         """Candidates within ``radii`` of coordinate rows ``points``.
@@ -421,14 +420,20 @@ class _CellIndex:
         lo = np.stack([firsts[-1], np.zeros_like(end)], axis=1)
         hi = np.stack([np.minimum(end, size), np.maximum(end - size, 0)], axis=1)
         prefix = prefix[:, :, None] * size
-        begin = self._position((prefix + lo[:, None, :]).ravel())
-        stop = self._position((prefix + hi[:, None, :]).ravel())
+        begin = np.searchsorted(self.ids, (prefix + lo[:, None, :]).ravel())
+        stop = np.searchsorted(self.ids, (prefix + hi[:, None, :]).ravel())
         runs = (valid[:, :, None] & (hi > lo)[:, None, :]).ravel()
         length = np.where(runs, stop - begin, 0)
         per_query = length.reshape(valid.shape + (2,)).sum(axis=(1, 2))
         offset = np.cumsum(length) - length
         at = np.repeat(begin - offset, length) + np.arange(length.sum())
         return np.repeat(np.arange(q.shape[0]), per_query), self.order[at]
+
+
+def _ball_side(r):
+    """The cell side of the index for balls of radius ``r``: the power of
+    two in ``(r / 2, r]``, so that the radii of one binade share an index."""
+    return math.ldexp(0.5, math.frexp(r)[1])
 
 
 def domain_indices(values, n, what="domain index"):

@@ -32,7 +32,7 @@ from kscalc import (
 )
 from kscalc.charts import FitResult
 from kscalc.energy import _affine_intercept, _fit_points
-from kscalc.spaces import CELL_PAIR_BUDGET
+from kscalc.spaces import CELL_PAIR_BUDGET, _CellIndex
 
 from conftest import assert_same_outcome, grid_points, random_map, reference_outcome
 
@@ -516,6 +516,33 @@ class TestLocality:
         ]
         assert max(abs(ku[i] - kv[i]) for i in inside) == 0.0
         assert max(abs(ku[i] - kv[i]) for i in boundary_ring) > 0.0
+
+    def test_mdiff_fit_balls_share_cell_indexes(self, monkeypatch):
+        # each fit reads the ball of its own radius, and the radii differ;
+        # the radii of one binade share a cell index, so the check builds
+        # one per binade instead of one per point
+        rng = np.random.default_rng(3)
+        xs = rng.uniform(0.0, 1.0, (400, 2))
+        sp = build_space({"kind": "euclidean", "points": xs.tolist()})
+        vals = np.sin(3 * xs[:, :1])
+        u = MetricMap(sp, EuclideanTarget(1), vals)
+        v = MetricMap(sp, EuclideanTarget(1), vals + (xs[:, :1] > 0.5))
+        atlas = Atlas(charts=[Chart(indices=np.arange(sp.n), phi=xs, epsilon=0.0)], epsilon=0.0)
+        sides = []
+        build = _CellIndex._build
+
+        def counted(space, side):
+            sides.append(side)
+            return build(space, side)
+
+        monkeypatch.setattr(_CellIndex, "_build", counted)
+        fits = density_via_mdiff(u, atlas, 2.0, FitConfig()).fits
+        radii = np.array([fit.radius for fit in fits.values()])
+        binades = np.unique(np.frexp(radii)[1])
+        assert len(fits) > 300 and np.unique(radii).size > 100
+        sides.clear()
+        assert locality_check(u, v, 2.0, source="mdiff", atlas=atlas) >= 0.0
+        assert len(sides) == len(set(sides)) == binades.size <= 3
 
     def test_empty_agreement_vacuous(self, pair):
         xs, sp, u, v = pair

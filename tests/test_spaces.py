@@ -21,7 +21,7 @@ from kscalc import (
     maximal_function,
     partition_of_unity,
 )
-from kscalc.spaces import CELL_PAIR_BUDGET, PointCloudSpace
+from kscalc.spaces import CELL_PAIR_BUDGET, PointCloudSpace, _ball_side
 
 from conftest import grid_points, random_map
 
@@ -278,7 +278,9 @@ def _oracle_nn(sp):
 @st.composite
 def clouds(draw):
     """Euclidean, torus and matrix clouds: uniform, hugging the seam, or
-    lattices.  A matrix cloud holds the Euclidean distances of its points.
+    lattices; a Euclidean cloud may lie far from the origin, where the
+    cells round coarsely.  A matrix cloud holds the Euclidean distances of
+    its points.
 
     Returns the space, radii to probe (some equal to exact distances
     between its points) and the input points.
@@ -300,6 +302,8 @@ def clouds(draw):
         cells = rng.choice(side**dim, size=min(n, side**dim), replace=False)
         pts = np.stack(np.unravel_index(cells, (side,) * dim), axis=1) * h
         period = np.full(dim, side * h)
+    if kind == "euclidean":
+        pts = pts + draw(st.sampled_from([0.0, 0.0, 1e6, -3e9]))
     spec = {"kind": kind, "points": pts.tolist()}
     if kind == "torus":
         spec["period"] = period.tolist()
@@ -388,6 +392,54 @@ class TestNeighborEngine:
             oracle = _oracle_balls(sp, r)
             np.testing.assert_array_equal(members, np.concatenate([m for m, _ in oracle]))
             np.testing.assert_array_equal(dists, np.concatenate([d for _, d in oracle]))
+
+    def test_far_from_origin_reads_nearby_cells(self):
+        # the query margin takes a few ulps of the coordinates' magnitude,
+        # far below the spacing of this grid: a ball reads about 25
+        # candidates and a block about 120, not the whole grid
+        h = 1e-4
+        axis = np.arange(30) * h
+        gx, gy = np.meshgrid(axis + 1e6, axis - 2e6, indexing="ij")
+        pts = np.stack([gx.ravel(), gy.ravel()], axis=1)
+        sp = build_space({"kind": "euclidean", "points": pts.tolist()})
+        r = 1.6 * h
+        _, cand = sp._cell_index(_ball_side(r))._near(sp.coords, np.full(sp.n, r))
+        assert cand.size < 40 * sp.n
+        oracle = _oracle_balls(sp, r)
+        ptr, members, dists = sp.all_balls(r)
+        np.testing.assert_array_equal(members, np.concatenate([m for m, _ in oracle]))
+        np.testing.assert_array_equal(dists, np.concatenate([d for _, d in oracle]))
+        for block, cand in sp.cell_partition(r):
+            assert cand.size < sp.n // 2
+            for q in block:
+                assert np.all(np.isin(oracle[q][0], cand))
+
+    @pytest.mark.parametrize(
+        "spec, r",
+        [
+            ({"kind": "euclidean", "points": (np.arange(70, 105) / 10)[:, None].tolist()}, 0.1),
+            (
+                {
+                    "kind": "torus",
+                    "points": (np.delete(np.arange(37), 2) * (1 / 3))[:, None].tolist(),
+                    "period": [37 * (1 / 3)],
+                },
+                2 / 3,
+            ),
+        ],
+        ids=["line", "circle"],
+    )
+    def test_query_margin_covers_rounding(self, spec, r):
+        # lattices whose spacing is no binary fraction, probed at the
+        # spacing: without the query margin a block misses a neighbor of
+        # one of its points (its center and reach round)
+        sp = build_space(spec)
+        oracle = _oracle_balls(sp, r)
+        for block, cand in sp.cell_partition(r):
+            for q in block:
+                assert np.all(np.isin(oracle[q][0], cand))
+        ptr, members, dists = sp.all_balls(r)
+        np.testing.assert_array_equal(members, np.concatenate([m for m, _ in oracle]))
 
     @pytest.mark.parametrize("n", [2, 3, 4, 6])
     def test_torus_seam_small_n(self, n):
