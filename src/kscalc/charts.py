@@ -20,6 +20,7 @@ from .spaces import _BALL_CHUNK
 
 _FIT_NEIGHBOR_FACTOR = 4  # default ball holds 4 (d+1) chart members
 _FIT_ROWS = 2**18  # (point, neighbor) rows gathered before they are fitted
+_GREEDY_ENTRIES = 2**18  # (point, direction, neighbor) entries per greedy slice
 
 
 @dataclass
@@ -272,9 +273,10 @@ def fit_metric_differentials(space, chart, u, target, points, radius=None, famil
     Returns one entry per point, in order: its :class:`FitResult`, or the
     :class:`FitError` that stopped its fit.  One pass serves every point:
     distances to the chart members for ``_BALL_CHUNK`` points at a time,
-    then per batch of neighbor rows one ``target.dists`` call and, for
-    the quadratic family, batched rank checks, solves and projections
-    over the points with equal neighbor counts.
+    then per batch of neighbor rows one ``target.dists`` call and, over
+    the points with equal neighbor counts, batched rank checks, solves
+    and projections (quadratic) or one batched greedy (polyhedral).  No
+    fit depends on which points share its batch.
     """
     if family not in (QUADRATIC, POLYHEDRAL):
         raise ValidationError(f"unknown fit family {family!r}")
@@ -330,7 +332,7 @@ def _fit_batch(chart, u, target, batch, family):
     if family == QUADRATIC:
         forms = _fit_quadratics(v, dy, ptr, centers)
     else:
-        forms = [_fit_polyhedral(v[a:b], dy[a:b]) for a, b in zip(ptr[:-1], ptr[1:])]
+        forms = _fit_polyhedra(v, dy, ptr)
     fits = []
     for j, (_, i, radius, _) in enumerate(batch):
         n = forms[j]
@@ -398,43 +400,103 @@ def _fit_quadratics(v, dy, ptr, centers):
     return out
 
 
-def _fit_polyhedral(v, dy, max_covectors=8):
+def _fit_polyhedra(v, dy, ptr, max_covectors=8):
+    """Greedy polyhedral fits of the row groups ``ptr[j]:ptr[j + 1]``: a
+    seminorm each.
+
+    Each round of a fit scales every dictionary direction to the distances
+    (least squares, reweighted up to 10 times on the rows where the scaled
+    direction reaches the current maximum), keeps the first direction
+    whose squared error beats the best so far by more than 1e-15, and
+    stops when that error no longer improves.  The groups of equal size
+    run together, in slices of at most about ``_GREEDY_ENTRIES``
+    (point, direction, neighbor) entries; no padding, so a fit does not
+    depend on the groups that share its slice.
+    """
     dirs = _direction_dictionary(v.shape[1])
-    proj = np.abs(v @ dirs.T)  # (n, k)
-    pred = np.zeros(dy.shape[0])
-    chosen = []
-    sse = float(np.sum(dy**2))
-    for _ in range(max_covectors):
-        best = None
-        for k in range(dirs.shape[0]):
-            q = proj[:, k]
-            if not np.any(q > 0):
-                continue
-            s = float(np.dot(dy, q) / np.dot(q, q))
-            for _ in range(10):  # reweight on the active set of the max
-                active = s * q >= pred
-                if not np.any(active) or np.dot(q[active], q[active]) == 0:
-                    break
-                s_new = float(
-                    np.dot(dy[active], q[active]) / np.dot(q[active], q[active])
-                )
-                if abs(s_new - s) <= 1e-14 * max(abs(s), 1.0):
-                    s = s_new
-                    break
-                s = s_new
-            s = max(s, 0.0)
-            trial = np.maximum(pred, s * q)
-            err = float(np.sum((dy - trial) ** 2))
-            if best is None or err < best[0] - 1e-15:
-                best = (err, k, s)
-        if best is None or best[0] >= sse - 1e-14 * max(sse, 1.0):
+    sizes = np.diff(ptr)
+    out = [None] * sizes.shape[0]
+    for size in np.flatnonzero(np.bincount(sizes)):  # the distinct sizes, ascending
+        group = np.flatnonzero(sizes == size)
+        step = max(_GREEDY_ENTRIES // (dirs.shape[0] * size), 1)
+        for lo in range(0, group.shape[0], step):
+            part = group[lo : lo + step]
+            at = ptr[part][:, None] + np.arange(size)
+            for j, covectors in zip(part, _greedy(v[at], dy[at], dirs, max_covectors)):
+                out[j] = Seminorm.polyhedral(covectors)
+    return out
+
+
+def _greedy(v, dy, dirs, rounds):
+    """The greedy picks for ``(points, rows, d)`` displacements and
+    ``(points, rows)`` distances: a ``(k, d)`` covector array per point."""
+    n_points, _, d = v.shape
+    # |<v, direction>| as (point, direction, row), summed axis by axis
+    q = v[:, None, :, 0] * dirs[None, :, 0, None]
+    for a in range(1, d):
+        q = q + v[:, None, :, a] * dirs[None, :, a, None]
+    q = np.abs(q)
+    y = dy[:, None, :]
+    valid = (q > 0).any(axis=2)  # directions that see some neighbor
+    s0 = (y * q).sum(axis=2) / np.where(valid, (q * q).sum(axis=2), 1.0)
+    pred = np.zeros(dy.shape)
+    sse = (dy * dy).sum(axis=1)
+    live = np.arange(n_points)  # the points still picking, in their slot order
+    picks = [[] for _ in range(n_points)]
+    for _ in range(rounds):
+        s, going = s0, valid
+        for _ in range(10):  # reweight on the active set of the max
+            if not going.any():
+                break
+            qa = np.where(s[:, :, None] * q >= pred[:, None, :], q, 0.0)
+            den = (qa * qa).sum(axis=2)
+            ok = going & (den != 0)
+            s_new = (y * qa).sum(axis=2) / np.where(ok, den, 1.0)
+            done = np.abs(s_new - s) <= 1e-14 * np.maximum(np.abs(s), 1.0)
+            s = np.where(ok, s_new, s)
+            going = ok & ~done
+        s = np.maximum(s, 0.0)
+        trial = np.maximum(pred[:, None, :], s[:, :, None] * q)
+        err = ((y - trial) ** 2).sum(axis=2)
+        best = _first_best(err, valid)
+        rows = np.arange(live.shape[0])
+        k = np.maximum(best, 0)
+        e = err[rows, k]
+        better = (best >= 0) & ~(e >= sse - 1e-14 * np.maximum(sse, 1.0))
+        for r in np.flatnonzero(better):
+            picks[live[r]].append(s[r, k[r]] * dirs[k[r]])
+        pred = np.where(better[:, None], trial[rows, k], pred)
+        sse = np.where(better, e, sse)
+        if not better.all():
+            live, q, y, valid, s0 = (x[better] for x in (live, q, y, valid, s0))
+            pred, sse = pred[better], sse[better]
+        if live.shape[0] == 0:
             break
-        sse, k, s = best
-        chosen.append(s * dirs[k])
-        pred = np.maximum(pred, s * proj[:, k])
-    if not chosen:
-        chosen = [np.zeros(v.shape[1])]
-    return Seminorm.polyhedral(np.stack(chosen))
+    return [np.stack(p) if p else np.zeros((1, d)) for p in picks]
+
+
+def _first_best(err, valid):
+    """Per row, the valid column that a left-to-right scan keeps when it
+    replaces its best only by an error below ``best - 1e-15``; -1 where no
+    column is valid."""
+    masked = np.where(valid, err, np.inf)
+    best = masked.argmin(axis=1)
+    low = masked[np.arange(err.shape[0]), best]
+    # a single column within 1e-15 of the minimum is the scan's pick
+    near = valid & (err - 1e-15 <= low[:, None])
+    scan = (near.sum(axis=1) != 1) | ~np.isfinite(np.where(valid, err, 0.0)).all(axis=1)
+    seen = valid.any(axis=1)
+    best[~seen] = -1
+    rows = np.flatnonzero(scan & seen)
+    if rows.shape[0]:
+        e, ok = err[rows], valid[rows]
+        keep, pick = np.zeros(rows.shape[0]), np.full(rows.shape[0], -1)
+        for c in range(err.shape[1]):
+            take = ok[:, c] & ((pick < 0) | (e[:, c] < keep - 1e-15))
+            keep = np.where(take, e[:, c], keep)
+            pick = np.where(take, c, pick)
+        best[rows] = pick
+    return best
 
 
 def aplip_estimate(space, u, target, i, radius):

@@ -21,7 +21,7 @@ import numpy as np
 from .charts import fit_metric_differentials
 from .errors import FitError, ValidationError
 from .parallel import parallel_map
-from .seminorms import POLYHEDRAL, QUADRATIC, QuadratureSpec, check_exponent, hs_norm, size_p
+from .seminorms import QUADRATIC, QuadratureSpec, check_exponent, hs_norm, size_p
 from .spaces import check_radius, domain_indices
 from .targets import EuclideanTarget
 
@@ -250,9 +250,6 @@ def _fit_points(u, atlas, config, threads=1):
         chosen = domain_indices(config.points, space.n, "fit point")
         points = list(dict.fromkeys(chosen.tolist()))
 
-    # one fit pass per chart; polyhedral fits run point by point, so their
-    # pass is split in ``threads`` parts that run side by side
-    parts_per_chart = max(threads, 1) if config.family == POLYHEDRAL else 1
     outcomes, jobs = {}, {}
     for i in points:
         chart = atlas.chart_of(i)
@@ -260,11 +257,7 @@ def _fit_points(u, atlas, config, threads=1):
             outcomes[i] = FitError("point not covered by any chart", index=i)
         else:
             jobs.setdefault(id(chart), (chart, []))[1].append(i)
-    parts = [
-        (chart, part)
-        for chart, members in jobs.values()
-        for part in np.array_split(np.asarray(members, dtype=int), parts_per_chart)
-    ]
+    parts = list(jobs.values())  # one batched fit pass per chart
 
     def work(job):
         chart, part = job
@@ -273,7 +266,7 @@ def _fit_points(u, atlas, config, threads=1):
         )
 
     for (_, part), done in zip(parts, parallel_map(work, parts, threads=threads)):
-        outcomes.update(zip(part.tolist(), done))
+        outcomes.update(zip(part, done))
     fits, errors = {}, {}
     for i in points:
         if isinstance(outcomes[i], FitError):  # per-point failures do not stop the rest

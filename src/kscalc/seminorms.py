@@ -123,7 +123,12 @@ class Seminorm:
             return np.sqrt(np.maximum(q, 0.0))
         if self.covectors.shape[0] == 0:
             return np.zeros(vs.shape[0])
-        return np.abs(vs @ self.covectors.T).max(axis=1)
+        vals = np.abs(vs @ self.covectors.T)
+        # column by column: a max over the short covector axis is slow
+        out = vals[:, 0].copy()
+        for j in range(1, vals.shape[1]):
+            np.maximum(out, vals[:, j], out=out)
+        return out
 
     def to_json(self):
         if self.family == QUADRATIC:

@@ -113,6 +113,7 @@ class PointCloudSpace:
             else:
                 self.period = None
             self.coords = coords
+            _reject_overflow(self)
         if weights is None:
             w = np.full(self.n, 1.0 / self.n)
         else:
@@ -468,8 +469,8 @@ def check_radius(r, name="radius"):
 def build_space(spec):
     """Construct and validate a :class:`PointCloudSpace` from a plain dict.
 
-    The matrix kind is audited: symmetry, zero diagonal, positive
-    off-diagonal entries, and the triangle inequality on every triple
+    The matrix kind is audited: finite entries, symmetry, zero diagonal,
+    positive off-diagonal entries, and the triangle inequality on every triple
     (sampled above 200 points).  Violations reject the space and name
     the offending entry.
     """
@@ -488,6 +489,11 @@ def build_space(spec):
         m = np.asarray(spec["matrix"], dtype=float)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValidationError("distance matrix must be square")
+        if not np.isfinite(m).all():
+            i, j = np.unravel_index(int(np.argmax(~np.isfinite(m))), m.shape)
+            raise ValidationError(
+                f"non-finite distance at ({i}, {j})", detail=(int(i), int(j))
+            )
         asym = np.abs(m - m.T).max() if m.size else 0.0
         if asym > 0:
             i, j = np.unravel_index(np.argmax(np.abs(m - m.T)), m.shape)
@@ -507,6 +513,27 @@ def build_space(spec):
         _audit_triangles(m, seed=int(spec.get("seed", 0)))
         return PointCloudSpace(MATRIX, matrix=m, weights=weights)
     raise ValidationError(f"unknown metric kind {kind!r}")
+
+
+def _reject_overflow(space):
+    """Reject coordinates whose squared differences may overflow.
+
+    A point's difference to any other point is at most, axis by axis, its
+    distance to the farther face of the points' bounding box (at most half
+    the period on a torus), so a finite sum of those squares bounds every
+    distance it enters.  Names the first point whose sum is not finite.
+    """
+    x = space.coords
+    with np.errstate(over="ignore", invalid="ignore"):
+        far = np.maximum(x - x.min(axis=0), x.max(axis=0) - x)
+        if space.kind == TORUS:
+            far = np.minimum(far, 0.5 * space.period)
+        bad = np.flatnonzero(~np.isfinite(np.einsum("ik,ik->i", far, far)))
+    if bad.size:
+        i = int(bad[0])
+        raise ValidationError(
+            f"coordinates at index {i} span too far: squared differences may overflow", detail=i
+        )
 
 
 def _reject_duplicates(space):

@@ -12,7 +12,7 @@ from kscalc import (
     TreeTarget,
     build_space,
 )
-from kscalc.charts import FitResult, _fit_polyhedral, _quad_monomials
+from kscalc.charts import FitResult, _direction_dictionary, _quad_monomials
 
 
 @pytest.fixture(scope="session")
@@ -135,6 +135,45 @@ def reference_fit(space, chart, u, target, i, radius=None, family="quadratic"):
     )
 
 
+def _fit_polyhedral(v, dy, max_covectors=8):
+    dirs = _direction_dictionary(v.shape[1])
+    proj = np.abs(v @ dirs.T)  # (n, k)
+    pred = np.zeros(dy.shape[0])
+    chosen = []
+    sse = float(np.sum(dy**2))
+    for _ in range(max_covectors):
+        best = None
+        for k in range(dirs.shape[0]):
+            q = proj[:, k]
+            if not np.any(q > 0):
+                continue
+            s = float(np.dot(dy, q) / np.dot(q, q))
+            for _ in range(10):  # reweight on the active set of the max
+                active = s * q >= pred
+                if not np.any(active) or np.dot(q[active], q[active]) == 0:
+                    break
+                s_new = float(
+                    np.dot(dy[active], q[active]) / np.dot(q[active], q[active])
+                )
+                if abs(s_new - s) <= 1e-14 * max(abs(s), 1.0):
+                    s = s_new
+                    break
+                s = s_new
+            s = max(s, 0.0)
+            trial = np.maximum(pred, s * q)
+            err = float(np.sum((dy - trial) ** 2))
+            if best is None or err < best[0] - 1e-15:
+                best = (err, k, s)
+        if best is None or best[0] >= sse - 1e-14 * max(sse, 1.0):
+            break
+        sse, k, s = best
+        chosen.append(s * dirs[k])
+        pred = np.maximum(pred, s * proj[:, k])
+    if not chosen:
+        chosen = [np.zeros(v.shape[1])]
+    return Seminorm.polyhedral(np.stack(chosen))
+
+
 def reference_outcome(*args, **kwargs):
     """``reference_fit``'s result, or the :class:`FitError` it raised."""
     try:
@@ -145,8 +184,13 @@ def reference_outcome(*args, **kwargs):
 
 def assert_same_outcome(got, want, rel=1e-12):
     """Batched and per-point fit outcomes agree: the same error message,
-    or equal radius and neighbor count with the form (exact for the
-    polyhedral family) and the residual within ``rel``."""
+    or equal radius and neighbor count with the form and the residual
+    within ``rel`` (polyhedral forms: as many covectors, each along the
+    same dictionary direction).
+
+    Polyhedral forms are not compared exactly: the per-point oracle sums
+    through ``np.dot`` (BLAS ``ddot``), whose rounding neither a
+    sequential nor a numpy pairwise sum reproduces."""
     if isinstance(want, FitError):
         assert isinstance(got, FitError) and str(got) == str(want)
         return
@@ -155,9 +199,14 @@ def assert_same_outcome(got, want, rel=1e-12):
     a, b = got.seminorm, want.seminorm
     assert a.family == b.family
     if a.family == "polyhedral":
-        assert np.array_equal(a.covectors, b.covectors)
-        assert got.residual == want.residual
-        return
-    scale = max(np.abs(b.matrix).max(), 1e-300)
-    assert np.abs(a.matrix - b.matrix).max() <= rel * scale
+        assert a.covectors.shape == b.covectors.shape
+        dirs = _direction_dictionary(b.dim)
+        assert np.array_equal(
+            np.argmax(a.covectors @ dirs.T, axis=1), np.argmax(b.covectors @ dirs.T, axis=1)
+        )
+        ma, mb = a.covectors, b.covectors
+    else:
+        ma, mb = a.matrix, b.matrix
+    scale = max(np.abs(mb).max(), 1e-300)
+    assert np.abs(ma - mb).max() <= rel * scale
     assert abs(got.residual - want.residual) <= rel

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import kscalc.charts as charts_module
 from kscalc import (
@@ -19,7 +21,7 @@ from kscalc import (
     op_norm,
     sn_distance,
 )
-from kscalc.charts import FitResult, fit_metric_differentials
+from kscalc.charts import FitResult, _direction_dictionary, _fit_polyhedra, fit_metric_differentials
 
 from conftest import assert_same_outcome, grid_points, reference_outcome
 
@@ -295,7 +297,8 @@ class TestDefaultRadius:
 class TestBatchedFits:
     """``fit_metric_differentials`` against the per-point oracle
     ``reference_fit``: equal radii, neighbor counts and error messages,
-    forms and residuals within 1e-12 (polyhedral forms exactly)."""
+    forms and residuals within 1e-12 (polyhedral forms: the same
+    dictionary directions)."""
 
     @staticmethod
     def check(sp, chart, u, points, radius=None, family="quadratic"):
@@ -364,14 +367,35 @@ class TestBatchedFits:
             got = self.check(sp, chart, u, [5, 10], radius=2.0, family=family)
             assert [g.n_neighbors for g in got] == [2, 2]
 
-    def test_row_batches_match_one_batch(self, grid2d, monkeypatch):
+    @pytest.mark.parametrize("family", ["quadratic", "polyhedral"])
+    def test_row_batches_match_one_batch(self, grid2d, monkeypatch, family):
         sp, pts, chart = grid2d
         u = MetricMap(sp, EuclideanTarget(2), np.cos(pts))
         points = list(range(0, sp.n, 3))
-        whole = fit_metric_differentials(sp, chart, u, u.target, points, 0.2)
+        whole = fit_metric_differentials(sp, chart, u, u.target, points, 0.2, family)
         monkeypatch.setattr(charts_module, "_FIT_ROWS", 50)
-        for a, b in zip(whole, fit_metric_differentials(sp, chart, u, u.target, points, 0.2)):
+        monkeypatch.setattr(charts_module, "_GREEDY_ENTRIES", 3000)
+        parts = fit_metric_differentials(sp, chart, u, u.target, points, 0.2, family)
+        for a, b in zip(whole, parts):
             assert_same_outcome(a, b, rel=0.0)
+
+    @pytest.mark.parametrize("family", ["quadratic", "polyhedral"])
+    def test_a_fit_alone_is_the_fit_among_others(self, tripod, family):
+        rng = np.random.default_rng(8)
+        pts = rng.uniform(0.0, 1.0, (200, 2))
+        sp = build_space({"kind": "euclidean", "points": pts.tolist()})
+        chart = Chart(indices=np.arange(sp.n), phi=pts, epsilon=0.0)
+        vals = [
+            tripod.canonical(TreePoint(edge=int(e), t=float(t)))
+            for e, t in zip(rng.integers(0, 3, sp.n), np.hypot(*(pts - 0.5).T))
+        ]
+        u = MetricMap(sp, tripod, vals)
+        points = list(range(0, sp.n, 2))
+        for radius in (None, 0.13):  # equal and ragged neighbor counts
+            together = fit_metric_differentials(sp, chart, u, tripod, points, radius, family)
+            for i, fit in zip(points, together):
+                alone = fit_metric_differentials(sp, chart, u, tripod, [i], radius, family)[0]
+                assert_same_outcome(alone, fit, rel=0.0)
 
     def test_default_radius_is_the_fit_radius(self, grid2d):
         sp, pts, chart = grid2d
@@ -403,3 +427,54 @@ class TestBatchedFits:
         for family in ("quadratic", "polyhedral"):
             self.check(sp, chart, u, range(sp.n), family=family)
             self.check(sp, chart, u, range(0, sp.n, 4), radius=0.2, family=family)
+
+
+class TestBatchedGreedy:
+    """The batched polyhedral greedy on ragged row groups: each group's
+    fit is the same alone, in a batch and in one-point slices, and it is
+    a valid greedy pick."""
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        d=st.integers(1, 3),
+        n_groups=st.integers(1, 6),
+        lattice=st.booleans(),
+        zero_axis=st.booleans(),
+        zero_dy=st.booleans(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_ragged_groups(self, seed, d, n_groups, lattice, zero_axis, zero_dy):
+        rng = np.random.default_rng(seed)
+        sizes = rng.integers(d + 1, d + 10, n_groups)
+        ptr = np.concatenate([[0], np.cumsum(sizes)])
+        if lattice:  # grid displacements: exact ties between directions
+            v = 0.05 * rng.integers(-2, 3, (ptr[-1], d)).astype(float)
+        else:
+            v = rng.normal(0.0, 1.0, (ptr[-1], d))
+        if zero_axis:  # the first dictionary direction sees no neighbor
+            v[:, 0] = 0.0
+        dy = np.abs(v @ rng.normal(0.0, 1.0, d)) + rng.uniform(0.0, 0.5) * np.abs(v).max(axis=1)
+        if zero_dy:
+            dy[ptr[0] : ptr[1]] = 0.0
+        batched = _fit_polyhedra(v, dy, ptr)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(charts_module, "_GREEDY_ENTRIES", 1)
+            sliced = _fit_polyhedra(v, dy, ptr)
+        dirs = _direction_dictionary(d)
+        for j, (a, b) in enumerate(zip(ptr[:-1], ptr[1:])):
+            alone = _fit_polyhedra(v[a:b], dy[a:b], np.asarray([0, b - a]))[0]
+            c = batched[j].covectors
+            assert np.array_equal(c, alone.covectors)
+            assert np.array_equal(c, sliced[j].covectors)
+            assert 1 <= c.shape[0] <= 8
+            if not dy[a:b].any():
+                assert np.array_equal(c, np.zeros((1, d)))
+                continue
+            if not c.any():
+                continue
+            k = np.argmax(c @ dirs.T, axis=1)
+            scale = np.linalg.norm(c, axis=1)
+            assert np.all(np.einsum("kd,kd->k", c, dirs[k]) >= scale * (1.0 - 1e-12))
+            assert np.all(np.abs(v[a:b] @ dirs[k].T).max(axis=0) > 0)
+            err = np.sum((dy[a:b] - batched[j].evaluate(v[a:b])) ** 2)
+            assert err <= np.sum(dy[a:b] ** 2) * (1.0 + 1e-12)

@@ -50,6 +50,18 @@ class TestEval:
         with pytest.raises(ValidationError):
             Seminorm.quadratic([[1.0, 0.0], [0.0, -0.5]])
 
+    @pytest.mark.parametrize("k", [1, 2, 9])
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_polyhedral_is_the_row_max_bit_for_bit(self, k, d):
+        rng = np.random.default_rng(10 * k + d)
+        covectors = rng.normal(0.0, 1.0, (k, d))
+        vs = np.concatenate([rng.normal(0.0, 1.0, (500, d)), np.zeros((1, d))])
+        got = Seminorm.polyhedral(covectors).evaluate(vs)
+        assert np.array_equal(got, np.abs(vs @ covectors.T).max(axis=1))
+        nodes = ball_nodes(d, 2**12, 0)
+        got = Seminorm.polyhedral(covectors).evaluate(nodes)
+        assert np.array_equal(got, np.abs(nodes @ covectors.T).max(axis=1))
+
     @given(st.integers(0, 1_000_000), st.floats(-4.0, 4.0))
     @settings(max_examples=60, deadline=None)
     def test_absolute_homogeneity(self, seed, lam):

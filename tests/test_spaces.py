@@ -73,6 +73,42 @@ class TestBuildSpace:
             build_space(spec)
         assert exc.value.detail == (1, 2)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_matrix_entry_named(self, bad):
+        m = np.ones((4, 4)) - np.eye(4)
+        m[2, 1] = m[1, 2] = bad
+        with pytest.raises(ValidationError, match=r"non-finite distance at \(1, 2\)") as exc:
+            build_space({"kind": "matrix", "matrix": m.tolist()})
+        assert exc.value.detail == (1, 2)
+        nan_pair = [[0, math.nan, 1], [math.nan, 0, 1], [1, 1, 0]]
+        with pytest.raises(ValidationError, match=r"\(0, 1\)"):
+            build_space({"kind": "matrix", "matrix": nan_pair})
+
+    @pytest.mark.parametrize(
+        "points, index",
+        [
+            ([[0.0], [1e200], [3e200]], 0),
+            ([[-1e308], [1e308]], 0),
+            # only 1e154 - (-1e154) overflows when squared
+            ([[0.0], [1.0], [2.0], [1e154], [-1e154]], 3),
+            ([[0.0, 0.0], [1.0, 2.0], [3e160, 1.0]], 0),
+        ],
+    )
+    def test_overflowing_coordinates_named(self, points, index):
+        with pytest.raises(ValidationError, match=f"index {index} ") as exc:
+            build_space({"kind": "euclidean", "points": points})
+        assert exc.value.detail == index
+
+    def test_torus_overflow_uses_reduced_differences(self):
+        points = [[0.0], [1e200], [3e200]]
+        sp = build_space({"kind": "torus", "points": points, "period": [1e150]})
+        assert np.isfinite(sp.nn_distances()).all()
+        with pytest.raises(ValidationError, match="index 0 ") as exc:
+            build_space({"kind": "torus", "points": points, "period": [1e300]})
+        assert exc.value.detail == 0
+        # half the period bounds every reduced difference; these stay finite
+        assert build_space({"kind": "torus", "points": [[0.0], [1e154]], "period": [2e154]}).n == 2
+
     def test_non_positive_weight_rejected(self):
         with pytest.raises(ValidationError, match="weight"):
             build_space(
