@@ -479,24 +479,12 @@ def _first_best(err, valid):
     """Per row, the valid column that a left-to-right scan keeps when it
     replaces its best only by an error below ``best - 1e-15``; -1 where no
     column is valid."""
-    masked = np.where(valid, err, np.inf)
-    best = masked.argmin(axis=1)
-    low = masked[np.arange(err.shape[0]), best]
-    # a single column within 1e-15 of the minimum is the scan's pick
-    near = valid & (err - 1e-15 <= low[:, None])
-    scan = (near.sum(axis=1) != 1) | ~np.isfinite(np.where(valid, err, 0.0)).all(axis=1)
-    seen = valid.any(axis=1)
-    best[~seen] = -1
-    rows = np.flatnonzero(scan & seen)
-    if rows.shape[0]:
-        e, ok = err[rows], valid[rows]
-        keep, pick = np.zeros(rows.shape[0]), np.full(rows.shape[0], -1)
-        for c in range(err.shape[1]):
-            take = ok[:, c] & ((pick < 0) | (e[:, c] < keep - 1e-15))
-            keep = np.where(take, e[:, c], keep)
-            pick = np.where(take, c, pick)
-        best[rows] = pick
-    return best
+    keep, pick = np.zeros(err.shape[0]), np.full(err.shape[0], -1)
+    for c in range(err.shape[1]):
+        take = valid[:, c] & ((pick < 0) | (err[:, c] < keep - 1e-15))
+        keep = np.where(take, err[:, c], keep)
+        pick = np.where(take, c, pick)
+    return pick
 
 
 def aplip_estimate(space, u, target, i, radius):

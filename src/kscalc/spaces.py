@@ -522,6 +522,9 @@ def _reject_overflow(space):
     distance to the farther face of the points' bounding box (at most half
     the period on a torus), so a finite sum of those squares bounds every
     distance it enters.  Names the first point whose sum is not finite.
+    The bound is exact in one dimension; in d dimensions the far corner
+    need not be a point, so it may exceed every pairwise squared distance
+    by up to a factor d and reject a cloud whose distances are finite.
     """
     x = space.coords
     with np.errstate(over="ignore", invalid="ignore"):
@@ -532,7 +535,9 @@ def _reject_overflow(space):
     if bad.size:
         i = int(bad[0])
         raise ValidationError(
-            f"coordinates at index {i} span too far: squared differences may overflow", detail=i
+            f"coordinates at index {i} span too far: squared differences may overflow"
+            " (its squared distance to the far faces of the bounding box does)",
+            detail=i,
         )
 
 

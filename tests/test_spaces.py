@@ -99,6 +99,21 @@ class TestBuildSpace:
             build_space({"kind": "euclidean", "points": points})
         assert exc.value.detail == index
 
+    def test_overflow_check_is_conservative_in_several_dimensions(self):
+        # every pairwise squared distance is finite (the largest, between
+        # points 0 and 1, is 1.69e308), but point 0's squared distance to
+        # the far corner (1.3e154, 1e154) of the bounding box is 2.69e308:
+        # the O(n*d) bound rejects it, as documented
+        points = [[0.0, 0.0], [1.3e154, 0.0], [0.65e154, 1e154]]
+        x = np.array(points)
+        pair_sq = ((x[:, None, :] - x[None, :, :]) ** 2).sum(axis=2)
+        assert np.isfinite(pair_sq).all()
+        with pytest.raises(ValidationError, match="index 0 .*far faces") as exc:
+            build_space({"kind": "euclidean", "points": points})
+        assert exc.value.detail == 0
+        # in one dimension the bound is a pairwise difference, so it is exact
+        assert build_space({"kind": "euclidean", "points": [[0.0], [1.3e154]]}).n == 2
+
     def test_torus_overflow_uses_reduced_differences(self):
         points = [[0.0], [1e200], [3e200]]
         sp = build_space({"kind": "torus", "points": points, "period": [1e150]})
