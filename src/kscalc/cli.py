@@ -41,15 +41,15 @@ EXIT_IO = 1
 EXIT_VALIDATION = 2
 EXIT_NONCONVERGED = 3
 
-# `import kscalc` loads numpy only: the library imports scipy where it
-# first uses it.  `main` imports the modules a subcommand's computation
-# uses before it reads any input, so their cost is paid at start-up, not
-# inside the computation, and a broken install fails before any work.
+# `import kscalc` loads numpy only, and no subcommand imports scipy.
+# `main` imports the modules a subcommand's computation uses before it
+# reads any input, so their cost is paid at start-up, not inside the
+# computation, and a broken install fails before any work.
 SUBCOMMAND_IMPORTS = {
     "space-check": (),
     "energy": (),
     "mdiff": ("numpy.random",),
-    "dirichlet": ("scipy.sparse", "scipy.sparse.linalg"),
+    "dirichlet": ("numpy.random",),
     "verify": ("numpy.random",),
 }
 

@@ -8,7 +8,8 @@ graph-Laplacian system, which the solver's first step solves directly.
 It stops on a certified bound on the sup target-distance to the
 solution, from the averaging operator of the sweeps.  The energy
 reported per step is the relaxation energy, the pairwise form the sweeps
-descend.
+descend.  The linear systems (the averaging system and the Poincare
+form) are solved by numpy conjugate gradients on their symmetric forms.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import AuditError, ValidationError
+from .errors import AuditError, ConvergenceError, ValidationError
 from .spaces import check_radius, domain_indices
 from .targets import EuclideanTarget, _is_number
 
@@ -51,6 +52,67 @@ def _component_labels(indptr, indices):
         if np.array_equal(low, label):
             return label
         label = low
+
+
+# the conjugate-gradient stop: every right-hand side's preconditioned
+# residual within this share of its first
+_CG_RTOL = 1e-14
+
+
+class _SymmetricForm:
+    """A symmetric positive definite matrix diag(d) - A, with A's entries
+    ``a`` at rows ``row`` and columns ``col`` (the pattern is symmetric and
+    holds no diagonal entry).  ``form @ x`` multiplies every row of ``x``."""
+
+    def __init__(self, diag, row, col, a):
+        self.diag, self.row, self.col, self.a = diag, row, col, a
+
+    def __matmul__(self, x):
+        n = self.diag.shape[0]
+        ax = [np.bincount(self.row, self.a * v[self.col], minlength=n) for v in x]
+        return self.diag * x - np.stack(ax)
+
+
+def _cg(form, rhs, max_iter=None):
+    """X with M x = b for the matrix M of a ``_SymmetricForm``, every row b
+    of ``rhs`` and the row x of X, by Jacobi-preconditioned conjugate
+    gradients on all rows at once.
+
+    A row stops once the sup norm of its preconditioned residual
+    (b - M x) / d is within ``_CG_RTOL`` of its first; the others go on.
+    Reaching ``max_iter`` iterations (default 2n + 50) first raises
+    ``ConvergenceError`` naming the residual.
+    """
+    if max_iter is None:
+        max_iter = 2 * form.diag.shape[0] + 50
+    x = np.zeros(rhs.shape)
+    r = np.array(rhs, dtype=float)
+    z = r / form.diag
+    first = np.abs(z).max(axis=1)
+    p, rz = z, np.einsum("ij,ij->i", r, z)
+    for it in range(max_iter + 1):
+        err = np.abs(z).max(axis=1)
+        live = err > _CG_RTOL * first
+        if not live.any():
+            return x
+        if it == max_iter:
+            break
+        q = form @ p
+        alpha = np.divide(rz, np.einsum("ij,ij->i", p, q), out=np.zeros_like(rz), where=live)
+        x += alpha[:, None] * p
+        r -= alpha[:, None] * q
+        z = r / form.diag
+        rz_next = np.einsum("ij,ij->i", r, z)
+        beta = np.divide(rz_next, rz, out=np.zeros_like(rz), where=live)
+        p = z + beta[:, None] * p
+        rz = rz_next
+    worst = float((err / np.where(live, first, 1.0)).max())
+    raise ConvergenceError(
+        f"conjugate gradients did not converge in {max_iter} iterations: "
+        f"relative residual {worst}",
+        last=x,
+        residual=worst,
+    )
 
 
 class DirichletProblem:
@@ -116,37 +178,63 @@ class DirichletProblem:
         self._nbrx_w = w[self._nbrx]
 
     @cached_property
-    def _averaging(self):
-        """The averaging operator P of the sweeps on interior values, the LU
-        factors of I - P and max h, where h = (I - P)^-1 1.
-
-        Row k of P holds the barycenter weights, in interior point k's
-        ball, of the members that are interior; the rest of the row's mass
-        reads the boundary layer.  I - P is singular when a component of
-        the interior under ball adjacency reads no boundary value: such a
-        component, numbered by its lowest member, is rejected by name.
-        """
-        from scipy.sparse import csr_matrix, identity
-        from scipy.sparse.linalg import splu
-
-        ni = self.interior.shape[0]
+    def _interior_reads(self):
+        """The interior members of the interior balls, without their
+        centers: interior numbers ``(row, col)`` and member weights ``w``
+        of each, in CSR order, and every ball's mass ``m`` without its
+        center."""
         ptr = self._nbrx_ptr
-        row = np.repeat(np.arange(ni), np.diff(ptr))
-        share = self._nbrx_w / np.add.reduceat(self._nbrx_w, ptr[:-1])[row]
+        row = np.repeat(np.arange(self.interior.shape[0]), np.diff(ptr))
         inner = self._inside[self._nbrx]
         col = np.searchsorted(self.interior, self._nbrx[inner])
-        P = csr_matrix((share[inner], (row[inner], col)), shape=(ni, ni))
-        label = _component_labels(P.indptr, P.indices)
+        mass = np.add.reduceat(self._nbrx_w, ptr[:-1])
+        return row[inner], col, self._nbrx_w[inner], mass
+
+    @cached_property
+    def _averaging(self):
+        """The averaging operator P of the sweeps on interior values as a
+        symmetric form M, and a certified upper bound on max h, where
+        h = (I - P)^-1 1.
+
+        Row x of P holds the barycenter weights w_j / m_x, in interior
+        point x's ball of mass m_x without x, of the members j that are
+        interior; the rest of the row's mass reads the boundary layer.
+        Balls are symmetric, so M = diag(w m) - A with A_xj = w_x w_j for
+        interior pairs sharing a ball is symmetric, and I - P =
+        diag(w m)^-1 M.  M is positive definite unless a component of the
+        interior under ball adjacency reads no boundary value: such a
+        component, numbered by its lowest member, is rejected by name.
+
+        With h' the conjugate-gradient solution and rho the sup norm of
+        1 - (I - P) h', computed from P itself, max h <= max h' / (1 -
+        rho), since (I - P)^-1 >= 0 entrywise: the solver's accuracy
+        moves only the bound, never its validity.  rho >= 1 raises
+        ``ConvergenceError``.
+        """
+        ni = self.interior.shape[0]
+        row, col, wj, mass = self._interior_reads
+        label = _component_labels(np.searchsorted(row, np.arange(ni + 1)), col)
+        reads_boundary = np.diff(self._nbrx_ptr) > np.bincount(row, minlength=ni)
         touched = np.zeros(ni, dtype=bool)
-        touched[label[row[~inner]]] = True
+        touched[label[reads_boundary]] = True
         lonely = np.flatnonzero(~touched[label])
         if lonely.size:
             members = [int(x) for x in self.interior[label == label[lonely[0]]]]
             raise ValidationError(
                 f"interior component {members[:8]} touches no boundary", detail=members
             )
-        lu = splu((identity(ni, format="csr") - P).tocsc())
-        return P, lu, float(lu.solve(np.ones(ni)).max())
+        wi = self.space.weights[self.interior]
+        form = _SymmetricForm(wi * mass, row, col, wi[row] * wj)
+        h = _cg(form, form.diag[None])[0]
+        ph = np.bincount(row, wj / mass[row] * h[col], minlength=ni)
+        rho = float(np.abs(1.0 - (h - ph)).max())
+        if not rho < 1.0:
+            raise ConvergenceError(
+                f"averaging system: residual {rho} of h = (I - P)^-1 1 certifies no bound",
+                last=h,
+                residual=rho,
+            )
+        return form, float(h.max()) / (1.0 - rho)
 
     def _classes(self, mode):
         """A sweep's point classes in order: (points, members, pointers, weights)."""
@@ -284,7 +372,7 @@ def _error_bound(prob, disp, residual):
     """The certified sup target-distance to the solution of the values of a
     sweep with largest displacement ``disp`` and barycenter residual
     ``residual`` (see ``solve``)."""
-    h_max = prob._averaging[2]
+    h_max = prob._averaging[1]
     return (h_max - 1.0) * disp + h_max * residual
 
 
@@ -306,9 +394,9 @@ def _direct_step(prob, values):
     is one Jacobi sweep's displacement, with every coordinate as a column,
     so a start that already solves the system stays as it is.
     """
-    idx = prob.interior
+    idx, form = prob.interior, prob._averaging[0]
     swept, _ = _sweep(prob, values, JACOBI, 0.0)
-    swept[idx] = values[idx] + prob._averaging[1].solve(swept[idx] - values[idx])
+    swept[idx] = values[idx] + _cg(form, form.diag * (swept[idx] - values[idx]).T).T
     return swept
 
 
@@ -373,9 +461,11 @@ def solve(
     barycenters into CAT(0) targets are 1-Lipschitz in the Wasserstein
     distance (Sturm), so the pointwise error e of a Jacobi or Gauss-Seidel
     sweep satisfies e <= P(d + e) + r.  The solver stops once
-    this bound is below ``tol`` and reports it.  For Euclidean targets the
-    first step solves the averaging system exactly; the sweeps after it
-    certify the solution.
+    this bound is below ``tol`` and reports it.  Max h is itself a
+    certified upper bound, from the residual of the conjugate-gradient
+    solve for h.  For Euclidean targets the first step solves the
+    averaging system by conjugate gradients to rounding; the sweeps after
+    it certify the solution.
 
     Returns the final values and a report.  Exhausting ``max_sweeps``
     yields a non-converged report, not an exception.  On convergence a
@@ -491,28 +581,27 @@ def poincare_estimate(prob, tol=1e-13, max_iter=500):
     """Inverse of the smallest Dirichlet eigenvalue at the problem scale.
 
     Assembles the real-valued quadratic form of maps vanishing on the
-    boundary layer from the averaging operator and runs inverse power
-    iteration against the interior mass; the result converts energy gaps
-    into squared L2 distances.
+    boundary layer from the balls' interior members and runs inverse
+    power iteration against the interior mass; the result converts
+    energy gaps into squared L2 distances.
     """
-    from scipy.sparse import diags
-    from scipy.sparse.linalg import splu
-
-    P = prob._averaging[0]
+    prob._averaging  # an ill-posed problem is rejected by name
+    row, col, wj, mass = prob._interior_reads
     # the form sums c_x w_j (u_x - u_j)^2 over the ball members j != x of
-    # each interior x; with s_x = c_x times the mass of those members,
-    # c_x w_j is s_x P_xj for interior j
-    s = prob._coef * np.add.reduceat(prob._nbrx_w, prob._nbrx_ptr[:-1])
-    sp = diags(s) @ P
-    q = (diags(s + P.T @ s) - sp - sp.T).tocsc()
-    mass = prob.space.weights[prob.interior]
-    factor = splu(q)
-    x = np.ones(prob.interior.shape[0])
+    # each interior x.  Its diagonal at x is c_x m_x plus c_j w_x for every
+    # interior j whose ball holds x; an interior pair x, j sharing a ball
+    # carries c_x w_j + c_j w_x off the diagonal
+    c = prob._coef
+    w = prob.space.weights[prob.interior]
+    ni = w.shape[0]
+    diag = c * mass + np.bincount(col, c[row] * wj, minlength=ni)
+    q = _SymmetricForm(diag, row, col, c[row] * wj + c[col] * w[row])
+    x = np.ones(ni)
     lam_prev = math.inf
     for _ in range(max_iter):
-        y = factor.solve(mass * x)
-        y /= math.sqrt(float(np.dot(mass * y, y)))
-        lam = float(np.dot(y, q @ y)) / float(np.dot(mass * y, y))
+        y = _cg(q, (w * x)[None])[0]
+        y /= math.sqrt(float(np.dot(w * y, y)))
+        lam = float(np.dot(y, (q @ y[None])[0])) / float(np.dot(w * y, y))
         x = y
         if abs(lam - lam_prev) <= tol * max(lam, 1e-300):
             break

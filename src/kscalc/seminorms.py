@@ -22,6 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ValidationError
+from .spaces import build_space
 
 QUADRATIC = "quadratic"
 POLYHEDRAL = "polyhedral"
@@ -296,18 +297,27 @@ def _sphere_mesh(dim, resolution):
 
 @lru_cache(maxsize=32)
 def _mesh_gap(dim, resolution):
-    """Max nearest-neighbor spacing of the direction mesh ``_sphere_mesh``."""
+    """Max nearest-neighbor spacing of the direction mesh ``_sphere_mesh``:
+    the max over points of the min of ``np.linalg.norm(mesh - x)``.
+
+    The exact nearest-neighbor search of a Euclidean space narrows the
+    work.  Its distance formula can differ from the norm's in the last
+    bit, so the norm is taken again from each point within rounding of
+    the largest spacing to the members of its ball of that radius (plus
+    rounding), which hold its nearest point.
+    """
     mesh = _sphere_mesh(dim, resolution)
-    n = mesh.shape[0]
-    if n < 2:
+    if mesh.shape[0] < 2:
         return 2.0
-    rows = max(1, 2**18 // (n * dim))  # about 2 MB of differences a chunk
-    gap = 0.0
-    for start in range(0, n, rows):
-        d = np.linalg.norm(mesh[None, :, :] - mesh[start : start + rows, None, :], axis=2)
-        d[np.arange(d.shape[0]), np.arange(start, start + d.shape[0])] = np.inf
-        gap = max(gap, float(d.min(axis=1).max()))
-    return gap
+    space = build_space({"kind": "euclidean", "points": mesh})
+    nn = space.nn_distances()
+    top = np.flatnonzero(nn >= nn.max() * (1.0 - 1e-12))
+    ptr, nbr, _ = space.all_balls(nn.max() * (1.0 + 1e-12), top)
+    center = np.repeat(top, np.diff(ptr))
+    nbr, center = nbr[nbr != center], center[nbr != center]
+    best = np.full(mesh.shape[0], np.inf)
+    np.minimum.at(best, center, np.linalg.norm(mesh[nbr] - mesh[center], axis=1))
+    return float(best[top].max())
 
 
 def sn_distance_report(n1, n2, resolution=512):

@@ -28,7 +28,13 @@ def write_json(path, obj):
 
 
 def read_json(path):
-    return json.loads(Path(path).read_text())
+    """The JSON value in the file at ``path``.  The non-standard tokens
+    ``NaN``, ``Infinity`` and ``-Infinity`` are rejected by name."""
+
+    def reject(token):
+        raise ValidationError(f"{path}: non-finite JSON token {token}", detail=token)
+
+    return json.loads(Path(path).read_text(), parse_constant=reject)
 
 
 def space_to_json(space):

@@ -125,6 +125,24 @@ class TestExitCodes:
         assert out == ""
         assert "finite and positive" in err
 
+    @pytest.mark.parametrize(
+        "field,value,token",
+        [
+            ("weights", float("nan"), "NaN"),
+            ("points", [float("inf")], "Infinity"),
+            ("points", [-float("inf")], "-Infinity"),
+        ],
+    )
+    def test_non_finite_json_token_exit_2(self, capsys, workdir, field, value, token):
+        spec = json.loads((workdir / "space.json").read_text())
+        spec[field][3] = value
+        path = workdir / f"space_{field}_{token}.json"
+        path.write_text(json.dumps(spec))
+        assert token in path.read_text()
+        code, out, err = run_main(capsys, "space-check", "--space", path)
+        assert (code, out) == (2, "")
+        assert f"{path}: non-finite JSON token {token}" in err
+
     @pytest.mark.parametrize("center", ["-1", "11", "99999"])
     def test_space_check_bad_center_exit_2(self, capsys, workdir, center):
         code, out, err = run_main(
@@ -311,15 +329,17 @@ class TestExitCodes:
         assert not out_path.exists()
 
     def test_mdiff_non_finite_chart_coordinate_exit_2(self, capsys, workdir):
+        # strict JSON has no non-finite token; a literal beyond the float
+        # range still reads as inf
         atlas = json.loads((workdir / "fixture" / "atlas.json").read_text())
         chart = atlas["charts"][0]
-        chart["coordinates"][20] = [float("nan")] * len(chart["coordinates"][20])
-        (workdir / "atlas_nan.json").write_text(json.dumps(atlas))
+        chart["coordinates"][20] = ["huge"] * len(chart["coordinates"][20])
+        (workdir / "atlas_inf.json").write_text(json.dumps(atlas).replace('"huge"', "1e999"))
         code, out, err = run_main(
             capsys,
             "mdiff",
             "--space", workdir / "fixture" / "space.json",
-            "--atlas", workdir / "atlas_nan.json",
+            "--atlas", workdir / "atlas_inf.json",
             "--map", workdir / "fixture" / "map_linear.json",
         )
         assert code == 2
@@ -717,7 +737,7 @@ def probe_imports(tmp_path, *args):
 class TestStartupImports:
     """``import kscalc`` loads numpy only; each subcommand imports the
     modules it uses before its inputs load (``cli.SUBCOMMAND_IMPORTS``),
-    and only ``dirichlet`` loads scipy."""
+    and none loads scipy."""
 
     def test_import_loads_no_scipy(self):
         proc = subprocess.run(
@@ -780,13 +800,7 @@ class TestStartupImports:
         report = probe_imports(tmp_path, *resolved, "--out", tmp_path / "out")
         assert report["code"] == 0
         assert report["late"] == []
-        if args[0] == "dirichlet":  # the sparse operator and its LU factors
-            assert "scipy.sparse.linalg" in report["scipy"]
-            assert not [m for m in report["scipy"] if m.startswith(
-                ("scipy.sparse.csgraph", "scipy.spatial", "scipy.special")
-            )]
-        else:
-            assert report["scipy"] == []
+        assert report["scipy"] == []
 
 
 class TestDeterminism:

@@ -6,6 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from kscalc import (
+    ConvergenceError,
     DirichletProblem,
     EuclideanTarget,
     HyperbolicTarget,
@@ -25,13 +26,14 @@ from kscalc import (
 )
 
 from kscalc.dirichlet import (
+    _cg,
     _checked_step,
     _component_labels,
     _displacement,
     _error_bound,
     default_tolerance,
 )
-from conftest import grid_points, interior_balls
+from conftest import grid_points, interior_balls, interior_mask
 
 
 @pytest.fixture(scope="module")
@@ -797,6 +799,99 @@ class TestComponentLabels:
         indptr = np.concatenate([[0], np.arange(1, n), [n - 1]])
         label = _component_labels(indptr, np.arange(1, n))
         assert not label.any()
+
+
+def dense_averaging(prob):
+    """I - P as a dense matrix, from every interior point's distance row:
+    row x holds the weights w_j / m_x of its ball's other members j that
+    are interior."""
+    sp, interior = prob.space, prob.interior
+    w = sp.weights
+    out = np.eye(interior.shape[0])
+    for k, x in enumerate(interior):
+        ball = np.flatnonzero(sp.dist_row(int(x)) < prob.scale)
+        ball = ball[ball != x]
+        share = w[ball] / w[ball].sum()
+        inner = np.isin(ball, interior)
+        out[k, np.searchsorted(interior, ball[inner])] -= share[inner]
+    return out
+
+
+def solver_case(case):
+    """Problems for the averaging solver, Euclidean(1) data 0 on the
+    boundary layer."""
+    line = [[0.1 * k] for k in range(8)]
+    if case == "one-interior":
+        spec, interior, scale = {"kind": "euclidean", "points": line[:3]}, [1], 0.15
+    elif case == "rows-without-interior":
+        # 1 and 3 read only the boundary; 5 and 6 read each other
+        spec, interior, scale = {"kind": "euclidean", "points": line}, [1, 3, 5, 6], 0.15
+    elif case == "weighted-grid":
+        pts = grid_points(9, 2)
+        w = np.random.default_rng(4).uniform(0.2, 3.0, len(pts))
+        spec = {"kind": "euclidean", "points": pts.tolist(), "weights": w.tolist()}
+        interior, scale = np.flatnonzero(interior_mask(pts, 0.2)), 1.6 / 8
+    elif case == "torus":
+        # a band of the flat torus; the rest of it is the boundary
+        pts = grid_points(10, 2) * 0.9
+        spec = {"kind": "torus", "points": pts.tolist(), "period": [1.0, 1.0]}
+        interior, scale = np.flatnonzero(pts[:, 0] < 0.55), 0.25
+    else:
+        xs = np.asarray(line)[:, 0]
+        spec = {"kind": "matrix", "matrix": (np.abs(xs[:, None] - xs) ** 0.5).tolist()}
+        interior, scale = [2, 3, 4], 0.5
+    sp = build_space(spec)
+    boundary = {int(k): [0.0] for k in np.setdiff1d(np.arange(sp.n), interior)}
+    return DirichletProblem(sp, EuclideanTarget(1), interior, boundary, scale)
+
+
+SOLVER_CASES = ["one-interior", "rows-without-interior", "weighted-grid", "torus", "matrix"]
+
+
+class TestAveragingSolver:
+    """The conjugate-gradient solve of the averaging system and its
+    certified max h, against a dense solve of I - P."""
+
+    @pytest.mark.parametrize("case", SOLVER_CASES)
+    def test_certified_max_h(self, case):
+        prob = solver_case(case)
+        dense = dense_averaging(prob)
+        h = np.linalg.solve(dense, np.ones(dense.shape[0])).max()
+        certified = prob._averaging[1]
+        assert h <= certified <= h * (1 + 1e-12)
+
+    @pytest.mark.parametrize("case", SOLVER_CASES)
+    def test_solve_matches_dense(self, case):
+        prob = solver_case(case)
+        form = prob._averaging[0]
+        dense = dense_averaging(prob)
+        rhs = np.random.default_rng(7).normal(size=(dense.shape[0], 3))
+        rhs[:, 2] = 0.0  # a column that starts solved
+        x = _cg(form, form.diag * rhs.T).T
+        want = np.linalg.solve(dense, rhs)
+        assert np.abs(x - want).max() <= 1e-12 * np.abs(want).max()
+        assert not x[:, 2].any()
+
+    def test_form_is_diag_w_m_times_i_minus_p(self):
+        prob = solver_case("weighted-grid")
+        form = prob._averaging[0]
+        eye = np.eye(form.diag.shape[0])
+        np.testing.assert_allclose(
+            (form @ eye).T, form.diag[:, None] * dense_averaging(prob), rtol=1e-15, atol=0
+        )
+
+    def test_iteration_cap_raises(self):
+        form = solver_case("weighted-grid")._averaging[0]
+        with pytest.raises(ConvergenceError, match="did not converge in 2 iterations") as info:
+            _cg(form, form.diag[None], max_iter=2)
+        assert info.value.residual > 1e-14
+
+    def test_residual_of_one_certifies_nothing(self, monkeypatch):
+        # a stop at the first iterate leaves h' = 0 and residual 1
+        monkeypatch.setattr("kscalc.dirichlet._CG_RTOL", 1.0)
+        with pytest.raises(ConvergenceError, match="residual 1.0 of h") as info:
+            solver_case("torus")._averaging
+        assert info.value.residual == 1.0
 
 
 class TestMidpointTest:
