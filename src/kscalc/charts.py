@@ -16,7 +16,6 @@ import numpy as np
 
 from .errors import FitError, ValidationError
 from .seminorms import POLYHEDRAL, QUADRATIC, Seminorm
-from .spaces import _BALL_CHUNK
 
 _FIT_NEIGHBOR_FACTOR = 4  # default ball holds 4 (d+1) chart members
 _FIT_ROWS = 2**18  # (point, neighbor) rows gathered before they are fitted
@@ -128,14 +127,12 @@ def chart_audit(space, chart, cells_per_axis=None):
             degenerate=True,
         )
     lo, hi = np.inf, 0.0
-    for k in range(m):
-        d = space.dist_subset(int(chart.indices[k]), chart.indices)
-        img = np.linalg.norm(chart.phi - chart.phi[k], axis=1)
+    for part, d in space.pair_blocks(chart.indices, chart.indices):
+        img = np.linalg.norm(chart.phi - chart.phi[part, None], axis=2)
         mask = d > 0
         ratios = img[mask] / d[mask]
-        if ratios.size:
-            lo = min(lo, float(ratios.min()))
-            hi = max(hi, float(ratios.max()))
+        lo = float(ratios.min(initial=lo))
+        hi = float(ratios.max(initial=hi))
     d_ = chart.chart_dim
     if cells_per_axis is None:
         cells_per_axis = max(int(round((m / 2.0) ** (1.0 / d_))), 1)
@@ -168,17 +165,12 @@ def alignment_defect(space, c1, c2):
     shared = np.intersect1d(c1.indices, c2.indices)
     if shared.shape[0] < 2:
         return 0.0
-    g = np.empty((shared.shape[0], c1.chart_dim))
-    for k, i in enumerate(shared):
-        g[k] = c1.phi[c1.position(i)] - c2.phi[c2.position(i)]
+    g = c1.phi[[c1.position(i) for i in shared]] - c2.phi[[c2.position(i) for i in shared]]
     worst = 0.0
-    for k, i in enumerate(shared):
-        d = space.dist_subset(int(i), shared)
+    for part, d in space.pair_blocks(shared, shared):
         mask = d > 0
-        if not np.any(mask):
-            continue
-        num = np.linalg.norm(g[mask] - g[k], axis=1)
-        worst = max(worst, float((num / d[mask]).max()))
+        num = np.linalg.norm(g - g[part, None], axis=2)
+        worst = float((num[mask] / d[mask]).max(initial=worst))
     return worst
 
 
@@ -272,11 +264,11 @@ def fit_metric_differentials(space, chart, u, target, points, radius=None, famil
 
     Returns one entry per point, in order: its :class:`FitResult`, or the
     :class:`FitError` that stopped its fit.  One pass serves every point:
-    distances to the chart members for ``_BALL_CHUNK`` points at a time,
-    then per batch of neighbor rows one ``target.dists`` call and, over
-    the points with equal neighbor counts, batched rank checks, solves
-    and projections (quadratic) or one batched greedy (polyhedral).  No
-    fit depends on which points share its batch.
+    distances to the chart members by ``pair_blocks`` parts, then per
+    batch of neighbor rows one ``target.dists`` call and, over the points
+    with equal neighbor counts, batched rank checks, solves and
+    projections (quadratic) or one batched greedy (polyhedral).  No fit
+    depends on which points share its batch.
     """
     if family not in (QUADRATIC, POLYHEDRAL):
         raise ValidationError(f"unknown fit family {family!r}")
@@ -290,9 +282,8 @@ def fit_metric_differentials(space, chart, u, target, points, radius=None, famil
             out[k] = FitError(f"point {i} is not a chart member", index=i)
     d = chart.chart_dim
     batch, rows = [], 0  # (slot, point, radius, neighbor positions) awaiting fits
-    for start in range(0, len(slots), _BALL_CHUNK):
-        chunk = slots[start : start + _BALL_CHUNK]
-        dists = space.pair_dist_block([points[k] for k in chunk], chart.indices)
+    for part, dists in space.pair_blocks([points[k] for k in slots], chart.indices):
+        chunk = slots[part]
         if radius is None:
             radii, held = _default_radii(dists, chart)
         else:
@@ -311,7 +302,7 @@ def fit_metric_differentials(space, chart, u, target, points, radius=None, famil
             else:
                 batch.append((k, i, float(radii[row]), nbrs))
                 rows += nbrs.shape[0]
-        if batch and (rows >= _FIT_ROWS or start + _BALL_CHUNK >= len(slots)):
+        if batch and (rows >= _FIT_ROWS or part.stop >= len(slots)):
             for (k, *_), fit in zip(batch, _fit_batch(chart, u, target, batch, family)):
                 out[k] = fit
             batch, rows = [], 0

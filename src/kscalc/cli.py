@@ -70,14 +70,13 @@ def _emit(path, text):
 
 def cmd_space_check(args):
     space = load_space(args.space)
-    radius = args.radius
-    if radius is None:
-        radius = 8.0 * space.median_nn_spacing()
+    spacing = space.median_nn_spacing()  # inf for a single point
+    radius = 8.0 * spacing if args.radius is None else args.radius
     report = {
         "n_points": space.n,
         "kind": space.kind,
         "total_mass": float(space.total_mass),
-        "median_nn_spacing": float(space.median_nn_spacing()),
+        "median_nn_spacing": spacing if np.isfinite(spacing) else None,
         "doubling": {"R": float(radius), "value": float(doubling_constant(space, radius))},
     }
     if args.dim:

@@ -278,7 +278,9 @@ class DirichletProblem:
     def default_init(self):
         """Copy the nearest boundary value to each interior point."""
         layer = self.boundary_layer
-        nearest = [np.argmin(self.space.dist_subset(int(x), layer)) for x in self.interior]
+        nearest = np.empty(self.interior.shape[0], dtype=np.intp)
+        for part, d in self.space.pair_blocks(self.interior, layer):
+            nearest[part] = np.argmin(d, axis=1)
         return self.assemble([self.boundary_data[int(layer[k])] for k in nearest])
 
     def seeded_init(self, seed):

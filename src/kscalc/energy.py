@@ -378,10 +378,9 @@ def locality_check(u, v, p, r=None, source="ks", atlas=None, config=None):
         dv = density_via_mdiff(v, atlas, p, config).densities
         worst = 0.0
         for i, fit in du.fits.items():
-            # the fit reads the chart members of its open ball
-            chart = atlas.chart_of(i)
-            ball_idx = space.ball_indices(i, fit.radius)
-            region = ball_idx[[chart.contains(j) for j in ball_idx]]
+            # the chart members of its open ball, read as the fit reads them
+            members = atlas.chart_of(i).indices
+            region = members[space.pair_dist_block([i], members)[0] < fit.radius]
             if np.all(agree[region]) and not np.isnan(dv[i]):
                 worst = max(worst, abs(float(du.densities[i] - dv[i])))
         return worst

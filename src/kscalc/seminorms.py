@@ -102,12 +102,6 @@ class Seminorm:
         return cls(POLYHEDRAL, covectors.shape[1], covectors=covectors)
 
     @classmethod
-    def from_linear_map(cls, a):
-        """The seminorm ``v -> |A v|`` of a linear map into R^m."""
-        a = np.atleast_2d(np.asarray(a, dtype=float))
-        return cls(QUADRATIC, a.shape[1], matrix=a.T @ a)
-
-    @classmethod
     def zero(cls, dim):
         return cls(QUADRATIC, dim, matrix=np.zeros((dim, dim)))
 

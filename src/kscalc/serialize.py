@@ -20,7 +20,9 @@ from .targets import build_target, target_to_json
 
 
 def canonical_json(obj):
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    """Strict JSON: a NaN or infinite float raises ``ValueError``, so a field
+    without a value must write ``None`` (``null``)."""
+    return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def write_json(path, obj):

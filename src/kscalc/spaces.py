@@ -31,13 +31,8 @@ _RADIUS_RATIO = 1.1
 # query never misses a point that the exact distances keep
 _CELL_MARGIN = 1e-9
 _CELL_ULPS = 64 * np.finfo(float).eps
-# cell indexes a space keeps, the most recently used, one per cell side:
-# a point's ``all_balls`` side is its radius's binade, and the per-point
-# fit balls of ``locality_check(source="mdiff")`` on 2,000 uniform plane
-# points alternate between two binades besides the spacing search's
-# side, so keeping 1, 2 or 4 indexes builds 82, 15 or 3 of them
-_INDEX_CACHE = 4
-# most rows times candidates in one ``cell_partition`` block
+# most rows times candidates in one ``cell_partition`` block, and most
+# distances in one ``pair_blocks`` part
 CELL_PAIR_BUDGET = 1 << 18
 # centers per chunk of the sorted-ball scans of ``doubling_constant`` and
 # ``maximal_function``: their memory stays within this many balls
@@ -126,7 +121,7 @@ class PointCloudSpace:
         self.weights = w
         self.total_mass = float(w.sum())
         self._nn = None
-        self._indexes = {}
+        self._index = None  # the cell index built last
 
     # -- metric oracle -------------------------------------------------
 
@@ -162,65 +157,64 @@ class PointCloudSpace:
         """Distance matrix between two index sets."""
         return self._dists(np.asarray(rows)[:, None], np.asarray(cols)[None, :], squared)
 
+    def pair_blocks(self, rows, cols):
+        """The distance matrix between two index sets, in row parts.
+
+        Yields ``(part, d)`` in order: ``part`` a slice of ``rows`` and
+        ``d = pair_dist_block(rows[part], cols)``, the parts together
+        covering ``rows``, each within ``CELL_PAIR_BUDGET`` distances (one
+        row at least), so that all-pairs scans keep bounded memory.
+        """
+        rows = np.asarray(rows)
+        step = max(1, CELL_PAIR_BUDGET // max(len(cols), 1))
+        for k in range(0, rows.shape[0], step):
+            part = slice(k, k + step)
+            yield part, self.pair_dist_block(rows[part], cols)
+
     # -- neighbor structure --------------------------------------------
 
     def _cell_index(self, side):
-        """The :class:`_CellIndex` of cell side ``side``, built on first use;
-        the space keeps the ``_INDEX_CACHE`` most recently used."""
-        index = self._indexes.pop(side, None)
-        if index is None:
-            index = _CellIndex._build(self, side)
-            if len(self._indexes) >= _INDEX_CACHE:
-                self._indexes.pop(next(iter(self._indexes)))
-        self._indexes[side] = index  # the most recent last
-        return index
+        """The :class:`_CellIndex` of cell side ``side``; the space keeps
+        the one it built last."""
+        if self._index is None or self._index.side != side:
+            self._index = _CellIndex._build(self, side)
+        return self._index
 
     def nn_distances(self):
-        """Distance from every point to its nearest other point (inf alone)."""
-        if self._nn is None:
-            if self.kind == MATRIX:
-                self._nn = (self.matrix + np.diag(np.full(self.n, np.inf))).min(axis=1)
-            else:
-                self._nn = self._ring_search()
-        return self._nn
+        """Distance from every point to its nearest other point (inf alone).
 
-    def _ring_search(self):
-        """Exact nearest-neighbor distances of a coordinate space.
-
-        Each point scans the cells within a radius of 1.5 mean spacings
-        (taken from the bounding box of the first min(d, 3) coordinates).
-        A point whose nearest candidate lies within that radius is
-        resolved: every closer point was a candidate.  The rest scan again
-        with the radius doubled, until they resolve or their scan held
-        every point, which a radius above the box's extent guarantees.
+        A coordinate space reads the balls of radius 1.5 mean spacings
+        (taken from the bounding box of the first min(d, 3) coordinates):
+        a ball that holds another point holds the nearest one.  The
+        points whose ball holds only themselves read it again with the
+        radius doubled.
         """
+        if self._nn is not None:
+            return self._nn
         n = self.n
-        nn = np.full(n, np.inf)
-        if n == 1:
-            return nn
+        if self.kind == MATRIX:
+            self._nn = (self.matrix + np.diag(np.full(n, np.inf))).min(axis=1)
+            return self._nn
         x = self.coords[:, : min(self.ambient_dim, 3)]
         extent = self.period[: x.shape[1]] if self.kind == TORUS else np.ptp(x, axis=0)
         extent = extent[extent > 0]
-        if extent.size == 0:  # one cell holds every point
-            side = 1.0
-        else:
-            # 1.5 mean spacings, or a cell per point along the widest axis
+        r = 1.0  # every point shares the box's corner
+        if extent.size:
+            # 1.5 mean spacings, or the widest extent over n if larger
             top = float(extent.max())
-            side = 1.5 * math.exp(float(np.log(extent).mean()) - math.log(n) / extent.size)
-            side = max(side, top / n) or top
-            if side == math.inf:  # the extent overflows
-                side = float(np.finfo(float).max) / 4.0
-        index = self._cell_index(side)
-        todo, radius = np.arange(n), side
+            r = 1.5 * math.exp(float(np.log(extent).mean()) - math.log(n) / extent.size)
+            r = max(r, top / n) or top
+            r = min(r, float(np.finfo(float).max) / 4.0)  # r is inf if the extent overflows
+        nn = np.full(n, np.inf)
+        todo = np.arange(n if n > 1 else 0)
         while todo.size:
-            owner, cand = index._near(self.coords[todo], np.full(todo.size, radius))
-            d = self._dists(todo[owner], cand)
-            d[cand == todo[owner]] = np.inf
-            scanned = np.bincount(owner, minlength=todo.size)
-            best = np.minimum.reduceat(d, np.cumsum(scanned) - scanned)
-            done = (best <= radius) | (scanned == n)
-            nn[todo[done]] = best[done]
-            todo, radius = todo[~done], 2.0 * radius
+            ptr, members, d = self.all_balls(r, todo)
+            d[members == np.repeat(todo, np.diff(ptr))] = np.inf
+            best = np.minimum.reduceat(d, ptr[:-1])  # a ball holds its center
+            alone = best == np.inf
+            nn[todo[~alone]] = best[~alone]
+            todo, r = todo[alone], 2.0 * r
+        self._nn = nn
         return nn
 
     def min_spacing(self):
@@ -542,27 +536,21 @@ def _reject_overflow(space):
 
 
 def _reject_duplicates(space):
-    """Reject coordinate rows that coincide (modulo the period on a torus),
-    and distinct rows that the distance formula still puts at 0 (their
-    squared difference underflows).
+    """Reject points at distance 0: coinciding rows (modulo the period on
+    a torus), or distinct rows whose squared difference underflows.
 
-    Names the first pair: the smallest ``j`` repeating an earlier ``i``,
-    then the smallest ``i`` at distance 0 from some ``j``, with the
+    Names the smallest ``i`` at distance 0 from another point, with the
     smallest such ``j``.
     """
-    _, first, inverse = np.unique(
-        space.coords, axis=0, return_index=True, return_inverse=True
-    )
-    first = first[inverse.reshape(-1)]
-    dup = np.nonzero(first != np.arange(space.n))[0]
-    if dup.size:
-        i, j = int(first[dup[0]]), int(dup[0])
-        raise ValidationError(f"duplicate points ({i}, {j})", detail=(i, j))
     zero = np.flatnonzero(space.nn_distances() == 0)
     if zero.size:
         i = int(zero[0])
         j = int(np.flatnonzero(space.dist_row(i) == 0)[1])  # the first is i itself
-        raise ValidationError(f"distinct points ({i}, {j}) at distance 0", detail=(i, j))
+        if np.array_equal(space.coords[i], space.coords[j]):
+            message = f"duplicate points ({i}, {j})"
+        else:
+            message = f"distinct points ({i}, {j}) at distance 0"
+        raise ValidationError(message, detail=(i, j))
 
 
 def _audit_triangles(m, seed=0):

@@ -249,11 +249,12 @@ def _curve_fixture(spec):
 def _curve_base_slack(space, arclen):
     """Audited chord-vs-arclength slack of the curve parameterization."""
     worst = 0.0
-    for i in range(space.n):
-        d = space.dist_row(i)
+    arc = arclen[:, 0]
+    everyone = np.arange(space.n)
+    for part, d in space.pair_blocks(everyone, everyone):
         mask = d > 0
-        ratios = np.abs(arclen[mask, 0] - arclen[i, 0]) / d[mask]
-        worst = max(worst, float(ratios.max()))
+        ratios = np.abs(arc - arc[part, None])[mask] / d[mask]
+        worst = float(ratios.max(initial=worst))
     return max(worst - 1.0, 0.0) + 1e-12
 
 

@@ -80,15 +80,15 @@ class GeodesicTarget:
         raise NotImplementedError
 
     def random_point(self, rng):
-        """One random point: coordinate kinds draw it as one packed row."""
-        return self.random_points(rng, 1)[0]
+        """One random point object, drawn as one packed row."""
+        return self.canonical(self.random_points(rng, 1)[0])
 
     def random_points(self, rng, k):
         """``k`` random points as packed rows.
 
-        Consumes ``rng`` exactly as ``k`` calls of ``random_point`` do and
-        gives the same points: ``_draw`` takes each point's draws in turn,
-        and ``_from_draws`` maps all of them to rows at once.
+        ``_draw`` takes each point's draws in turn and ``_from_draws`` maps
+        all of them to rows at once, so ``k`` calls of ``random_point``
+        consume ``rng`` as this call does and give the same points.
         """
         draws = [self._draw(rng) for _ in range(k)]
         return self._from_draws(np.asarray(draws, dtype=float).reshape(k, self._draw_width))
@@ -379,10 +379,6 @@ class TreeTarget(GeodesicTarget):
         e = int(rng.integers(0, len(self.edges)))
         # rng.uniform(0.0, l) draws 0.0 + l * rng.random(): the same number
         return e, self.edges[e][2] * rng.random()
-
-    def random_point(self, rng):
-        e, t = self._draw(rng)
-        return self.canonical(TreePoint(edge=e, t=t))
 
     def _from_draws(self, D):
         return self._rows_of(-1, D[:, 0], D[:, 1])[0]
@@ -738,9 +734,6 @@ class ProductTarget(GeodesicTarget):
         ]
         rows = np.concatenate([r for r, _ in packed], axis=1)
         return rows, np.any([bad for _, bad in packed], axis=0)
-
-    def random_point(self, rng):
-        return tuple(c.random_point(rng) for c in self.components)
 
     def _draw(self, rng):
         return [x for c in self.components for x in c._draw(rng)]

@@ -17,6 +17,7 @@ from kscalc import (
 from kscalc.cli import main as cli_main
 from kscalc.errors import ValidationError
 from kscalc.serialize import (
+    canonical_json,
     load_atlas,
     load_map,
     load_problem,
@@ -142,6 +143,22 @@ class TestExitCodes:
         code, out, err = run_main(capsys, "space-check", "--space", path)
         assert (code, out) == (2, "")
         assert f"{path}: non-finite JSON token {token}" in err
+
+    def test_space_check_one_point_spacing_is_null(self, capsys, tmp_path):
+        # a single point has no nearest neighbor: its spacing is inf, which
+        # strict JSON has no token for
+        write_json(tmp_path / "one.json", {"kind": "euclidean", "points": [[0.5, 0.5]]})
+        code, out, _ = run_main(capsys, "space-check", "--space", tmp_path / "one.json",
+                                "--radius", "1")
+        assert code == 0
+        report = json.loads(out, parse_constant=pytest.fail)
+        assert report["median_nn_spacing"] is None
+        assert report["doubling"] == {"R": 1.0, "value": 1.0}
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_canonical_json_rejects_non_finite_floats(self, value):
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            canonical_json({"field": [1.0, value]})
 
     @pytest.mark.parametrize("center", ["-1", "11", "99999"])
     def test_space_check_bad_center_exit_2(self, capsys, workdir, center):

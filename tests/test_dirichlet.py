@@ -25,6 +25,7 @@ from kscalc import (
     solve,
 )
 
+import kscalc.spaces as spaces_module
 from kscalc.dirichlet import (
     _cg,
     _checked_step,
@@ -652,6 +653,22 @@ class TestExactBarycenters:
         values = prob.default_init()
         new = relax_sweep(prob, values)
         assert relaxation_energy(prob, new) < relaxation_energy(prob, values)
+
+
+class TestDefaultInit:
+    @pytest.mark.parametrize("budget", [50, spaces_module.CELL_PAIR_BUDGET])
+    def test_first_nearest_layer_point_as_per_point(self, monkeypatch, budget):
+        # interior points one grid step from two layer points tie: the
+        # blocked scan keeps the first in layer order, as a per-point argmin
+        # does, whether its parts hold two rows or all of them
+        monkeypatch.setattr(spaces_module, "CELL_PAIR_BUDGET", budget)
+        prob = grid_problem(9, 2, EuclideanTarget(2), lambda p: 2 * p - 1)
+        layer = prob.boundary_layer
+        rows = [prob.space.dist_subset(int(x), layer) for x in prob.interior]
+        assert sum(np.count_nonzero(d == d.min()) > 1 for d in rows) >= 4
+        nearest = [int(layer[np.argmin(d)]) for d in rows]
+        expect = prob.assemble([prob.boundary_data[k] for k in nearest])
+        np.testing.assert_array_equal(prob.default_init(), expect)
 
 
 def ill_posed_problem():

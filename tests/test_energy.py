@@ -517,32 +517,37 @@ class TestLocality:
         assert max(abs(ku[i] - kv[i]) for i in inside) == 0.0
         assert max(abs(ku[i] - kv[i]) for i in boundary_ring) > 0.0
 
-    def test_mdiff_fit_balls_share_cell_indexes(self, monkeypatch):
-        # each fit reads the ball of its own radius, and the radii differ;
-        # the radii of one binade share a cell index, so the check builds
-        # one per binade instead of one per point
+    def test_mdiff_regions_read_no_cell_index(self, monkeypatch):
+        # each fit's region is read as the fit reads its neighbors, from the
+        # distances to its chart's members: no ball query, so no cell index,
+        # and the same members as the chart part of the fit radius's open
+        # ball, which the check read before
         rng = np.random.default_rng(3)
         xs = rng.uniform(0.0, 1.0, (400, 2))
         sp = build_space({"kind": "euclidean", "points": xs.tolist()})
         vals = np.sin(3 * xs[:, :1])
         u = MetricMap(sp, EuclideanTarget(1), vals)
         v = MetricMap(sp, EuclideanTarget(1), vals + (xs[:, :1] > 0.5))
-        atlas = Atlas(charts=[Chart(indices=np.arange(sp.n), phi=xs, epsilon=0.0)], epsilon=0.0)
-        sides = []
-        build = _CellIndex._build
-
-        def counted(space, side):
-            sides.append(side)
-            return build(space, side)
-
-        monkeypatch.setattr(_CellIndex, "_build", counted)
+        left = xs[:, 1] < 0.5
+        charts = [Chart(indices=np.flatnonzero(m), phi=xs[m], epsilon=0.0) for m in (left, ~left)]
+        atlas = Atlas(charts=charts, epsilon=0.0)
         fits = density_via_mdiff(u, atlas, 2.0, FitConfig()).fits
-        radii = np.array([fit.radius for fit in fits.values()])
-        binades = np.unique(np.frexp(radii)[1])
-        assert len(fits) > 300 and np.unique(radii).size > 100
-        sides.clear()
-        assert locality_check(u, v, 2.0, source="mdiff", atlas=atlas) >= 0.0
-        assert len(sides) == len(set(sides)) == binades.size <= 3
+        assert len(fits) > 300 and np.unique([f.radius for f in fits.values()]).size > 100
+        for i, fit in fits.items():
+            chart = atlas.chart_of(i)
+            ball_idx = sp.ball_indices(i, fit.radius)
+            old = ball_idx[[chart.contains(j) for j in ball_idx]]
+            d = sp.pair_dist_block([i], chart.indices)[0]
+            np.testing.assert_array_equal(np.sort(chart.indices[d < fit.radius]), old)
+        calls = []
+        build, near = _CellIndex._build, _CellIndex._near
+        monkeypatch.setattr(_CellIndex, "_build", lambda *a: calls.append("build") or build(*a))
+        monkeypatch.setattr(_CellIndex, "_near", lambda *a: calls.append("near") or near(*a))
+        sp.ball_indices(0, 0.1)  # the spies see a ball query
+        assert "near" in calls
+        calls.clear()
+        assert locality_check(u, v, 2.0, source="mdiff", atlas=atlas) == 0.0
+        assert calls == []
 
     def test_empty_agreement_vacuous(self, pair):
         xs, sp, u, v = pair

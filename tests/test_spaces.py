@@ -21,6 +21,7 @@ from kscalc import (
     maximal_function,
     partition_of_unity,
 )
+import kscalc.spaces as spaces_module
 from kscalc.spaces import CELL_PAIR_BUDGET, PointCloudSpace, _ball_side
 
 from conftest import grid_points, random_map
@@ -65,6 +66,13 @@ class TestBuildSpace:
             build_space({"kind": "euclidean", "points": [[0], [0], [0.5], [1]]})
         assert exc.value.detail == (0, 1)
         assert time.perf_counter() - t0 < 1.0
+
+    def test_duplicate_named_by_smallest_index_then_partner(self):
+        # 0 and 3 coincide, and so do 1 and 2: the smallest index at
+        # distance 0 from another point is 0, its partner 3
+        with pytest.raises(ValidationError, match=re.escape("duplicate points (0, 3)")) as exc:
+            build_space({"kind": "euclidean", "points": [[1.0], [2.0], [2.0], [1.0]]})
+        assert exc.value.detail == (0, 3)
 
     def test_torus_duplicates_modulo_period_rejected(self):
         spec = {"kind": "torus", "points": [[0.5, 0.0], [0.25, 0.5], [1.25, -0.5]],
@@ -756,3 +764,30 @@ class TestBallScansMatchFullRows:
         u = random_map(seeded_cloud, target, 9)
         for R in (0.1, 0.3):
             np.testing.assert_array_equal(hajlasz_gradient(u, R), _hajlasz_oracle(u, R))
+
+
+class TestPairBlocks:
+    """``pair_blocks`` cuts ``pair_dist_block`` into row parts, bit for bit,
+    and each row equals the per-point scan it replaced."""
+
+    @pytest.mark.parametrize("budget", [100, 500])
+    @pytest.mark.parametrize("n_cols", [0, 1, 7, 144])
+    def test_parts_in_order_within_budget(self, seeded_cloud, monkeypatch, budget, n_cols):
+        sp = seeded_cloud
+        rng = np.random.default_rng(4)
+        rows = rng.integers(0, sp.n, 300)  # repeats allowed
+        cols = rng.permutation(sp.n)[:n_cols]
+        monkeypatch.setattr(spaces_module, "CELL_PAIR_BUDGET", budget)
+        done = 0
+        for part, d in sp.pair_blocks(rows, cols):
+            assert part.start == done and part.stop > done
+            done = min(part.stop, rows.size)
+            assert d.shape == (done - part.start, n_cols)
+            assert d.size <= budget or d.shape[0] == 1
+            np.testing.assert_array_equal(d, sp.pair_dist_block(rows[part], cols))
+            for i, row in zip(rows[part], d):
+                np.testing.assert_array_equal(row, sp.dist_subset(int(i), cols))
+        assert done == rows.size
+
+    def test_no_rows_no_parts(self, seeded_cloud):
+        assert list(seeded_cloud.pair_blocks([], np.arange(5))) == []
