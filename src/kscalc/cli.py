@@ -3,9 +3,9 @@
 Subcommands wrap the library: space audits, energy sweeps, metric
 differential fits, Dirichlet solves, and target verification.  Exit
 codes: 0 success, 1 I/O failure, 2 validation or audit failure, 3
-non-convergence.  Outputs are canonical JSON / frozen-column CSV and are
-byte-identical for identical configuration, seed, and inputs regardless
-of the thread count.
+non-convergence.  Outputs are canonical JSON / frozen-column CSV, the same
+bytes for the same configuration, seed and inputs at any thread count.
+``energy --threads/--seed`` and ``dirichlet --threads`` are accepted and unused.
 """
 
 from __future__ import annotations
@@ -235,8 +235,8 @@ def build_parser():
     en.add_argument("--omega", help="JSON file with an index list")
     en.add_argument("--format", choices=["json", "csv"], default="json")
     en.add_argument("--out", help="output path prefix")
-    en.add_argument("--threads", type=int, default=1)
-    en.add_argument("--seed", type=int, default=0)
+    en.add_argument("--threads", type=int, default=1, help="accepted and unused")
+    en.add_argument("--seed", type=int, default=0, help="accepted and unused")
     en.set_defaults(fn=cmd_energy)
 
     md = sub.add_parser("mdiff", help="fit metric differentials over an atlas")
@@ -259,7 +259,7 @@ def build_parser():
     di.add_argument("--max-sweeps", type=int, dest="max_sweeps")
     di.add_argument("--mode", choices=["jacobi", "gauss-seidel"])
     di.add_argument("--seed", type=int, default=0)
-    di.add_argument("--threads", type=int, default=1)
+    di.add_argument("--threads", type=int, default=1, help="accepted and unused")
     di.add_argument("--out", help="output path prefix")
     di.set_defaults(fn=cmd_dirichlet)
 

@@ -15,7 +15,7 @@ from .charts import Atlas, Chart
 from .dirichlet import DirichletProblem
 from .energy import MetricMap
 from .errors import ValidationError
-from .spaces import build_space
+from .spaces import build_space, domain_indices
 from .targets import build_target, target_to_json
 
 
@@ -50,16 +50,39 @@ def space_to_json(space):
     return out
 
 
+_JSON_TYPES = {str: "a string", list: "a list", dict: "an object", float: "a number"}
+
+
+def _object(obj, where):
+    """``obj``, which must be a JSON object."""
+    if not isinstance(obj, dict):
+        raise ValidationError(f"{where}: must hold a JSON object")
+    return obj
+
+
+def _field(obj, name, kind, where, default=None):
+    """Field ``name`` of a JSON object, of JSON type ``kind`` (``float``:
+    any number); a missing field is ``default``, if one is given."""
+    if name not in obj:
+        if default is None:
+            raise ValidationError(f"{where}: missing field {name!r}", detail=name)
+        return default
+    value = obj[name]
+    if isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else kind):
+        raise ValidationError(f"{where}: field {name!r} must be {_JSON_TYPES[kind]}", detail=name)
+    return value
+
+
 def load_space(path):
-    return build_space(read_json(path))
+    return build_space(_object(read_json(path), path))
 
 
 def load_target(path):
-    return build_target(read_json(path))
+    return build_target(_object(read_json(path), path))
 
 
 def map_to_json(u, space_ref=None, target_ref=None):
-    out = {"values": [u.target.point_to_json(row) for row in u.packed]}
+    out = {"values": u.target._rows_to_json(u.packed)}
     if space_ref is not None:
         out["space"] = str(space_ref)
     if target_ref is not None:
@@ -69,29 +92,14 @@ def map_to_json(u, space_ref=None, target_ref=None):
 
 def load_map(path, space=None, target=None):
     """Load a map file; file references resolve relative to the file."""
-    obj = read_json(path)
+    obj = _object(read_json(path), path)
     base = Path(path).parent
     if space is None:
-        if "space" not in obj:
-            raise ValidationError("map file lacks a space reference")
-        space = load_space(base / obj["space"])
+        space = load_space(base / _field(obj, "space", str, path))
     if target is None:
-        if "target" not in obj:
-            raise ValidationError("map file lacks a target reference")
-        target = load_target(base / obj["target"])
-    values = obj["values"]
-    return MetricMap(space, target, _points_from_json(target, values, range(len(values))))
-
-
-def _points_from_json(target, values, index):
-    """The points of JSON values; a malformed value raises naming its index."""
-    points = []
-    for k, v in zip(index, values):
-        try:
-            points.append(target.point_from_json(v))
-        except ValidationError as exc:
-            raise ValidationError(f"value at index {k}: {exc}", detail=k) from exc
-    return points
+        target = load_target(base / _field(obj, "target", str, path))
+    values = _field(obj, "values", list, path)
+    return MetricMap(space, target, target._rows_from_json(values, range(len(values))))
 
 
 def atlas_to_json(atlas):
@@ -110,63 +118,58 @@ def atlas_to_json(atlas):
 
 
 def load_atlas(path):
-    obj = read_json(path)
-    charts = [
-        Chart(
-            indices=np.asarray(c["indices"], dtype=int),
-            phi=np.asarray(c["coordinates"], dtype=float),
-            epsilon=float(c.get("epsilon", obj.get("epsilon", 0.0))),
-        )
-        for c in obj["charts"]
-    ]
-    return Atlas(
-        charts=charts,
-        epsilon=float(obj.get("epsilon", 0.0)),
-        uncovered=np.asarray(obj.get("uncovered", []), dtype=int),
-    )
+    obj = _object(read_json(path), path)
+    epsilon = float(_field(obj, "epsilon", float, path, 0.0))
+    charts = []
+    for k, c in enumerate(_field(obj, "charts", list, path)):
+        where = f"{path}: chart {k}"
+        c = _object(c, where)
+        charts.append(Chart(
+            indices=np.asarray(_field(c, "indices", list, where), dtype=int),
+            phi=np.asarray(_field(c, "coordinates", list, where), dtype=float),
+            epsilon=float(_field(c, "epsilon", float, where, epsilon)),
+        ))
+    uncovered = np.asarray(_field(obj, "uncovered", list, path, []), dtype=int)
+    return Atlas(charts=charts, epsilon=epsilon, uncovered=uncovered)
 
 
 def problem_to_json(prob, space_ref, target_ref):
-    t = prob.target
+    index = sorted(prob.boundary_data)
+    values = prob.target._rows_to_json(prob.target.pack([prob.boundary_data[k] for k in index]))
     return {
         "space": str(space_ref),
         "target": str(target_ref),
         "interior": [int(i) for i in prob.interior],
-        "boundary_values": [
-            [int(k), t.point_to_json(v)] for k, v in sorted(prob.boundary_data.items())
-        ],
+        "boundary_values": [[int(k), v] for k, v in zip(index, values)],
         "scale": float(prob.scale),
     }
 
 
 def load_problem(path):
-    obj = read_json(path)
+    obj = _object(read_json(path), path)
     base = Path(path).parent
-    space = load_space(base / obj["space"])
-    target = load_target(base / obj["target"])
-    # DirichletProblem checks that each index is an integer
-    index = [k for k, _ in obj["boundary_values"]]
-    values = [v for _, v in obj["boundary_values"]]
-    boundary = dict(zip(index, _points_from_json(target, values, index)))
+    space = load_space(base / _field(obj, "space", str, path))
+    target = load_target(base / _field(obj, "target", str, path))
+    pairs = _field(obj, "boundary_values", list, path)
+    if not all(isinstance(pair, list) and len(pair) == 2 for pair in pairs):
+        raise ValidationError(f"{path}: field 'boundary_values' must hold [index, point] pairs")
+    index = domain_indices([k for k, _ in pairs], space.n)
+    rows = target._rows_from_json([v for _, v in pairs], index)
     prob = DirichletProblem(
         space,
         target,
-        interior=obj["interior"],
-        boundary_data=boundary,
-        scale=float(obj["scale"]),
+        interior=_field(obj, "interior", list, path),
+        boundary_data=dict(zip(index.tolist(), rows)),
+        scale=_field(obj, "scale", float, path),
     )
-    return prob, obj.get("solver", {})
+    return prob, _field(obj, "solver", dict, path, {})
 
 
 def values_to_json(prob, values):
     """Solution values; indices never referenced serialize as null."""
-    referenced = set(int(i) for i in prob.referenced)
-    return {
-        "values": [
-            prob.target.point_to_json(row) if i in referenced else None
-            for i, row in enumerate(values)
-        ]
-    }
+    ref = prob.referenced
+    rows = dict(zip(ref.tolist(), prob.target._rows_to_json(np.asarray(values)[ref])))
+    return {"values": [rows.get(i) for i in range(len(values))]}
 
 
 def save_fixture(fixture, directory):

@@ -697,15 +697,13 @@ class PartitionOfUnity:
 
     def lipschitz_constants(self):
         """Empirical Lipschitz constant of each function over all pairs."""
-        n = self.space.n
         out = np.zeros(len(self.centers))
-        for i in range(n):
-            d = self.space.dist_row(i)
-            mask = d > 0
-            if not np.any(mask):
-                continue
-            ratios = np.abs(self.values[:, mask] - self.values[:, i][:, None]) / d[mask]
-            out = np.maximum(out, ratios.max(axis=1))
+        every = np.arange(self.space.n)
+        for part, d in self.space.pair_blocks(every, every):
+            # |v(j) - v(i)| / d(i, j), zero for the pairs at distance zero
+            d = np.where(d > 0, d, np.inf)
+            for f, v in enumerate(self.values):
+                out[f] = max(out[f], (np.abs(v - v[part, None]) / d).max())
         return out
 
     def reported_constant(self):

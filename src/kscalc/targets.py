@@ -54,7 +54,23 @@ def _slices(widths):
 
 def _is_number(x):
     """Whether a value is a real number (``True`` and ``False`` are not)."""
-    return isinstance(x, numbers.Real) and not isinstance(x, bool)
+    return type(x) in (float, int) or isinstance(x, numbers.Real) and not isinstance(x, bool)
+
+
+def _valid(rows, checks, index=None):
+    """``rows``, unless a value fails ``checks``: ``(mask, reason)`` pairs,
+    each reason a string or a function of the position.  The first bad
+    value raises a ``ValidationError`` with the reason of its first mask,
+    after ``value at index j: `` when ``index`` gives its j."""
+    bad = np.any([mask for mask, _ in checks], axis=0)
+    if not bad.any():
+        return rows
+    k = int(np.argmax(bad))
+    reason = next(r for mask, r in checks if mask[k])
+    reason = reason(k) if callable(reason) else reason
+    if index is None:
+        raise ValidationError(reason)
+    raise ValidationError(f"value at index {int(index[k])}: {reason}", detail=int(index[k]))
 
 
 class GeodesicTarget:
@@ -67,9 +83,9 @@ class GeodesicTarget:
     distance and geodesic code: ``dist`` and ``geodesic_point`` are their
     one-pair calls.  Point objects (coordinate vectors, ``TreePoint``,
     product tuples) belong to the scalar API, which takes a packed row
-    wherever it takes a point: any ``(n, width)`` array is a value
-    container for ``canonical``, ``dist``, ``geodesic_point``,
-    ``barycenter`` and ``point_to_json``.
+    wherever it takes a point.  Each kind reads values (``_checked_rows``)
+    and JSON values (``_json_rows``) into rows and the checks of
+    ``_valid``, and writes rows as JSON values and point objects.
     """
 
     kind = "abstract"
@@ -77,11 +93,19 @@ class GeodesicTarget:
 
     def canonical(self, p):
         """The validated point object of a point or a packed row."""
-        raise NotImplementedError
+        return self._point(_valid(*self._checked_rows([p]))[0])
+
+    def point_from_json(self, obj):
+        """The validated point object a JSON value describes."""
+        return self._point(_valid(*self._json_rows([obj]))[0])
+
+    def point_to_json(self, p):
+        """The JSON value of a point or a packed row."""
+        return self._rows_to_json(self.pack([p]))[0]
 
     def random_point(self, rng):
         """One random point object, drawn as one packed row."""
-        return self.canonical(self.random_points(rng, 1)[0])
+        return self._point(self.random_points(rng, 1)[0])
 
     def random_points(self, rng, k):
         """``k`` random points as packed rows.
@@ -98,22 +122,13 @@ class GeodesicTarget:
 
         ``values`` holds points or packed rows.  A bad value raises a
         ``ValidationError`` naming the first bad index, its position in
-        ``values`` or, when given, ``index`` at that position.  Each kind's
-        ``_checked_rows`` gives the rows and a mask of the bad values in one
-        pass, agreeing value for value with ``canonical``.
+        ``values`` or, when given, ``index`` at that position.
         """
-        try:
-            rows, bad = self._checked_rows(values)
-        except ValueError:
-            # values of mixed shapes: the scalar check takes them one by one
-            rows, bad = None, np.ones(len(values), dtype=bool)
-        for k in np.flatnonzero(bad):
-            try:
-                self.canonical(values[k])
-            except ValidationError as exc:
-                j = int(k if index is None else index[k])
-                raise ValidationError(f"value at index {j}: {exc}", detail=j) from exc
-        return self.pack([self.canonical(v) for v in values]) if rows is None else rows
+        return _valid(*self._checked_rows(values), range(len(values)) if index is None else index)
+
+    def _rows_from_json(self, objs, index):
+        """``pack`` of JSON values, named by ``index``; a wrong JSON type is bad."""
+        return _valid(*self._json_rows(objs), index)
 
     def dist(self, a, b):
         """The distance of two points: one pair of ``dists``."""
@@ -170,14 +185,6 @@ class GeodesicTarget:
         row to its group's exact barycenter: 0.0 for the exact kinds."""
         raise NotImplementedError
 
-    def point_from_json(self, obj):
-        """The point a JSON value describes.
-
-        A value of the wrong JSON type raises ``ValidationError``; ``pack``
-        or ``canonical`` validates the point itself.
-        """
-        raise NotImplementedError
-
 
 class _CoordinateTarget(GeodesicTarget):
     """A kind whose points are float coordinate vectors, their own rows.
@@ -188,18 +195,27 @@ class _CoordinateTarget(GeodesicTarget):
     # the reason a point of the right size is rejected
     _off_reason = "point coordinates must be finite"
 
-    def canonical(self, p):
-        p = np.asarray(p, dtype=float).reshape(-1)
-        if p.shape[0] != self.width:
-            raise ValidationError(f"point dimension {p.shape[0]} != {self.width}")
-        if not np.isfinite(p).all() or self._off(p):
-            raise ValidationError(self._off_reason)
-        return p
-
     def _checked_rows(self, values):
-        P = np.array(values, dtype=float).reshape(len(values), self.width)
+        vectors = [np.asarray(v, dtype=float).reshape(-1) for v in values]
+        fits = np.array([x.size == self.width for x in vectors], dtype=bool)
+        # a value of the wrong size is checked as the zero row
+        P = np.reshape([x if ok else np.zeros(self.width) for x, ok in zip(vectors, fits)],
+                       (-1, self.width))
         with np.errstate(invalid="ignore", over="ignore"):
-            return P, ~np.isfinite(P).all(axis=1) | self._off(P)
+            off = ~np.isfinite(P).all(axis=1) | self._off(P)
+        return P, [(~fits, lambda k: f"point dimension {vectors[k].size} != {self.width}"),
+                   (off, self._off_reason)]
+
+    def _json_rows(self, objs):
+        ok = np.array([isinstance(v, list) and all(map(_is_number, v)) for v in objs], dtype=bool)
+        rows, checks = self._checked_rows([v if good else () for v, good in zip(objs, ok)])
+        return rows, [(~ok, "a point must be a list of numbers"), *checks]
+
+    def _rows_to_json(self, rows):
+        return rows.tolist()
+
+    def _point(self, row):
+        return row
 
     def _off(self, P):
         """Whether finite rows lie off the kind's manifold."""
@@ -210,14 +226,6 @@ class _CoordinateTarget(GeodesicTarget):
 
     def random_points(self, rng, k):
         return self._from_draws(rng.normal(0.0, 1.0, (k, self._draw_width)))
-
-    def point_to_json(self, p):
-        return [float(x) for x in np.asarray(p).reshape(-1)]
-
-    def point_from_json(self, obj):
-        if not isinstance(obj, list) or not all(map(_is_number, obj)):
-            raise ValidationError("a point must be a list of numbers")
-        return np.asarray(obj, dtype=float)
 
 
 class EuclideanTarget(_CoordinateTarget):
@@ -316,64 +324,68 @@ class TreeTarget(GeodesicTarget):
 
     @staticmethod
     def _triple(p):
-        """(vertex, edge, offset) of a TreePoint or a packed row; edge -1 is a vertex."""
+        """(vertex, edge, offset) of a TreePoint or a packed row; edge < 0 is a vertex."""
         if isinstance(p, TreePoint):
             return (p.vertex, -1, 0.0) if p.is_vertex() else (-1, p.edge, p.t)
-        return (p[0], -1, 0.0) if p[4] < 0 else (-1, p[4], float(p[5]))
+        return p[0], p[4], p[5]
 
-    def canonical(self, p):
-        vertex, e, t = self._triple(p)
-        if e < 0:
-            if not 0 <= vertex < self.n_vertices:
-                raise ValidationError("vertex index out of range")
-            if vertex != int(vertex):
-                raise ValidationError(f"vertex index {vertex} is not an integer")
-            return TreePoint(vertex=int(vertex))
-        if not 0 <= e < len(self.edges):
-            raise ValidationError("edge index out of range")
-        if e != int(e):
-            raise ValidationError(f"edge index {e} is not an integer")
-        e = int(e)
-        u, v, l = self.edges[e]
-        if not -1e-12 <= t <= l + 1e-12:
-            raise ValidationError("edge offset outside the edge length")
-        t = min(max(t, 0.0), l)
-        if t == 0.0:
-            return TreePoint(vertex=u)
-        if t == l:
-            return TreePoint(vertex=v)
-        return TreePoint(edge=e, t=t)
+    @staticmethod
+    def _json_point(obj):
+        """The TreePoint of a JSON tree point, None for a value of another form."""
+        obj = obj if isinstance(obj, dict) else {}
+        if _is_number(obj.get("vertex")):
+            return TreePoint(vertex=obj["vertex"])
+        if _is_number(obj.get("edge")) and _is_number(obj.get("t")):
+            return TreePoint(edge=obj["edge"], t=obj["t"])
+        return None
+
+    def _checked_rows(self, values):
+        triples = [self._triple(p) for p in values]
+        return self._rows_of(*np.asarray(triples, dtype=float).reshape(-1, 3).T)
+
+    def _json_rows(self, objs):
+        points = [self._json_point(v) for v in objs]
+        rows, checks = self._checked_rows([p or TreePoint(vertex=0) for p in points])
+        bad = np.array([p is None for p in points], dtype=bool)
+        return rows, [(bad, 'a tree point must be {"vertex": v} or {"edge": e, "t": offset}'),
+                      *checks]
+
+    def _rows_to_json(self, rows):
+        return [{"vertex": int(u)} if e < 0 else {"edge": int(e), "t": t}
+                for u, e, t in rows[:, [0, 4, 5]].tolist()]
+
+    def _point(self, row):
+        return TreePoint(**self._rows_to_json(row[None])[0])
 
     def _rows_of(self, vertex, edge, t):
-        """Canonical rows of points and a mask of the invalid ones.
+        """Canonical rows of points and the checks of their validity.
 
-        A point is a vertex (edge -1) or an edge and an offset.  As in
-        ``canonical``, an offset within 1e-12 of its edge is clamped onto
-        it and an edge end becomes its vertex.
+        A point is a vertex (a negative edge) or an edge and an offset.  An
+        offset within 1e-12 of its edge is clamped onto it and an edge end
+        becomes its vertex.  A vertex or an edge must be an index in range,
+        and an edge's offset must lie on it.
         """
         on = ~(edge < 0)
-        e_ok = (edge >= 0) & (edge < len(self.edges)) & (edge == np.floor(edge))
-        e = np.where(e_ok, edge, 0).astype(np.intp)
+        e_in = (edge >= 0) & (edge < len(self.edges))
+        e_whole = edge == np.floor(edge)
+        e = np.where(e_in & e_whole, edge, 0).astype(np.intp)
         u, v, l = self._eu[e], self._ev[e], self._len[e]
-        bad = np.where(
-            on,
-            ~(e_ok & (t >= -1e-12) & (t <= l + 1e-12)),
-            ~((vertex >= 0) & (vertex < self.n_vertices) & (vertex == np.floor(vertex))),
-        )
+        v_in = (vertex >= 0) & (vertex < self.n_vertices)
+        v_whole = vertex == np.floor(vertex)
+        checks = [
+            (~on & ~v_in, "vertex index out of range"),
+            (~on & ~v_whole, lambda k: f"vertex index {float(vertex[k])} is not an integer"),
+            (on & ~e_in, "edge index out of range"),
+            (on & ~e_whole, lambda k: f"edge index {float(edge[k])} is not an integer"),
+            (on & ~((t >= -1e-12) & (t <= l + 1e-12)), "edge offset outside the edge length"),
+        ]
         t = np.minimum(np.maximum(t, 0.0), l)
         # the vertex of each row, -1 for a point inside its edge
-        w = np.where(
-            on, np.where(t == 0.0, u, np.where(t == l, v, -1)), np.where(bad, 0, vertex)
-        )
+        w = np.where(on, np.where(t == 0.0, u, np.where(t == l, v, -1)), vertex)
         inside = w < 0
         rows = np.stack([np.where(inside, u, w), np.where(inside, v, w), t, l - t, e, t], axis=-1)
         rows[~inside, 2:] = (0.0, 0.0, -1.0, 0.0)
-        return rows, bad
-
-    def _checked_rows(self, values):
-        triples = np.asarray([self._triple(p) for p in values], dtype=float)
-        vertex, edge, t = triples.reshape(-1, 3).T
-        return self._rows_of(vertex, edge, t)
+        return rows, checks
 
     def _draw(self, rng):
         e = int(rng.integers(0, len(self.edges)))
@@ -449,9 +461,7 @@ class TreeTarget(GeodesicTarget):
             res_e[r] = e[hit]
             res_t[r] = np.where(u == self._eu[e], left, l - left)[hit]
             rows, u, left, goal = rows[~hit], v[~hit], (left - l)[~hit], goal[~hit]
-        out, bad = self._rows_of(res_w, res_e, res_t)
-        if np.any(bad):
-            raise ValidationError("edge offset outside the edge length")
+        out = _valid(*self._rows_of(res_w, res_e, res_t))
         out[~moving] = A[~moving]
         return out.reshape(shape)
 
@@ -497,20 +507,6 @@ class TreeTarget(GeodesicTarget):
         one = sizes == 1
         out[one] = rows[starts[one]]
         return out, 0.0
-
-    def point_to_json(self, p):
-        p = self.canonical(p)
-        if p.is_vertex():
-            return {"vertex": int(p.vertex)}
-        return {"edge": int(p.edge), "t": float(p.t)}
-
-    def point_from_json(self, obj):
-        if isinstance(obj, dict):
-            if _is_number(obj.get("vertex")):
-                return TreePoint(vertex=obj["vertex"])
-            if _is_number(obj.get("edge")) and _is_number(obj.get("t")):
-                return TreePoint(edge=obj["edge"], t=float(obj["t"]))
-        raise ValidationError('a tree point must be {"vertex": v} or {"edge": e, "t": offset}')
 
 
 def _lift_columns(y1, y2):
@@ -713,27 +709,39 @@ class ProductTarget(GeodesicTarget):
         self._draw_slices = _slices([c._draw_width for c in self.components])
 
     def _split(self, p):
-        """The component values of a point tuple or a packed row."""
-        if len(p) == len(self.components):
+        """The component values of a point tuple or a packed row, else None."""
+        if p is not None and len(p) == len(self.components):
             return p
-        if len(p) == self.width:
+        if p is not None and len(p) == self.width:
             return [p[cols] for cols in self._slices]
-        raise ValidationError("component count mismatch")
-
-    def _zip(self, *points):
-        """Each component with its values of the points."""
-        return zip(self.components, *map(self._split, points))
-
-    def canonical(self, p):
-        return tuple(c.canonical(q) for c, q in self._zip(p))
+        return None
 
     def _checked_rows(self, values):
-        parts = [self._split(v) for v in values]
-        packed = [
-            c._checked_rows([q[k] for q in parts]) for k, c in enumerate(self.components)
-        ]
-        rows = np.concatenate([r for r, _ in packed], axis=1)
-        return rows, np.any([bad for _, bad in packed], axis=0)
+        return self._read(values, lambda c, parts: c._checked_rows(parts))
+
+    def _json_rows(self, objs):
+        m = len(self.components)
+        lists = [v if isinstance(v, list) and len(v) == m else None for v in objs]
+        return self._read(lists, lambda c, parts: c._json_rows(parts))
+
+    def _read(self, values, read):
+        """Rows and checks of values whose components ``read(component, values)``
+        reads; a value ``_split`` cannot split is bad, read as the zero row."""
+        split = [self._split(p) for p in values]
+        blank = self._split(np.zeros(self.width))
+        results = [read(c, [blank[k] if q is None else q[k] for q in split])
+                   for k, c in enumerate(self.components)]
+        bad = np.array([q is None for q in split], dtype=bool)
+        reason = f"a product point needs a value for each of its {len(self.components)} components"
+        return (np.concatenate([r for r, _ in results], axis=1),
+                [(bad, reason), *(check for _, checks in results for check in checks)])
+
+    def _rows_to_json(self, rows):
+        parts = [c._rows_to_json(rows[:, cols]) for c, cols in zip(self.components, self._slices)]
+        return [list(p) for p in zip(*parts)]
+
+    def _point(self, row):
+        return tuple(c._point(row[cols]) for c, cols in zip(self.components, self._slices))
 
     def _draw(self, rng):
         return [x for c in self.components for x in c._draw(rng)]
@@ -768,16 +776,6 @@ class ProductTarget(GeodesicTarget):
             np.concatenate([p for p, _ in parts], axis=1),
             math.hypot(*(r for _, r in parts)),
         )
-
-    def point_to_json(self, p):
-        return [c.point_to_json(q) for c, q in self._zip(p)]
-
-    def point_from_json(self, obj):
-        if not isinstance(obj, list) or len(obj) != len(self.components):
-            raise ValidationError(
-                f"a product point must be a list of {len(self.components)} points"
-            )
-        return tuple(c.point_from_json(q) for c, q in zip(self.components, obj))
 
 
 class SphereTarget(_CoordinateTarget):

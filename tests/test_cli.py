@@ -1,9 +1,13 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kscalc import (
     DirichletProblem,
@@ -647,6 +651,104 @@ class TestLoadNamesMalformedValue:
         u = load_map(path)
         assert u.target.point_to_json(u.packed[0]) == {"vertex": 1}
         assert u.target.point_to_json(u.packed[10]) == {"edge": 2, "t": 0.25}
+
+
+class TestLoadNamesBadField:
+    """A file whose top level or a field has the wrong JSON type exits 2
+    naming the field."""
+
+    def edit(self, workdir, source, name, change):
+        obj = json.loads((workdir / source).read_text())
+        path = workdir / f"bad_field_{name}.json"
+        write_json(path, change(obj))
+        return path
+
+    def check(self, args, says):
+        code, out, err = run_cli(*args)
+        assert (code, out) == (2, "")
+        assert says in err and "Traceback" not in err
+
+    def test_energy_map_with_inline_space(self, workdir):
+        space = json.loads((workdir / "space.json").read_text())
+        path = self.edit(workdir, "map.json", "inline_space", lambda m: {**m, "space": space})
+        self.check(("energy", "--map", path, "--scales", "0.45,0.35"), "field 'space'")
+
+    def test_energy_map_with_number_values(self, workdir):
+        path = self.edit(workdir, "map.json", "number_values", lambda m: {**m, "values": 7})
+        self.check(("energy", "--map", path, "--scales", "0.45,0.35"), "field 'values'")
+
+    def test_mdiff_atlas_with_object_charts(self, workdir):
+        path = self.edit(workdir, "fixture/atlas.json", "object_charts",
+                         lambda a: {**a, "charts": {"a": 1}})
+        fx = workdir / "fixture"
+        self.check(("mdiff", "--space", fx / "space.json", "--atlas", path,
+                    "--map", fx / "map_linear.json", "--points", "10,30"), "field 'charts'")
+
+    def test_dirichlet_problem_holding_a_list(self, workdir):
+        path = self.edit(workdir, "problem.json", "list_problem", lambda p: [p])
+        self.check(("dirichlet", "--problem", path), "JSON object")
+
+    def test_energy_space_file_holding_a_list(self, workdir):
+        space = self.edit(workdir, "space.json", "list_space", lambda s: s["points"])
+        path = self.edit(workdir, "map.json", "list_space_map", lambda m: {**m, "space": space.name})
+        self.check(("energy", "--map", path, "--scales", "0.45,0.35"), "JSON object")
+
+
+# the JSON files the loader property mutates, each with the command that
+# reads it (file names relative to the module's workdir)
+_LOADED_FILES = {
+    "map": ("map.json", ["energy", "--map", "{path}", "--scales", "0.45,0.35"]),
+    "problem": ("problem.json", ["dirichlet", "--problem", "{path}"]),
+    "atlas": ("fixture/atlas.json",
+              ["mdiff", "--space", "fixture/space.json", "--atlas", "{path}",
+               "--map", "fixture/map_linear.json", "--points", "10,30"]),
+}
+_JSON_VALUES = st.sampled_from([7, 2.5, "x", [], [1, 2], {}, {"a": 1}, None, True])
+_NON_FINITE = st.sampled_from(["1e999", "-1e999", "NaN", "Infinity"])
+
+
+def _mutate(obj, data, workdir):
+    """``obj`` with one field dropped, given another JSON type or, for a
+    file reference, replaced by the file's content; or with a non-finite
+    number in its values, marked by the string "NONFINITE"."""
+    name = data.draw(st.sampled_from(sorted(obj)))
+    how = data.draw(st.sampled_from(["drop", "retype", "inline", "non-finite"]))
+    obj = dict(obj)
+    if how == "drop":
+        del obj[name]
+    elif how == "retype":
+        obj[name] = data.draw(_JSON_VALUES.filter(lambda v: type(v) is not type(obj[name])))
+    elif how == "inline" and name in ("space", "target"):
+        obj[name] = json.loads((workdir / obj[name]).read_text())
+    elif "values" in obj:
+        values = obj["values"]
+        k = data.draw(st.integers(0, len(values) - 1))
+        obj["values"] = values[:k] + [["NONFINITE"]] + values[k + 1:]
+    elif "boundary_values" in obj:
+        obj["boundary_values"] = [[0, ["NONFINITE"]], *obj["boundary_values"][1:]]
+    else:
+        chart = dict(obj["charts"][0])
+        chart["coordinates"] = [["NONFINITE"], *chart["coordinates"][1:]]
+        obj["charts"] = [chart, *obj["charts"][1:]]
+    return obj
+
+
+@pytest.mark.parametrize("kind", sorted(_LOADED_FILES))
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_mutated_files_exit_0_or_2(workdir, kind, data):
+    """A valid map, problem or atlas file, mutated: every command that reads
+    it returns 0 or 2 and raises nothing."""
+    source, args = _LOADED_FILES[kind]
+    obj = _mutate(json.loads((workdir / source).read_text()), data, workdir)
+    text = json.dumps(obj).replace('"NONFINITE"', data.draw(_NON_FINITE))
+    path = workdir / f"mutated_{kind}.json"
+    path.write_text(text)
+    argv = [str(path) if a == "{path}" else str(workdir / a) if a.endswith(".json") else a
+            for a in args]
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = cli_main([*argv, "--out", str(workdir / f"mutated_{kind}_out")])
+    assert code in (0, 2)
 
 
 class TestProblemIndicesAndOptions:

@@ -791,3 +791,18 @@ class TestPairBlocks:
 
     def test_no_rows_no_parts(self, seeded_cloud):
         assert list(seeded_cloud.pair_blocks([], np.arange(5))) == []
+
+    @pytest.mark.parametrize("budget", [500, CELL_PAIR_BUDGET])
+    def test_lipschitz_constants_match_per_point_scan(self, seeded_cloud, monkeypatch, budget):
+        sp = seeded_cloud
+        monkeypatch.setattr(spaces_module, "CELL_PAIR_BUDGET", budget)
+        for r in (0.1, 0.2):
+            pu = partition_of_unity(sp, r)
+            # the scan it replaced: one full distance row per point
+            expect = np.zeros(len(pu.centers))
+            for i in range(sp.n):
+                d = sp.dist_row(i)
+                mask = d > 0
+                ratios = np.abs(pu.values[:, mask] - pu.values[:, i][:, None]) / d[mask]
+                expect = np.maximum(expect, ratios.max(axis=1))
+            np.testing.assert_array_equal(pu.lipschitz_constants(), expect)

@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from kscalc import (
@@ -24,6 +24,7 @@ from kscalc import (
     kuratowski_embed,
 )
 from kscalc import targets as targets_module
+from kscalc.serialize import canonical_json
 
 
 class TestDist:
@@ -971,6 +972,55 @@ def test_pack_matches_per_value_canonical(kind, data):
         with pytest.raises(ValidationError, match=f"index {first_bad}:") as exc:
             t.pack(values)
         assert exc.value.detail == first_bad
+
+
+@pytest.mark.parametrize(
+    "kind, values, k, says",
+    [
+        ("euclidean", [[0.0, 0.0, 0.0], [1.0, 2.0], [math.nan] * 3], 1, "point dimension 2 != 3"),
+        ("hyperbolic", [[1.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0]], 1, "point dimension 4 != 3"),
+        ("product", [(np.zeros(2), TreePoint(vertex=0), np.array([1.0, 0.0, 0.0])),
+                     (np.zeros(2), TreePoint(vertex=0))], 1, "a value for each of its 3"),
+    ],
+)
+def test_pack_names_a_value_of_the_wrong_size(kind, values, k, says):
+    # values of mixed sizes: the first bad one is named, as canonical names it
+    t = _GEO_TARGETS[kind]
+    with pytest.raises(ValidationError, match=f"^value at index {k}: .*{says}") as exc:
+        t.pack(values)
+    assert exc.value.detail == k
+    with pytest.raises(ValidationError, match=f"^(?!value at).*{says}"):
+        t.canonical(values[k])
+
+
+_NESTED = ProductTarget([_GEO_TARGETS["product"], SPIDER])
+_JSON_CASES = {
+    **{kind: (_GEO_TARGETS[kind], _pack_values[kind]) for kind in KERNEL_KINDS},
+    "nested-product": (_NESTED, st.tuples(_pack_values["product"], _pack_values["tree"])),
+}
+
+
+def _valid_value(t, v):
+    try:
+        _oracle_row(t, v)
+    except ValidationError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("kind", sorted(_JSON_CASES))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_json_round_trip(kind, data):
+    t, values = _JSON_CASES[kind]
+    values = [v for v in data.draw(st.lists(values, min_size=1, max_size=8)) if _valid_value(t, v)]
+    assume(values)
+    rows = t.pack(values)
+    text = canonical_json(t._rows_to_json(rows))
+    assert t._rows_from_json(json.loads(text), range(len(rows))).tobytes() == rows.tobytes()
+    for v, row in zip(values, rows):
+        q = t.point_from_json(json.loads(canonical_json(t.point_to_json(v))))
+        assert t.pack([q]).tobytes() == row.tobytes()
 
 
 # -- exact barycenters ------------------------------------------------------
