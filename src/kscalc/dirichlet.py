@@ -351,14 +351,10 @@ def relax_sweep(prob, values, mode=JACOBI, bary_tol=1e-10):
     Jacobi reads a frozen snapshot; Gauss-Seidel goes by color, then index.
     The relaxation energy never increases, and the sweep checks it.
     """
-    return _checked_step(prob, values, relaxation_energy(prob, values), mode, bary_tol)[0]
-
-
-def _checked_step(prob, values, energy, mode, bary_tol):
-    """One sweep from values of relaxation energy ``energy``: the new values,
-    their energy and the bound on the barycenters' distance from exact."""
-    new_values, residual = _sweep(prob, values, mode, bary_tol)
-    return new_values, _descended(prob, energy, new_values), residual
+    energy = relaxation_energy(prob, values)
+    (new_values,), _ = _sweep(prob, [values], mode, bary_tol)
+    _descended(prob, energy, new_values)
+    return new_values
 
 
 def _descended(prob, energy, values):
@@ -378,27 +374,45 @@ def _error_bound(prob, disp, residual):
     return (h_max - 1.0) * disp + h_max * residual
 
 
-def _sweep(prob, values, mode, bary_tol):
-    """The swept values and the largest residual of their barycenters: each
-    class of the mode moves at once, reading the values swept so far."""
-    out, residual = values.copy(), 0.0
+def _sweep(prob, starts, mode, bary_tol):
+    """One sweep of each value array of ``starts``: the swept arrays and the
+    largest bound of a class's barycenters in each.  Each class of the mode
+    moves at once, reading the values swept so far, in one barycenters call
+    over the groups of every start; a group's row and residual do not
+    depend on the other groups of the call, so each start sweeps as it
+    would alone."""
+    t, k = prob.target, len(starts)
+    outs, bounds = [v.copy() for v in starts], [0.0] * k
     for points, nbr, ptr, w in prob._classes(mode):
-        out[points], r = prob.target._barycenters(out[nbr], ptr, w, bary_tol, _BARY_PASSES)
-        residual = max(residual, r)
-    return out, residual
+        g = ptr.shape[0] - 1
+        # start i's groups follow start i - 1's, their pointers shifted
+        ptrs = np.append((ptr[:-1] + ptr[-1] * np.arange(k)[:, None]).ravel(), k * ptr[-1])
+        rows, res = t._barycenters(
+            np.concatenate([out[nbr] for out in outs]), ptrs, np.tile(w, k), bary_tol,
+            _BARY_PASSES,
+        )
+        for i, out in enumerate(outs):
+            out[points] = rows[i * g : (i + 1) * g]
+            bounds[i] = max(bounds[i], t._bound(res[i * g : (i + 1) * g]))
+    return outs, bounds
 
 
-def _direct_step(prob, values):
-    """The exact solution for a Euclidean target: interior values u with
-    (I - P) u equal to the boundary layer's share of one Jacobi sweep.
+def _direct_step(prob, starts):
+    """The exact solution for a Euclidean target, from each value array of
+    ``starts``: interior values u with (I - P) u equal to the boundary
+    layer's share of one Jacobi sweep.
 
-    It is solved for the correction from ``values``, whose right-hand side
-    is one Jacobi sweep's displacement, with every coordinate as a column,
-    so a start that already solves the system stays as it is.
+    It is solved for the correction from the start, whose right-hand side
+    is one Jacobi sweep's displacement, with every coordinate of every
+    start as a row of one conjugate-gradient solve (rows stop on their
+    own), so a start that already solves the system stays as it is.
     """
     idx, form = prob.interior, prob._averaging[0]
-    swept, _ = _sweep(prob, values, JACOBI, 0.0)
-    swept[idx] = values[idx] + _cg(form, form.diag * (swept[idx] - values[idx]).T).T
+    swept, _ = _sweep(prob, starts, JACOBI, 0.0)
+    rhs = np.concatenate([(s[idx] - v[idx]).T for s, v in zip(swept, starts)])
+    steps = np.split(_cg(form, form.diag * rhs), len(starts))
+    for s, v, step in zip(swept, starts, steps):
+        s[idx] = v[idx] + step.T
     return swept
 
 
@@ -444,6 +458,39 @@ def default_tolerance(target):
     return 1e-8 if isinstance(target, EuclideanTarget) else 1e-6
 
 
+class _Start:
+    """One start of ``solve``: its values, its relaxation-energy trajectory,
+    the largest displacement and the certified bound of its last step, and
+    the error that stopped it, if one did."""
+
+    def __init__(self, prob, values):
+        self.values, self.trajectory = values, [relaxation_energy(prob, values)]
+        self.disp, self.bound, self.converged, self.error = math.inf, None, False, None
+
+    @property
+    def live(self):
+        return not self.converged and self.error is None
+
+    def advance(self, prob, values, residual, tol):
+        """Take one step's values; only a sweep (``residual`` not None) is
+        certified, since the bound reads its displacement."""
+        energy = _descended(prob, self.trajectory[-1], values)
+        self.disp = _displacement(prob, self.values, values)
+        self.values = values
+        self.trajectory.append(energy)
+        if residual is not None:
+            self.bound = _error_bound(prob, self.disp, residual)
+            self.converged = self.bound < tol
+
+
+def _step(prob, starts, direct, mode, bary_tol):
+    """The new values of each value array of ``starts`` after one step, with
+    the barycenters' bound: the direct solve (bound None) or a sweep."""
+    if direct:
+        return [(v, None) for v in _direct_step(prob, starts)]
+    return list(zip(*_sweep(prob, starts, mode, bary_tol)))
+
+
 def solve(
     prob,
     init=None,
@@ -471,8 +518,13 @@ def solve(
 
     Returns the final values and a report.  Exhausting ``max_sweeps``
     yields a non-converged report, not an exception.  On convergence a
-    second seeded start re-solves the problem and the two final maps
-    must agree within ten tolerances in sup target-distance.
+    second start, ``prob.seeded_init(seed + 1)``, must reach a map within
+    ten tolerances of the first in sup target-distance.  That start steps
+    alongside the first, in the same barycenter and conjugate-gradient
+    calls, and stops on its own bound or at ``max_sweeps``; every start's
+    values are those it reaches alone.  The second start's errors (an
+    energy rise, a barycenter that does not converge) are raised only if
+    the first converges, as if it were solved after the first.
     """
     if tol is None:
         tol = default_tolerance(prob.target)
@@ -489,55 +541,51 @@ def solve(
     prob._averaging  # an ill-posed problem is rejected before any step
     values = prob.default_init() if init is None else init
     prob.check_feasible(values)
-    energy = relaxation_energy(prob, values)
-    trajectory = [energy]
-    converged = False
-    disp = math.inf
-    bound = None
+    first = _Start(prob, values)
+    runs = [first, _Start(prob, prob.seeded_init(seed + 1))] if uniqueness_audit else [first]
     direct = isinstance(prob.target, EuclideanTarget)
     for step in range(1, max_sweeps + 1):
-        if direct and step == 1:
-            new_values = _direct_step(prob, values)
-            new_energy, residual = _descended(prob, energy, new_values), None
-        else:
-            new_values, new_energy, residual = _checked_step(
-                prob, values, energy, mode, bary_tol
-            )
-        disp = _displacement(prob, values, new_values)
-        values, energy = new_values, new_energy
-        trajectory.append(energy)
-        # only a sweep is certified: the bound reads its displacement
-        if residual is not None:
-            bound = _error_bound(prob, disp, residual)
-            if bound < tol:
-                converged = True
-                break
+        live = [run for run in runs if run.live]
+        if not live:
+            break
+        direct_now = direct and step == 1
+        try:
+            moved = _step(prob, [run.values for run in live], direct_now, mode, bary_tol)
+        except ConvergenceError:
+            if len(live) == 1:
+                raise
+            # a shared call failed: each start steps alone, to own its error
+            moved = None
+        for k, run in enumerate(live):
+            try:
+                new_values, residual = (
+                    moved[k] if moved else _step(prob, [run.values], direct_now, mode, bary_tol)[0]
+                )
+                run.advance(prob, new_values, residual, tol)
+            except (AuditError, ConvergenceError) as err:
+                if run is first:
+                    raise
+                run.error = err
     report = SolveReport(
-        iterations=len(trajectory) - 1,
-        energy_trajectory=trajectory,
-        final_energy=energy,
-        max_displacement_last_sweep=disp,
-        converged=converged,
-        final_scale_energy=discrete_energy(prob, values),
-        error_bound=bound,
+        iterations=len(first.trajectory) - 1,
+        energy_trajectory=first.trajectory,
+        final_energy=first.trajectory[-1],
+        max_displacement_last_sweep=first.disp,
+        converged=first.converged,
+        final_scale_energy=discrete_energy(prob, first.values),
+        error_bound=first.bound,
     )
-    if converged and uniqueness_audit:
-        values2, _ = solve(
-            prob,
-            init=prob.seeded_init(seed + 1),
-            tol=tol,
-            max_sweeps=max_sweeps,
-            mode=mode,
-            bary_tol=bary_tol,
-            uniqueness_audit=False,
-        )
-        gap = _displacement(prob, values, values2)
+    if first.converged and uniqueness_audit:
+        seeded = runs[1]
+        if seeded.error is not None:
+            raise seeded.error
+        gap = _displacement(prob, first.values, seeded.values)
         report.uniqueness_gap = gap
         if gap > 10.0 * tol:
             raise AuditError(
                 f"uniqueness audit failed: seeded restart differs by {gap}"
             )
-    return values, report
+    return first.values, report
 
 
 @dataclass

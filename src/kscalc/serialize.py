@@ -7,6 +7,7 @@ newline) so identical inputs produce byte-identical files.
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -29,6 +30,17 @@ def write_json(path, obj):
     Path(path).write_text(canonical_json(obj))
 
 
+def _json_int(literal):
+    """A JSON integer: an ``int``, or beyond the float range the infinite
+    float that a literal such as ``1e999`` also reads as, so a loader
+    rejects it by index like any non-finite number."""
+    # fewer than 300 digits are always within the float range
+    if len(literal) < 300:
+        return int(literal)
+    x = float(literal)
+    return int(literal) if math.isfinite(x) else x
+
+
 def read_json(path):
     """The JSON value in the file at ``path``.  The non-standard tokens
     ``NaN``, ``Infinity`` and ``-Infinity`` are rejected by name."""
@@ -36,7 +48,7 @@ def read_json(path):
     def reject(token):
         raise ValidationError(f"{path}: non-finite JSON token {token}", detail=token)
 
-    return json.loads(Path(path).read_text(), parse_constant=reject)
+    return json.loads(Path(path).read_text(), parse_constant=reject, parse_int=_json_int)
 
 
 def space_to_json(space):
@@ -117,7 +129,11 @@ def atlas_to_json(atlas):
     }
 
 
-def load_atlas(path):
+def load_atlas(path, n=None):
+    """Load an atlas file.  Chart and uncovered indices must be integers in
+    ``range(n)`` (without ``n``, any index an index array holds); the first
+    that is not is named with its chart."""
+    n = np.iinfo(np.intp).max if n is None else n
     obj = _object(read_json(path), path)
     epsilon = float(_field(obj, "epsilon", float, path, 0.0))
     charts = []
@@ -125,11 +141,13 @@ def load_atlas(path):
         where = f"{path}: chart {k}"
         c = _object(c, where)
         charts.append(Chart(
-            indices=np.asarray(_field(c, "indices", list, where), dtype=int),
+            indices=domain_indices(_field(c, "indices", list, where), n, f"{where} index"),
             phi=np.asarray(_field(c, "coordinates", list, where), dtype=float),
             epsilon=float(_field(c, "epsilon", float, where, epsilon)),
         ))
-    uncovered = np.asarray(_field(obj, "uncovered", list, path, []), dtype=int)
+    uncovered = domain_indices(
+        _field(obj, "uncovered", list, path, []), n, f"{path}: uncovered index"
+    )
     return Atlas(charts=charts, epsilon=epsilon, uncovered=uncovered)
 
 

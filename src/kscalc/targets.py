@@ -90,6 +90,9 @@ class GeodesicTarget:
 
     kind = "abstract"
     is_cat0 = True
+    # columns of a group's residuals from ``_barycenters``: one, or one per
+    # leaf of a product
+    _residual_width = 1
 
     def canonical(self, p):
         """The validated point object of a point or a packed row."""
@@ -181,9 +184,18 @@ class GeodesicTarget:
         return self._barycenters(rows, ptr, weights, tol, max_passes)[0]
 
     def _barycenters(self, rows, ptr, weights, tol, max_passes):
-        """``barycenters`` and a bound on the distance from every returned
-        row to its group's exact barycenter: 0.0 for the exact kinds."""
+        """``barycenters`` and each group's residual, from which ``_bound``
+        bounds the distance of the returned rows of any groups to their
+        exact barycenters: zeros for the exact kinds.  The residuals are one
+        value per group, or a row of ``_residual_width`` values for a
+        product, and like its row a group's residual does not depend on the
+        other groups of the call."""
         raise NotImplementedError
+
+    def _bound(self, residuals):
+        """The bound that the residuals of some groups of ``_barycenters``
+        give: the largest of them."""
+        return float(residuals.max(initial=0.0))
 
 
 class _CoordinateTarget(GeodesicTarget):
@@ -248,7 +260,7 @@ class EuclideanTarget(_CoordinateTarget):
     def _barycenters(self, rows, ptr, weights, tol, max_passes):
         # the closed-form weighted means of all groups at once
         num = np.add.reduceat(weights[:, None] * rows, ptr[:-1], axis=0)
-        return num / np.add.reduceat(weights, ptr[:-1])[:, None], 0.0
+        return num / np.add.reduceat(weights, ptr[:-1])[:, None], np.zeros(len(ptr) - 1)
 
     def _from_draws(self, D):
         return D
@@ -506,7 +518,7 @@ class TreeTarget(GeodesicTarget):
         out = self._rows_of(-1, best_e, best_s)[0]
         one = sizes == 1
         out[one] = rows[starts[one]]
-        return out, 0.0
+        return out, np.zeros(sizes.size)
 
 
 def _lift_columns(y1, y2):
@@ -587,14 +599,16 @@ class HyperbolicTarget(_CoordinateTarget):
 
         F / 2 is 1-strongly convex per unit weight, so the iterate lies
         within its normalized gradient |sum w log_x p| / sum w of the
-        barycenter, and a returned row within that plus its last step.
+        barycenter, and a returned row within that plus its last step: the
+        group's residual.
         """
         ptr = np.asarray(ptr, dtype=np.intp)
         sizes = np.diff(ptr)
         out = rows[ptr[:-1]].copy()
+        residual = np.zeros(sizes.size)
         live = sizes > 1
         if not live.any():
-            return out, 0.0
+            return out, residual
         act, n = np.flatnonzero(live), sizes[live]
         keep = np.repeat(live, sizes)
         P, w = np.ascontiguousarray(rows[keep].T), weights[keep]
@@ -606,7 +620,6 @@ class HyperbolicTarget(_CoordinateTarget):
         norm = np.sqrt((m0 - r) * (m0 + r))
         x = _lift_columns(m1 / norm, m2 / norm)
         base, step, f_old = x, np.zeros((2, act.size)), np.full(act.size, np.inf)
-        residual = 0.0
         for _ in range(max_passes):
             f, g1, g2, h11, h12, h22 = self._newton_sums(x, P, w, start, n)
             ok = ~(f > f_old * (1.0 + 1e-14))
@@ -623,7 +636,7 @@ class HyperbolicTarget(_CoordinateTarget):
             if done.any():
                 out[act[done]] = x.T[done]
                 gap = length + np.hypot(g1, g2) / np.add.reduceat(w, start)
-                residual = max(residual, float(gap[done].max()))
+                residual[act[done]] = gap[done]
                 if done.all():
                     return out, residual
                 kept = ~done
@@ -707,6 +720,8 @@ class ProductTarget(GeodesicTarget):
         self._slices = _slices([c.width for c in self.components])
         self._draw_width = sum(c._draw_width for c in self.components)
         self._draw_slices = _slices([c._draw_width for c in self.components])
+        self._residual_width = sum(c._residual_width for c in self.components)
+        self._residual_slices = _slices([c._residual_width for c in self.components])
 
     def _split(self, p):
         """The component values of a point tuple or a packed row, else None."""
@@ -771,11 +786,15 @@ class ProductTarget(GeodesicTarget):
             c._barycenters(rows[:, cols], ptr, weights, tol, max_passes)
             for c, cols in zip(self.components, self._slices)
         ]
-        # the 2-norm of the components' bounds bounds every group's distance
         return (
             np.concatenate([p for p, _ in parts], axis=1),
-            math.hypot(*(r for _, r in parts)),
+            np.column_stack([r for _, r in parts]),
         )
+
+    def _bound(self, residuals):
+        # the 2-norm of the components' bounds bounds every group's distance
+        return math.hypot(*(c._bound(residuals[:, cols])
+                            for c, cols in zip(self.components, self._residual_slices)))
 
 
 class SphereTarget(_CoordinateTarget):

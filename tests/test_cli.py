@@ -367,6 +367,39 @@ class TestExitCodes:
         assert out == ""
         assert f"non-finite chart coordinates at index {chart['indices'][20]}" in err
 
+    @pytest.mark.parametrize("field", ["indices", "uncovered"])
+    def test_mdiff_non_integral_atlas_index_exit_2(self, capsys, workdir, field):
+        atlas = json.loads((workdir / "fixture" / "atlas.json").read_text())
+        if field == "indices":
+            atlas["charts"][0]["indices"][20] += 0.5
+            says = f"chart 0 index {atlas['charts'][0]['indices'][20]} is not an integer"
+        else:
+            atlas["uncovered"] = [*atlas["uncovered"], 2.5]
+            says = "uncovered index 2.5 is not an integer"
+        (workdir / f"atlas_half_{field}.json").write_text(json.dumps(atlas))
+        code, out, err = run_main(
+            capsys,
+            "mdiff",
+            "--space", workdir / "fixture" / "space.json",
+            "--atlas", workdir / f"atlas_half_{field}.json",
+            "--map", workdir / "fixture" / "map_linear.json",
+        )
+        assert (code, out) == (2, "")
+        assert says in err
+
+    def test_energy_integer_beyond_float_range_exit_2(self, capsys, workdir):
+        # read as inf, like the literal 1e999, and named by its index
+        values = ["[0.5]"] * 11
+        values[7] = "[1" + "0" * 400 + "]"
+        (workdir / "map_huge_int.json").write_text(
+            '{"space": "space.json", "target": "target.json", "values": [%s]}' % ", ".join(values)
+        )
+        code, out, err = run_main(
+            capsys, "energy", "--map", workdir / "map_huge_int.json", "--scales", "0.45,0.35"
+        )
+        assert (code, out) == (2, "")
+        assert "index 7: point coordinates must be finite" in err
+
     def test_mdiff_repeated_chart_index_exit_2(self, capsys, workdir):
         atlas = json.loads((workdir / "fixture" / "atlas.json").read_text())
         chart = atlas["charts"][0]

@@ -6,6 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from kscalc import (
+    AuditError,
     ConvergenceError,
     DirichletProblem,
     EuclideanTarget,
@@ -25,13 +26,15 @@ from kscalc import (
     solve,
 )
 
+import kscalc.dirichlet as dirichlet_module
 import kscalc.spaces as spaces_module
 from kscalc.dirichlet import (
     _cg,
-    _checked_step,
     _component_labels,
+    _descended,
     _displacement,
     _error_bound,
+    _sweep,
     default_tolerance,
 )
 from conftest import grid_points, interior_balls, interior_mask
@@ -440,6 +443,12 @@ class TestSweepClasses:
         assert prob.interior.size == sum(len(ptr) - 1 for ptr in calls) == 361
         assert len(calls) <= 5
         assert len(calls) == len(prob._classes("gauss-seidel"))
+        # a solve sweep moves both starts, its own and the audit's, in each call
+        calls.clear()
+        solve(prob, mode="gauss-seidel", max_sweeps=1)
+        assert len(calls) == len(prob._classes("gauss-seidel"))
+        assert [len(ptr) - 1 for ptr in calls] == [
+            2 * len(points) for points, *_ in prob._classes("gauss-seidel")]
 
 
 class TestSolve:
@@ -748,7 +757,8 @@ class TestCertifiedStop:
         values = prob.default_init()
         energy = relaxation_energy(prob, values)
         for sweep in range(5000):
-            new, energy, residual = _checked_step(prob, values, energy, mode, 1e-2 * tol)
+            (new,), (residual,) = _sweep(prob, [values], mode, 1e-2 * tol)
+            energy = _descended(prob, energy, new)
             bound = _error_bound(prob, _displacement(prob, values, new), residual)
             assert error(new) <= bound + slack, sweep
             values = new
@@ -790,6 +800,95 @@ class TestCertifiedStop:
     def test_ill_posed_problem_rejected(self, mode):
         with pytest.raises(ValidationError, match=r"component \[3, 4\] touches no boundary"):
             solve(ill_posed_problem(), mode=mode)
+
+
+class TestLockstepAudit:
+    """``solve`` steps the uniqueness audit's seeded start alongside its own,
+    and returns what two single-start solves return."""
+
+    @pytest.mark.parametrize("seed", [0, 3])
+    @pytest.mark.parametrize("mode", ["jacobi", "gauss-seidel"])
+    @pytest.mark.parametrize("kind", ["euclidean", "tree", "hyperbolic", "product"])
+    def test_equals_two_single_start_solves(self, tripod, kind, mode, seed):
+        prob = bound_problem(kind, tripod)
+        sol, report = solve(prob, mode=mode, seed=seed)
+        # oracle: the default start alone, then the seeded start alone
+        first, first_report = solve(prob, mode=mode, uniqueness_audit=False)
+        second, _ = solve(prob, init=prob.seeded_init(seed + 1), mode=mode,
+                          uniqueness_audit=False)
+        gap = _displacement(prob, first, second)
+        assert report.converged
+        assert sol.tobytes() == first.tobytes()
+        assert report.uniqueness_gap == gap
+        assert report.to_json() == {**first_report.to_json(), "uniqueness_gap": gap}
+
+    @pytest.mark.parametrize("mode", ["jacobi", "gauss-seidel"])
+    @pytest.mark.parametrize("kind", ["tree", "hyperbolic", "product"])
+    def test_unconverged_solve_reports_its_own_start(self, tripod, kind, mode):
+        prob = bound_problem(kind, tripod)
+        sol, report = solve(prob, max_sweeps=4, mode=mode)
+        alone, alone_report = solve(prob, max_sweeps=4, mode=mode, uniqueness_audit=False)
+        assert not report.converged and report.uniqueness_gap is None
+        assert sol.tobytes() == alone.tobytes()
+        assert report.to_json() == alone_report.to_json()
+
+    @staticmethod
+    def sentinel_problem(tripod, monkeypatch):
+        """The hyperbolic problem with a barycenters kernel that raises on any
+        group reading the sentinel point, and the interior values all at it;
+        the list of the groups of each call."""
+        prob = bound_problem("hyperbolic", tripod)
+        hyp = prob.target
+        sentinel = hyp.lift(np.array([5.0, -5.0]))
+        batched, calls = hyp._barycenters, []
+
+        def failing(rows, ptr, *args):
+            calls.append(len(ptr) - 1)
+            if (rows == sentinel).all(axis=1).any():
+                raise ConvergenceError("sentinel read")
+            return batched(rows, ptr, *args)
+
+        monkeypatch.setattr(hyp, "_barycenters", failing)
+        return prob, prob.assemble([sentinel] * prob.interior.size), calls
+
+    def test_seeded_start_error_waits_for_the_first_start(self, tripod, monkeypatch):
+        prob, at_sentinel, calls = self.sentinel_problem(tripod, monkeypatch)
+        monkeypatch.setattr(prob, "seeded_init", lambda seed: at_sentinel)
+        alone, alone_report = solve(prob, uniqueness_audit=False)
+        n_alone = len(calls)
+        # the first start runs out of sweeps: the seeded start's error is dropped
+        _, short = solve(prob, max_sweeps=3)
+        assert short.to_json() == solve(prob, max_sweeps=3, uniqueness_audit=False)[1].to_json()
+        calls.clear()
+        with pytest.raises(ConvergenceError, match="sentinel read"):
+            solve(prob)
+        # the first sweep's shared call fails and each start sweeps alone;
+        # the first start goes on alone to its own stop
+        assert calls[:3] == [2 * prob.interior.size] + [prob.interior.size] * 2
+        assert len(calls) == n_alone + 2
+
+    def test_first_start_error_surfaces_at_once(self, tripod, monkeypatch):
+        prob, at_sentinel, calls = self.sentinel_problem(tripod, monkeypatch)
+        with pytest.raises(ConvergenceError, match="sentinel read"):
+            solve(prob, init=at_sentinel)
+        assert calls == [2 * prob.interior.size, prob.interior.size]
+
+    def test_seeded_start_energy_rise_waits_for_the_first_start(self, tripod, monkeypatch):
+        prob = bound_problem("tree", tripod)
+        seeded_energy = relaxation_energy(prob, prob.seeded_init(1))
+        assert seeded_energy != relaxation_energy(prob, prob.default_init())
+        descended = dirichlet_module._descended
+
+        def rising(prob, energy, values):
+            if energy == seeded_energy:
+                raise AuditError("energy rose")
+            return descended(prob, energy, values)
+
+        monkeypatch.setattr(dirichlet_module, "_descended", rising)
+        _, short = solve(prob, max_sweeps=3)
+        assert not short.converged and short.iterations == 3
+        with pytest.raises(AuditError, match="energy rose"):
+            solve(prob)
 
 
 class TestComponentLabels:

@@ -1100,9 +1100,37 @@ def test_barycenter_residual_bounds_the_distance_to_exact(kind, tol):
     rng = np.random.default_rng(7)
     spreads = (0.01, 0.1, 0.5, 1.0, 3.0, 10.0)
     rows, ptr, w = _ragged([_group(t, rng, int(rng.integers(1, 10)), s) for s in spreads])
-    got, residual = t._barycenters(rows, ptr, w, tol, 10_000)
+    got, residuals = t._barycenters(rows, ptr, w, tol, 10_000)
     assert got.tobytes() == t.barycenters(rows, ptr, w, tol).tobytes()
     exact = t.barycenters(rows, ptr, w, 1e-13)
-    assert t.dists(got, exact).max() <= residual + 1e-12
+    gaps = t.dists(got, exact)
+    assert gaps.max() <= t._bound(residuals) + 1e-12
+    # each group's residual bounds its own row
+    for k, gap in enumerate(gaps):
+        assert gap <= t._bound(residuals[k : k + 1]) + 1e-12
     if kind in ("euclidean", "tree"):
-        assert residual == 0.0
+        assert not residuals.any()
+
+
+_NESTED = ProductTarget([EuclideanTarget(1), ProductTarget([SPIDER, HyperbolicTarget()])])
+
+
+@pytest.mark.parametrize("kind", ["euclidean", "tree", "hyperbolic", "product", "nested"])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_split_barycenters_calls_match_one_call(kind, data):
+    # the Dirichlet solver sweeps several starts in one call and splits the
+    # rows and residuals by start
+    t = _NESTED if kind == "nested" else _GEO_TARGETS[kind]
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    spreads = data.draw(st.lists(st.sampled_from([0.01, 0.1, 1.0, 10.0, 50.0]),
+                                 min_size=2, max_size=8))
+    groups = [_group(t, rng, int(rng.integers(1, 10)), sigma) for sigma in spreads]
+    cut = data.draw(st.integers(1, len(groups) - 1))
+    rows, res = t._barycenters(*_ragged(groups), 1e-6, 10_000)
+    assert res.shape == (len(groups),) + ((t._residual_width,) if kind in ("product", "nested") else ())
+    for part, lo, hi in ((groups[:cut], 0, cut), (groups[cut:], cut, len(groups))):
+        alone, alone_res = t._barycenters(*_ragged(part), 1e-6, 10_000)
+        assert rows[lo:hi].tobytes() == alone.tobytes()
+        assert res[lo:hi].tobytes() == alone_res.tobytes()
+        assert t._bound(res[lo:hi]) == t._bound(alone_res)
