@@ -127,7 +127,7 @@ def cmd_energy(args):
 
 def cmd_mdiff(args):
     space = load_space(args.space)
-    atlas = load_atlas(args.atlas, space.n)
+    atlas = load_atlas(args.atlas)
     target = load_target(args.target) if args.target else None
     u = load_map(args.map, space=space, target=target)
     atlas.validate_cover(space.n)

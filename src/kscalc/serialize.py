@@ -129,11 +129,11 @@ def atlas_to_json(atlas):
     }
 
 
-def load_atlas(path, n=None):
-    """Load an atlas file.  Chart and uncovered indices must be integers in
-    ``range(n)`` (without ``n``, any index an index array holds); the first
-    that is not is named with its chart."""
-    n = np.iinfo(np.intp).max if n is None else n
+def load_atlas(path):
+    """Load an atlas file.  Chart and uncovered indices must be integers;
+    the first that is not is named with its chart.  Their range is checked
+    against a space by :meth:`Atlas.validate_cover`."""
+    n = np.iinfo(np.intp).max
     obj = _object(read_json(path), path)
     epsilon = float(_field(obj, "epsilon", float, path, 0.0))
     charts = []
