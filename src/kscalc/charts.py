@@ -16,10 +16,15 @@ import numpy as np
 
 from .errors import FitError, ValidationError
 from .seminorms import POLYHEDRAL, QUADRATIC, Seminorm
+from .spaces import domain_indices
 
 _FIT_NEIGHBOR_FACTOR = 4  # default ball holds 4 (d+1) chart members
 _FIT_ROWS = 2**18  # (point, neighbor) rows gathered before they are fitted
 _GREEDY_ENTRIES = 2**18  # (point, direction, neighbor) entries per greedy slice
+_MAX_COVECTORS = 8  # greedy rounds of a polyhedral fit
+# chart and uncovered indices must be integers; their range is checked
+# against a space by ``Atlas.validate_cover``
+_INDEX_BOUND = np.iinfo(np.intp).max
 
 
 @dataclass
@@ -31,7 +36,7 @@ class Chart:
     epsilon: float
 
     def __post_init__(self):
-        self.indices = np.asarray(self.indices, dtype=int)
+        self.indices = domain_indices(self.indices, _INDEX_BOUND, "chart index")
         self.phi = np.atleast_2d(np.asarray(self.phi, dtype=float))
         if self.phi.shape[0] != self.indices.shape[0]:
             raise ValidationError("one coordinate row per chart member")
@@ -61,10 +66,10 @@ class Atlas:
 
     charts: list
     epsilon: float
-    uncovered: np.ndarray = field(default_factory=lambda: np.asarray([], dtype=int))
+    uncovered: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.intp))
 
     def __post_init__(self):
-        self.uncovered = np.asarray(self.uncovered, dtype=int)
+        self.uncovered = domain_indices(self.uncovered, _INDEX_BOUND, "uncovered index")
         seen = set()
         for c in self.charts:
             s = set(int(i) for i in c.indices)
@@ -391,7 +396,7 @@ def _fit_quadratics(v, dy, ptr, centers):
     return out
 
 
-def _fit_polyhedra(v, dy, ptr, max_covectors=8):
+def _fit_polyhedra(v, dy, ptr):
     """Greedy polyhedral fits of the row groups ``ptr[j]:ptr[j + 1]``: a
     seminorm each.
 
@@ -413,7 +418,7 @@ def _fit_polyhedra(v, dy, ptr, max_covectors=8):
         for lo in range(0, group.shape[0], step):
             part = group[lo : lo + step]
             at = ptr[part][:, None] + np.arange(size)
-            for j, covectors in zip(part, _greedy(v[at], dy[at], dirs, max_covectors)):
+            for j, covectors in zip(part, _greedy(v[at], dy[at], dirs, _MAX_COVECTORS)):
                 out[j] = Seminorm.polyhedral(covectors)
     return out
 

@@ -4,8 +4,9 @@ Subcommands wrap the library: space audits, energy sweeps, metric
 differential fits, Dirichlet solves, and target verification.  Exit
 codes: 0 success, 1 I/O failure, 2 validation or audit failure, 3
 non-convergence.  Outputs are canonical JSON / frozen-column CSV, the same
-bytes for the same configuration, seed and inputs at any thread count.
-``energy --threads/--seed`` and ``dirichlet --threads`` are accepted and unused.
+bytes for the same configuration, seed and inputs.  Every computation
+runs on the calling thread: ``--threads`` (of ``energy``, ``mdiff`` and
+``dirichlet``) and ``energy --seed`` are accepted and unused.
 """
 
 from __future__ import annotations
@@ -71,15 +72,23 @@ def _emit(path, text):
 def cmd_space_check(args):
     space = load_space(args.space)
     spacing = space.median_nn_spacing()  # inf for a single point
-    radius = 8.0 * spacing if args.radius is None else args.radius
+    radius = args.radius
+    if radius is None and space.n > 1:
+        radius = 8.0 * spacing
+    # a single point has no default radius, and its doubling constant is 1 at any
+    doubling = {"R": None, "value": 1.0}
+    if radius is not None:
+        doubling = {"R": float(radius), "value": float(doubling_constant(space, radius))}
     report = {
         "n_points": space.n,
         "kind": space.kind,
         "total_mass": float(space.total_mass),
         "median_nn_spacing": spacing if np.isfinite(spacing) else None,
-        "doubling": {"R": float(radius), "value": float(doubling_constant(space, radius))},
+        "doubling": doubling,
     }
     if args.dim:
+        if radius is None:
+            raise ValidationError("--dim on a one-point space needs a --radius")
         radii = [radius * s for s in (0.5, 1.0, 2.0)]
         center = args.center if args.center is not None else space.n // 2
         report["density_theta"] = {
@@ -140,7 +149,7 @@ def cmd_mdiff(args):
         quad=QuadratureSpec(seed=args.seed),
         points=points,
     )
-    result = density_via_mdiff(u, atlas, args.p, config, threads=args.threads)
+    result = density_via_mdiff(u, atlas, args.p, config)
     report = {
         "family": args.family,
         "p": args.p,
@@ -248,7 +257,7 @@ def build_parser():
     md.add_argument("--family", choices=["quadratic", "polyhedral"], default="quadratic")
     md.add_argument("--radius", type=float)
     md.add_argument("--p", type=float, default=2.0)
-    md.add_argument("--threads", type=int, default=1)
+    md.add_argument("--threads", type=int, default=1, help="accepted and unused")
     md.add_argument("--seed", type=int, default=0)
     md.add_argument("--out")
     md.set_defaults(fn=cmd_mdiff)

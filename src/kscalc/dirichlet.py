@@ -57,6 +57,10 @@ def _component_labels(indptr, indices):
 # the conjugate-gradient stop: every right-hand side's preconditioned
 # residual within this share of its first
 _CG_RTOL = 1e-14
+# the inverse power iteration of ``poincare_estimate`` stops once the
+# eigenvalue moves by at most this share of itself, or after this many steps
+_POINCARE_TOL = 1e-13
+_POINCARE_ITERATIONS = 500
 
 
 class _SymmetricForm:
@@ -497,7 +501,6 @@ def solve(
     tol=None,
     max_sweeps=20_000,
     mode=JACOBI,
-    bary_tol=None,
     uniqueness_audit=True,
     seed=0,
 ):
@@ -536,8 +539,7 @@ def solve(
         )
     prob._classes(mode)  # an unknown mode is rejected before any step
     max_sweeps = int(max_sweeps)
-    if bary_tol is None:
-        bary_tol = max(tol * 1e-2, 1e-12)
+    bary_tol = max(tol * 1e-2, 1e-12)  # the barycenters' own tolerance
     prob._averaging  # an ill-posed problem is rejected before any step
     values = prob.default_init() if init is None else init
     prob.check_feasible(values)
@@ -627,7 +629,7 @@ def midpoint_test(prob, u_values, v_values):
     )
 
 
-def poincare_estimate(prob, tol=1e-13, max_iter=500):
+def poincare_estimate(prob):
     """Inverse of the smallest Dirichlet eigenvalue at the problem scale.
 
     Assembles the real-valued quadratic form of maps vanishing on the
@@ -648,12 +650,12 @@ def poincare_estimate(prob, tol=1e-13, max_iter=500):
     q = _SymmetricForm(diag, row, col, c[row] * wj + c[col] * w[row])
     x = np.ones(ni)
     lam_prev = math.inf
-    for _ in range(max_iter):
+    for _ in range(_POINCARE_ITERATIONS):
         y = _cg(q, (w * x)[None])[0]
         y /= math.sqrt(float(np.dot(w * y, y)))
         lam = float(np.dot(y, (q @ y[None])[0])) / float(np.dot(w * y, y))
         x = y
-        if abs(lam - lam_prev) <= tol * max(lam, 1e-300):
+        if abs(lam - lam_prev) <= _POINCARE_TOL * max(lam, 1e-300):
             break
         lam_prev = lam
     return 1.0 / lam

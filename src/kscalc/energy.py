@@ -22,7 +22,7 @@ from .charts import fit_metric_differentials
 from .errors import FitError, ValidationError
 from .parallel import parallel_map
 from .seminorms import QUADRATIC, QuadratureSpec, check_exponent, hs_norm, size_p
-from .spaces import check_radius, domain_indices
+from .spaces import check_radius, check_scale, domain_indices
 from .targets import EuclideanTarget
 
 RELIABLE_SPACING_FACTOR = 3.0
@@ -69,10 +69,11 @@ def ks_profile(u, p, scales, omega=None):
 
     Returns a ``(len(scales), n)`` array.  Ball membership, masses, and
     target distances are shared across scales, so sweeps cost one
-    neighbor pass.
+    neighbor pass.  Each ``r ** p`` must be a normal float at most half
+    the float range (:func:`check_scale`).
     """
     p = check_exponent(p)
-    scales = [check_radius(r, "scale") for r in scales]
+    scales = [check_scale(r, "scale", p) for r in scales]
     space = u.space
     mask = None
     if omega is not None:
@@ -232,7 +233,7 @@ class DensityResult:
         return np.nonzero(~np.isnan(self.densities))[0]
 
 
-def _fit_points(u, atlas, config, threads=1):
+def _fit_points(u, atlas, config):
     """The one fit loop: ``(fits, errors)``, both keyed by index.
 
     ``fits`` holds the :class:`FitResult` of each fitted index in the
@@ -265,7 +266,7 @@ def _fit_points(u, atlas, config, threads=1):
             space, chart, u, u.target, part, radius=config.radius, family=config.family
         )
 
-    for (_, part), done in zip(parts, parallel_map(work, parts, threads=threads)):
+    for (_, part), done in zip(parts, parallel_map(work, parts)):
         outcomes.update(zip(part, done))
     fits, errors = {}, {}
     for i in points:
@@ -276,25 +277,25 @@ def _fit_points(u, atlas, config, threads=1):
     return fits, errors
 
 
-def _density_result(u, atlas, config, threads, density):
+def _density_result(u, atlas, config, density):
     """Fit every requested point and take ``density(fit)`` of each fit."""
-    fits, errors = _fit_points(u, atlas, config, threads=threads)
+    fits, errors = _fit_points(u, atlas, config)
     densities = np.full(u.space.n, np.nan)
     for i, fit in fits.items():
         densities[i] = density(fit)
     return DensityResult(densities=densities, fits=fits, errors=errors)
 
 
-def density_via_mdiff(u, atlas, p=2.0, config=None, threads=1):
+def density_via_mdiff(u, atlas, p=2.0, config=None):
     """Energy density through local seminorm fits: p-size of the fit."""
     p = check_exponent(p)
     config = config or FitConfig()
     return _density_result(
-        u, atlas, config, threads, lambda fit: size_p(fit.seminorm, p, config.quad)
+        u, atlas, config, lambda fit: size_p(fit.seminorm, p, config.quad)
     )
 
 
-def hs_energy(u, atlas, config=None, threads=1):
+def hs_energy(u, atlas, config=None):
     """Density through the Hilbert-Schmidt norm of quadratic fits.
 
     Requires the quadratic family and a CAT(0) target.  Each fit's norm is
@@ -310,7 +311,7 @@ def hs_energy(u, atlas, config=None, threads=1):
     def density(fit):
         return hs_norm(fit.seminorm) / math.sqrt(fit.seminorm.dim + 2.0)
 
-    return _density_result(u, atlas, config, threads, density)
+    return _density_result(u, atlas, config, density)
 
 
 def contraction_check(u, post_map, p, r, seed=0, n_pairs=256):

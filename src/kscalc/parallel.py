@@ -1,24 +1,17 @@
-"""Deterministic per-point parallelism.
+"""The ordered map over the fit loop's chart parts.
 
-Work items are independent and results are committed into slots keyed by
-item order, so outputs are identical for every worker count.
+Work items are independent and results come back in item order, on the
+calling thread.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-
 
 def parallel_map(fn, items, threads=1):
-    """Apply ``fn`` to each item, preserving order; threads > 1 fans out."""
-    items = list(items)
-    if threads <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    out = [None] * len(items)
+    """``[fn(x) for x in items]``, in item order, on the calling thread.
 
-    def run(k):
-        out[k] = fn(items[k])
-
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        list(pool.map(run, range(len(items))))
-    return out
+    ``threads`` is accepted and unused: the traced launcher of the
+    benchmark (``perfbench/launch.py``) wraps this function by name and
+    passes ``threads`` through.
+    """
+    return [fn(x) for x in items]

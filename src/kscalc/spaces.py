@@ -10,6 +10,7 @@ balls ``B_r(x) = {y : d(x, y) < r}`` with the strict inequality.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -109,6 +110,11 @@ class PointCloudSpace:
                 self.period = None
             self.coords = coords
             _reject_overflow(self)
+            # the least cell side of the neighbor index: coordinates over it
+            # stay below 2**1000 (a cell wider than a radius needs is never
+            # wrong, only coarser)
+            magnitude = self.period.max() if kind == TORUS else np.abs(coords).max()
+            self._least_side = math.ldexp(1.0, math.frexp(float(magnitude))[1] - 1000)
         if weights is None:
             w = np.full(self.n, 1.0 / self.n)
         else:
@@ -274,7 +280,7 @@ class PointCloudSpace:
         if self.kind == MATRIX:
             everyone = np.arange(self.n)
             return [(everyone, everyone)]
-        side = 0.5 * r
+        side = max(0.5 * r, self._least_side)
         while True:
             index = self._cell_index(side)
             starts = np.flatnonzero(np.diff(index.ids)) + 1
@@ -317,7 +323,7 @@ class PointCloudSpace:
             rows, members = np.nonzero(self.matrix[centers] < r)
             ptr = np.searchsorted(rows, np.arange(centers.size + 1))
             return ptr, members, self.matrix[centers[rows], members]
-        index = self._cell_index(_ball_side(r))
+        index = self._cell_index(max(_ball_side(r), self._least_side))
         owner, cand = index._near(self.coords[centers], np.full(centers.size, r))
         d = self._dists(centers[owner], cand)
         keep = d < r
@@ -436,11 +442,13 @@ def domain_indices(values, n, what="domain index"):
 
     The first value that is not an integer (``True`` and ``False`` are
     not) or lies outside ``[0, n)`` is rejected, named in the message and
-    in ``detail``.
+    in ``detail``.  A flat ``intp`` array is returned as it is.
     """
-    raw = np.ravel(np.asarray(values, dtype=object))
-    # a list can mix True with integers, so only an integer array skips this
-    if not (isinstance(values, np.ndarray) and values.dtype.kind in "iu"):
+    if isinstance(values, np.ndarray) and values.dtype.kind in "iu":
+        raw = values if values.ndim == 1 else values.ravel()
+    else:
+        # a list can mix True with integers, so only an integer array skips this
+        raw = np.ravel(np.asarray(values, dtype=object))
         whole = [_is_number(k) and float(k).is_integer() for k in raw]
         if not all(whole):
             k = raw[np.argmin(whole)]
@@ -449,7 +457,7 @@ def domain_indices(values, n, what="domain index"):
     if outside.any():
         k = int(raw[np.argmax(outside)])
         raise ValidationError(f"{what} {k} outside the domain [0, {n})", detail=k)
-    return raw.astype(np.intp)
+    return raw.astype(np.intp, copy=False)
 
 
 def check_radius(r, name="radius"):
@@ -457,6 +465,23 @@ def check_radius(r, name="radius"):
     r = float(r)
     if not (math.isfinite(r) and r > 0):
         raise ValidationError(f"{name} must be finite and positive, got {r!r}")
+    return r
+
+
+def check_scale(r, name, power=1.0):
+    """``r`` through :func:`check_radius`, and rejected by name unless
+    ``r ** power`` is a normal float at most half the largest one, so that
+    twice it is finite."""
+    r = check_radius(r, name)
+    what = name if power == 1.0 else f"{name}**{power:g}"
+    try:
+        rp = r**power
+    except OverflowError:  # a float power raises where a product gives inf
+        rp = math.inf
+    if rp > sys.float_info.max / 2:
+        raise ValidationError(f"{name} {r!r} is too large: {what} exceeds half the float range")
+    if rp < sys.float_info.min:
+        raise ValidationError(f"{name} {r!r} is too small: {what} is below the least normal float")
     return r
 
 
@@ -590,9 +615,10 @@ def doubling_constant(space, R, centers=None):
 
     Scans ``m(B_2r(x)) / m(B_r(x))`` over all centers (or the given
     subset) and a geometric radius grid, skipping radii whose ball is a
-    single point.  A one-point space reports 1.
+    single point.  A one-point space reports 1.  ``R`` must be a normal
+    float at most half the float range (:func:`check_scale`).
     """
-    R = check_radius(R, "R")
+    R = check_scale(R, "R")
     if space.n == 1:
         return 1.0
     radii = space.radius_grid(R)
@@ -712,17 +738,18 @@ class PartitionOfUnity:
         return float(lip.max() * self.radius) if lip.size else 0.0
 
 
-def partition_of_unity(space, r, reference_scale=1.0):
+def partition_of_unity(space, r):
     """Partition of unity subordinate to balls of radius 2r.
 
     Centers are a greedy maximal r-separated subset (index order); the
     functions are positive-part tents of slope 1 cut at 3r/2, normalized
-    by their pointwise sum.
+    by their pointwise sum.  ``r`` must lie in (0, 1/4), a quarter of the
+    unit reference scale.
     """
     if space.n == 0:
         raise ValidationError("empty space")
-    if not 0 < r < reference_scale / 4:
-        raise ValidationError("radius must lie in (0, reference_scale / 4)")
+    if not 0 < r < 0.25:
+        raise ValidationError("radius must lie in (0, 1/4)")
     # distances are symmetric: a point is r-close to a chosen center exactly
     # when it lies in the center's r-ball
     blocked = np.zeros(space.n, dtype=bool)
@@ -747,12 +774,13 @@ def density_theta(space, i, d, radii):
     """Mass-to-Lebesgue density ratios ``m(B_r(x)) / (omega_d r^d)``.
 
     The caller inspects stabilization across the radius list; no limit
-    is claimed.
+    is claimed.  Each ``r ** d`` must be a normal float at most half the
+    float range (:func:`check_scale`).
     """
     if d < 1:
         raise ValidationError("dimension must be at least 1")
     omega = unit_ball_volume(d)
-    radii = [check_radius(r) for r in radii]
+    radii = [check_scale(r, "radius", d) for r in radii]
     # one ball at the largest radius (any radius names a bad center)
     _, members, dists = space.all_balls(max(radii, default=1.0), [i])
     w = space.weights[members]

@@ -23,6 +23,7 @@ from .targets import EuclideanTarget
 EUCLIDEAN_GRID = "euclidean-grid"
 FLAT_TORUS_GRID = "flat-torus-grid"
 TWO_CHART_CURVE = "two-chart-curve"
+_PERTURBATION_MODES = 2  # sine modes per component of a chart perturbation
 
 
 @dataclass(frozen=True)
@@ -69,19 +70,21 @@ def _grid_points(resolution, dim, closed=True):
     return np.stack([m.ravel() for m in mesh], axis=1)
 
 
-def _perturbation_field(dim, seed, n_modes=2):
+def _perturbation_field(dim, seed):
     """A smooth vector field with operator Lipschitz constant <= 1."""
     rng = np.random.default_rng(seed)
-    modes = rng.integers(1, 3, size=(dim, n_modes, dim)).astype(float)
-    phases = rng.uniform(0.0, 2.0 * math.pi, size=(dim, n_modes))
+    modes = rng.integers(1, 3, size=(dim, _PERTURBATION_MODES, dim)).astype(float)
+    phases = rng.uniform(0.0, 2.0 * math.pi, size=(dim, _PERTURBATION_MODES))
 
     def psi(x):
         x = np.atleast_2d(x)
         out = np.zeros_like(x)
         for j in range(dim):
-            for m in range(n_modes):
+            for m in range(_PERTURBATION_MODES):
                 k = modes[j, m]
-                amp = 1.0 / (2.0 * math.pi * np.linalg.norm(k) * math.sqrt(dim) * n_modes)
+                amp = 1.0 / (
+                    2.0 * math.pi * np.linalg.norm(k) * math.sqrt(dim) * _PERTURBATION_MODES
+                )
                 out[:, j] += amp * np.sin(2.0 * math.pi * (x @ k) + phases[j, m])
         return out
 

@@ -117,6 +117,24 @@ class TestAtlas:
             Chart(indices=members, phi=pts[members], epsilon=0.0)
         assert info.value.detail == 27
 
+    def test_non_integral_chart_index_named(self):
+        # read as integers, 0.5 and 1.7 would become indices 0 and 1
+        with pytest.raises(ValidationError, match="chart index 0.5 is not an integer") as info:
+            Chart(indices=[0.5, 1.7], phi=[[0.0], [1.0]], epsilon=0.0)
+        assert info.value.detail == 0.5
+
+    def test_non_integral_uncovered_index_named(self):
+        chart = Chart(indices=[0, 1], phi=[[0.0], [1.0]], epsilon=0.0)
+        with pytest.raises(ValidationError, match="uncovered index 2.5 is not an integer"):
+            Atlas(charts=[chart], epsilon=0.0, uncovered=[2, 2.5])
+
+    def test_integral_indices_pass_unchanged(self):
+        members = np.arange(3, dtype=np.intp)
+        chart = Chart(indices=members, phi=np.zeros((3, 1)), epsilon=0.0)
+        assert chart.indices is members
+        atlas = Atlas(charts=[chart], epsilon=0.0, uncovered=[3.0, 4])
+        assert atlas.uncovered.dtype == np.intp and atlas.uncovered.tolist() == [3, 4]
+
     def test_cover_validation(self, grid2d):
         sp, pts, chart = grid2d
         atlas = Atlas(charts=[chart], epsilon=0.0)

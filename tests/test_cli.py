@@ -159,6 +159,51 @@ class TestExitCodes:
         assert report["median_nn_spacing"] is None
         assert report["doubling"] == {"R": 1.0, "value": 1.0}
 
+    def test_space_check_one_point_default_radius_is_null(self, capsys, tmp_path):
+        # the default radius is 8 spacings, and a single point's spacing is inf
+        write_json(tmp_path / "one.json", {"kind": "euclidean", "points": [[0.5, 0.5]]})
+        code, out, _ = run_main(capsys, "space-check", "--space", tmp_path / "one.json")
+        assert code == 0
+        report = json.loads(out, parse_constant=pytest.fail)
+        assert report["doubling"] == {"R": None, "value": 1.0}
+        code, out, err = run_main(
+            capsys, "space-check", "--space", tmp_path / "one.json", "--dim", "2"
+        )
+        assert (code, out) == (2, "")
+        assert "--dim on a one-point space needs a --radius" in err
+
+    @pytest.mark.parametrize(
+        "args, says",
+        [
+            (("energy", "--scales", "1e200,5"),
+             "scale 1e+200 is too large: scale**2 exceeds half the float range"),
+            (("energy", "--p", "3", "--scales", "1e120,5"),
+             "scale 1e+120 is too large: scale**3 exceeds half the float range"),
+            (("energy", "--scales", "5,1e-200"),
+             "scale 1e-200 is too small: scale**2 is below the least normal float"),
+            (("space-check", "--radius", "1e308"),
+             "R 1e+308 is too large: R exceeds half the float range"),
+            (("space-check", "--radius", "1e-310"),
+             "R 1e-310 is too small: R is below the least normal float"),
+            (("space-check", "--radius", "1e200", "--dim", "2"),
+             "radius 5e+199 is too large: radius**2 exceeds half the float range"),
+        ],
+    )
+    def test_huge_or_subnormal_scale_named_exit_2(self, capsys, tmp_path, args, says):
+        # in this process a RuntimeWarning raises, and an OverflowError
+        # would escape ``main`` with a traceback
+        sp = build_space({"kind": "euclidean", "points": [[0.0], [1.0]]})
+        write_json(tmp_path / "space.json", space_to_json(sp))
+        write_json(tmp_path / "target.json", {"kind": "euclidean", "dim": 1})
+        u = MetricMap(sp, EuclideanTarget(1), [[0.0], [2.0]])
+        write_json(tmp_path / "map.json", map_to_json(u, "space.json", "target.json"))
+        inputs = {"energy": ("--map", "map.json"), "space-check": ("--space", "space.json")}
+        command, *options = args
+        files = [tmp_path / f if f.endswith(".json") else f for f in inputs[command]]
+        code, out, err = run_main(capsys, command, *files, *options)
+        assert (code, out) == (2, "")
+        assert err == f"validation error: {says}\n"
+
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
     def test_canonical_json_rejects_non_finite_floats(self, value):
         with pytest.raises(ValueError, match="not JSON compliant"):
@@ -955,7 +1000,52 @@ class TestStartupImports:
         assert report["scipy"] == []
 
 
+_THREAD_PROBE = """
+import json, sys, threading
+
+started = []
+start = threading.Thread.start
+
+def counted(self):
+    started.append(self.name)
+    start(self)
+
+threading.Thread.start = counted
+import kscalc.cli as cli
+code = cli.main(sys.argv[2:])
+with open(sys.argv[1], "w") as fh:
+    json.dump({"code": code, "started": started,
+               "futures": "concurrent.futures" in sys.modules}, fh)
+"""
+
+
 class TestDeterminism:
+    def test_mdiff_fits_every_chart_on_the_calling_thread(self, tmp_path):
+        fx = make_fixture(FixtureSpec(family="two-chart-curve", resolution=128))
+        assert len(fx.atlas.charts) == 2
+        save_fixture(fx, tmp_path)
+        outputs = {}
+        for threads in (1, 4):
+            out = tmp_path / f"fits_{threads}.json"
+            probe = tmp_path / f"probe_{threads}.json"
+            proc = subprocess.run(
+                [sys.executable, "-c", _THREAD_PROBE, str(probe), "mdiff",
+                 "--space", str(tmp_path / "space.json"),
+                 "--atlas", str(tmp_path / "atlas.json"),
+                 "--map", str(tmp_path / f"map_{fx.maps[0].name}.json"),
+                 "--threads", str(threads), "--out", str(out)],
+                capture_output=True,
+                text=True,
+                timeout=300,
+            )
+            assert proc.returncode == 0, proc.stderr
+            report = json.loads(probe.read_text())
+            assert report == {"code": 0, "started": [], "futures": False}
+            outputs[threads] = out.read_bytes()
+        fitted = {fit["index"] for fit in json.loads(outputs[1])["fits"]}
+        assert all(fitted & set(chart.indices.tolist()) for chart in fx.atlas.charts)
+        assert outputs[4] == outputs[1]
+
     def test_outputs_byte_identical_across_thread_counts(self, workdir):
         for threads in (1, 4):
             run_cli(

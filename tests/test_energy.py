@@ -330,13 +330,12 @@ class TestFitLoop:
         points=st.lists(st.integers(0, 99), max_size=12),
         radius=st.one_of(st.none(), st.floats(0.05, 0.6)),
         family=st.sampled_from(["quadratic", "polyhedral"]),
-        threads=st.integers(1, 3),
     )
     @settings(max_examples=60, deadline=None)
-    def test_fits_match_the_per_point_oracle(self, partial_atlas, points, radius, family, threads):
+    def test_fits_match_the_per_point_oracle(self, partial_atlas, points, radius, family):
         u, atlas = partial_atlas
         config = FitConfig(family=family, radius=radius, points=points)
-        fits, errors = _fit_points(u, atlas, config, threads=threads)
+        fits, errors = _fit_points(u, atlas, config)
         assert set(fits) | set(errors) == set(points) and not set(fits) & set(errors)
         assert list(fits) == [i for i in dict.fromkeys(points) if i in fits]
         for i in dict.fromkeys(points):

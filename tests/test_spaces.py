@@ -342,7 +342,8 @@ def clouds(draw):
     its points.
 
     Returns the space, radii to probe (some equal to exact distances
-    between its points) and the input points.
+    between its points, and at times a subnormal one, whose cells would
+    overflow the cell keys if not widened) and the input points.
     """
     kind = draw(st.sampled_from(["euclidean", "torus", "matrix"]))
     dim = draw(st.integers(1, 4))  # 4: the cells read the first three
@@ -376,6 +377,7 @@ def clouds(draw):
     exact = [sp.dist(int(i), int(j)) for i, j in pairs if i != j]
     scale = float(np.ptp(pts, axis=0).max()) if sp.n > 1 else 1.0
     radii = exact + [float(f) * scale for f in rng.uniform(0.01, 1.5, 2)]
+    radii += draw(st.sampled_from([[], [], [5e-324], [1e-310]]))
     return sp, [r for r in radii if r > 0], pts
 
 
