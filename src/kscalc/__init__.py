@@ -68,7 +68,6 @@ from .targets import (
     HyperbolicTarget,
     ProductTarget,
     SphereTarget,
-    TreePoint,
     TreeTarget,
     barycenter,
     build_target,

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import AuditError, ConvergenceError, ValidationError
 from .spaces import check_radius, domain_indices
-from .targets import EuclideanTarget, _is_number
+from .targets import EuclideanTarget, _is_integer, _is_number
 
 JACOBI = "jacobi"
 GAUSS_SEIDEL = "gauss-seidel"
@@ -134,32 +134,35 @@ class DirichletProblem:
         self.target = target
         self.scale = check_radius(scale, "scale")
         self.p = 2.0
-        self.interior = np.unique(domain_indices(interior, space.n))
+        # index sets as masks over the points: np.unique and its kin import numpy.ma
+        n = space.n
+        self._inside = inside = np.bincount(domain_indices(interior, n), minlength=n) > 0
+        self.interior = np.flatnonzero(inside)
         if self.interior.size == 0:
             raise ValidationError("interior must be nonempty")
-        if self.interior.size >= space.n:
+        if self.interior.size >= n:
             raise ValidationError("the complement of the interior must carry mass")
         given = dict(boundary_data)
-        data = dict(zip(domain_indices(list(given), space.n).tolist(), given.values()))
-        self._inside = inside = np.isin(np.arange(space.n), self.interior)
+        data = dict(zip(domain_indices(list(given), n).tolist(), given.values()))
         ptr, nbr, _ = space.all_balls(self.scale, self.interior)
         self._ball_ptr, self._ball_nbr = ptr, nbr  # the interior balls as CSR arrays
         sizes = np.diff(ptr)
         if np.any(sizes < 2):
             x = int(self.interior[np.argmax(sizes < 2)])
             raise ValidationError(f"interior point {x} has an empty ball at the scale", detail=x)
-        self.boundary_layer = np.unique(nbr[~inside[nbr]])
+        layer = np.bincount(nbr[~inside[nbr]], minlength=n) > 0
+        self.boundary_layer = np.flatnonzero(layer)
         self._boundary = np.asarray(list(data), dtype=int)
         _first_bad(
             inside[self._boundary], self._boundary, "boundary value given at interior index"
         )
         self._boundary_rows = target.pack(list(data.values()), index=self._boundary)
-        missing = np.setdiff1d(self.boundary_layer, self._boundary).tolist()
+        missing = np.flatnonzero(layer & (np.bincount(self._boundary, minlength=n) == 0)).tolist()
         if missing:
             raise ValidationError(f"missing boundary values at {missing[:8]}", detail=missing)
         # the trace as packed rows, by index
         self.boundary_data = dict(zip(data, self._boundary_rows))
-        self.referenced = np.union1d(self.interior, self.boundary_layer)
+        self.referenced = np.flatnonzero(inside | layer)
         w = space.weights
         self._coef = w[self.interior] / (np.add.reduceat(w[nbr], ptr[:-1]) * self.scale**2)
         centers = np.repeat(self.interior, sizes)
@@ -533,7 +536,7 @@ def solve(
         tol = default_tolerance(prob.target)
     if not (_is_number(tol) and math.isfinite(tol) and tol > 0):
         raise ValidationError(f"solver option tol must be finite and positive, not {tol!r}")
-    if not (_is_number(max_sweeps) and float(max_sweeps).is_integer() and max_sweeps >= 1):
+    if not (_is_integer(max_sweeps) and max_sweeps >= 1):
         raise ValidationError(
             f"solver option max_sweeps must be a positive integer, not {max_sweeps!r}"
         )

@@ -110,8 +110,7 @@ def load_map(path, space=None, target=None):
         space = load_space(base / _field(obj, "space", str, path))
     if target is None:
         target = load_target(base / _field(obj, "target", str, path))
-    values = _field(obj, "values", list, path)
-    return MetricMap(space, target, target._rows_from_json(values, range(len(values))))
+    return MetricMap(space, target, _field(obj, "values", list, path))
 
 
 def atlas_to_json(atlas):
@@ -172,7 +171,7 @@ def load_problem(path):
     if not all(isinstance(pair, list) and len(pair) == 2 for pair in pairs):
         raise ValidationError(f"{path}: field 'boundary_values' must hold [index, point] pairs")
     index = domain_indices([k for k, _ in pairs], space.n)
-    rows = target._rows_from_json([v for _, v in pairs], index)
+    rows = target.pack([v for _, v in pairs], index)
     prob = DirichletProblem(
         space,
         target,

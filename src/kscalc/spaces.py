@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ValidationError
-from .targets import _is_number
+from .targets import _is_integer, _is_number, _spec_field
 
 EUCLIDEAN = "euclidean"
 TORUS = "torus"
@@ -449,7 +449,7 @@ def domain_indices(values, n, what="domain index"):
     else:
         # a list can mix True with integers, so only an integer array skips this
         raw = np.ravel(np.asarray(values, dtype=object))
-        whole = [_is_number(k) and float(k).is_integer() for k in raw]
+        whole = [_is_integer(k) for k in raw]
         if not all(whole):
             k = raw[np.argmin(whole)]
             raise ValidationError(f"{what} {k} is not an integer", detail=k)
@@ -485,27 +485,44 @@ def check_scale(r, name, power=1.0):
     return r
 
 
+def _reals(spec, name, depth):
+    """Field ``name`` of a space spec: a numeric array or a list of ``depth``
+    levels ending in real numbers, else the field or its first bad entry is named."""
+    value = _spec_field(spec, name, lambda v: isinstance(v, (list, tuple, np.ndarray)), "a list")
+    if isinstance(value, np.ndarray) and value.dtype.kind in "iuf":
+        return value
+    ok = _is_number if depth == 1 else lambda x: (
+        isinstance(x, (list, tuple)) and all(map(_is_number, x)))
+    bad = [k for k, x in enumerate(value) if not ok(x)]
+    if bad:
+        entry = "a number" if depth == 1 else "a list of numbers"
+        raise ValidationError(f"field {name!r} entry {bad[0]} must be {entry}", detail=bad[0])
+    return value
+
+
 def build_space(spec):
     """Construct and validate a :class:`PointCloudSpace` from a plain dict.
 
-    The matrix kind is audited: finite entries, symmetry, zero diagonal,
-    positive off-diagonal entries, and the triangle inequality on every triple
-    (sampled above 200 points).  Violations reject the space and name
-    the offending entry.
+    Points, weights, periods and the matrix hold real numbers (``True``
+    and ``False`` are not) and the seed is an integer, else the field is
+    rejected by name.  The matrix kind is audited: finite entries,
+    symmetry, zero diagonal, positive off-diagonal entries, and the
+    triangle inequality on every triple (sampled above 200 points).
+    Violations reject the space and name the offending entry.
     """
     kind = spec.get("kind")
-    weights = spec.get("weights")
+    weights = None if spec.get("weights") is None else _reals(spec, "weights", 1)
     if kind in (EUCLIDEAN, TORUS):
         space = PointCloudSpace(
             kind,
-            coords=spec["points"],
+            coords=_reals(spec, "points", 2),
             weights=weights,
-            period=spec.get("period") if kind == TORUS else None,
+            period=_reals(spec, "period", 1) if kind == TORUS else None,
         )
         _reject_duplicates(space)
         return space
     if kind == MATRIX:
-        m = np.asarray(spec["matrix"], dtype=float)
+        m = np.asarray(_reals(spec, "matrix", 2), dtype=float)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValidationError("distance matrix must be square")
         if not np.isfinite(m).all():
@@ -529,7 +546,8 @@ def build_space(spec):
                 f"non-positive distance between distinct points ({i}, {j})",
                 detail=(int(i), int(j)),
             )
-        _audit_triangles(m, seed=int(spec.get("seed", 0)))
+        seed = _spec_field({"seed": 0, **spec}, "seed", _is_integer, "an integer")
+        _audit_triangles(m, seed=int(seed))
         return PointCloudSpace(MATRIX, matrix=m, weights=weights)
     raise ValidationError(f"unknown metric kind {kind!r}")
 

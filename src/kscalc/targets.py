@@ -17,22 +17,6 @@ import numpy as np
 from .errors import ConvergenceError, ValidationError
 
 
-@dataclass(frozen=True)
-class TreePoint:
-    """A position on a metric tree: either a vertex or an edge offset.
-
-    Edge-endpoint aliases are canonicalized to the vertex form so that
-    point equality is decidable.
-    """
-
-    vertex: int | None = None
-    edge: int | None = None
-    t: float = 0.0
-
-    def is_vertex(self):
-        return self.vertex is not None
-
-
 def _columns(P):
     """The columns of packed rows, each contiguous, for broadcasting.
 
@@ -55,6 +39,16 @@ def _slices(widths):
 def _is_number(x):
     """Whether a value is a real number (``True`` and ``False`` are not)."""
     return type(x) in (float, int) or isinstance(x, numbers.Real) and not isinstance(x, bool)
+
+
+def _is_integer(x):
+    """Whether a value is a real number with an integral value."""
+    return _is_number(x) and float(x).is_integer()
+
+
+def _is_row(p):
+    """Whether a value is a packed row: a flat integer or float array."""
+    return isinstance(p, np.ndarray) and p.ndim == 1 and p.dtype.kind in "iuf"
 
 
 def _valid(rows, checks, index=None):
@@ -81,11 +75,10 @@ class GeodesicTarget:
     batched kernels ``dists``, ``geodesics``, ``random_points`` and
     ``barycenters`` work on such arrays.  They are the kind's only
     distance and geodesic code: ``dist`` and ``geodesic_point`` are their
-    one-pair calls.  Point objects (coordinate vectors, ``TreePoint``,
-    product tuples) belong to the scalar API, which takes a packed row
-    wherever it takes a point.  Each kind reads values (``_checked_rows``)
-    and JSON values (``_json_rows``) into rows and the checks of
-    ``_valid``, and writes rows as JSON values and point objects.
+    one-pair calls.  A point is its JSON value or a packed row: each kind
+    reads both with one reader, ``_rows``, into rows and the checks of
+    ``_valid``, and writes rows as JSON values (``_rows_to_json``).  The
+    scalar API takes either form for a point and returns JSON values.
     """
 
     kind = "abstract"
@@ -95,20 +88,12 @@ class GeodesicTarget:
     _residual_width = 1
 
     def canonical(self, p):
-        """The validated point object of a point or a packed row."""
-        return self._point(_valid(*self._checked_rows([p]))[0])
-
-    def point_from_json(self, obj):
-        """The validated point object a JSON value describes."""
-        return self._point(_valid(*self._json_rows([obj]))[0])
-
-    def point_to_json(self, p):
-        """The JSON value of a point or a packed row."""
-        return self._rows_to_json(self.pack([p]))[0]
+        """The validated JSON value of a point or a packed row."""
+        return self._rows_to_json(_valid(*self._rows([p])))[0]
 
     def random_point(self, rng):
-        """One random point object, drawn as one packed row."""
-        return self._point(self.random_points(rng, 1)[0])
+        """One random point's JSON value, drawn as one packed row."""
+        return self._rows_to_json(self.random_points(rng, 1))[0]
 
     def random_points(self, rng, k):
         """``k`` random points as packed rows.
@@ -123,15 +108,11 @@ class GeodesicTarget:
     def pack(self, values, index=None):
         """Validated canonical values as one ``(n, width)`` float array.
 
-        ``values`` holds points or packed rows.  A bad value raises a
-        ``ValidationError`` naming the first bad index, its position in
-        ``values`` or, when given, ``index`` at that position.
+        ``values`` holds JSON values of points or packed rows.  A bad value
+        raises a ``ValidationError`` naming the first bad index, its
+        position in ``values`` or, when given, ``index`` at that position.
         """
-        return _valid(*self._checked_rows(values), range(len(values)) if index is None else index)
-
-    def _rows_from_json(self, objs, index):
-        """``pack`` of JSON values, named by ``index``; a wrong JSON type is bad."""
-        return _valid(*self._json_rows(objs), index)
+        return _valid(*self._rows(values), range(len(values)) if index is None else index)
 
     def dist(self, a, b):
         """The distance of two points: one pair of ``dists``."""
@@ -139,8 +120,8 @@ class GeodesicTarget:
         return float(self.dists(P[0], P[1]))
 
     def geodesic_point(self, a, b, s):
-        """The point at parameter ``s`` on the geodesic from a to b, as a
-        point object: one pair of ``geodesics``."""
+        """The JSON value of the point at parameter ``s`` on the geodesic
+        from a to b: one pair of ``geodesics``."""
         P = self.pack([a, b])
         return self.canonical(self.geodesics(P[0], P[1], s))
 
@@ -207,27 +188,23 @@ class _CoordinateTarget(GeodesicTarget):
     # the reason a point of the right size is rejected
     _off_reason = "point coordinates must be finite"
 
-    def _checked_rows(self, values):
-        vectors = [np.asarray(v, dtype=float).reshape(-1) for v in values]
-        fits = np.array([x.size == self.width for x in vectors], dtype=bool)
-        # a value of the wrong size is checked as the zero row
-        P = np.reshape([x if ok else np.zeros(self.width) for x, ok in zip(vectors, fits)],
-                       (-1, self.width))
+    def _rows(self, values):
+        ok = np.array([_is_row(v) or isinstance(v, (list, tuple)) and all(map(_is_number, v))
+                       for v in values], dtype=bool)
+        sizes = [len(v) if good else self.width for v, good in zip(values, ok)]
+        fits = np.array(sizes) == self.width
+        # a value that is not a point of the right size is checked as the zero row
+        blank = (0.0,) * self.width
+        P = np.array([v if good else blank for v, good in zip(values, ok & fits)],
+                     dtype=float).reshape(-1, self.width)
         with np.errstate(invalid="ignore", over="ignore"):
             off = ~np.isfinite(P).all(axis=1) | self._off(P)
-        return P, [(~fits, lambda k: f"point dimension {vectors[k].size} != {self.width}"),
+        return P, [(~ok, "a point must be a list of numbers"),
+                   (~fits, lambda k: f"point dimension {sizes[k]} != {self.width}"),
                    (off, self._off_reason)]
-
-    def _json_rows(self, objs):
-        ok = np.array([isinstance(v, list) and all(map(_is_number, v)) for v in objs], dtype=bool)
-        rows, checks = self._checked_rows([v if good else () for v, good in zip(objs, ok)])
-        return rows, [(~ok, "a point must be a list of numbers"), *checks]
 
     def _rows_to_json(self, rows):
         return rows.tolist()
-
-    def _point(self, row):
-        return row
 
     def _off(self, P):
         """Whether finite rows lie off the kind's manifold."""
@@ -297,7 +274,7 @@ class TreeTarget(GeodesicTarget):
                     f"edge {e}: length {l} is not positive and finite", detail=e
                 )
             if not (0 <= u < self.n_vertices and 0 <= v < self.n_vertices):
-                raise ValidationError("edge endpoint out of range")
+                raise ValidationError(f"edge {e}: endpoint out of range", detail=e)
         self._adj = [[] for _ in range(self.n_vertices)]
         for e, (u, v, l) in enumerate(self.edges):
             self._adj[u].append((v, e, l))
@@ -334,40 +311,30 @@ class TreeTarget(GeodesicTarget):
 
     # -- points ----------------------------------------------------------
 
-    @staticmethod
-    def _triple(p):
-        """(vertex, edge, offset) of a TreePoint or a packed row; edge < 0 is a vertex."""
-        if isinstance(p, TreePoint):
-            return (p.vertex, -1, 0.0) if p.is_vertex() else (-1, p.edge, p.t)
-        return p[0], p[4], p[5]
-
-    @staticmethod
-    def _json_point(obj):
-        """The TreePoint of a JSON tree point, None for a value of another form."""
-        obj = obj if isinstance(obj, dict) else {}
-        if _is_number(obj.get("vertex")):
-            return TreePoint(vertex=obj["vertex"])
-        if _is_number(obj.get("edge")) and _is_number(obj.get("t")):
-            return TreePoint(edge=obj["edge"], t=obj["t"])
+    def _triple(self, p):
+        """(vertex, edge, offset) of a JSON tree point or a packed row, edge
+        < 0 for a vertex; None for a value of neither form."""
+        if isinstance(p, dict):
+            if _is_number(p.get("vertex")):
+                return p["vertex"], -1, 0.0
+            if _is_number(p.get("edge")) and _is_number(p.get("t")):
+                return -1, p["edge"], p["t"]
+        elif _is_row(p) and p.size == self.width:
+            return p[0], p[4], p[5]
         return None
 
-    def _checked_rows(self, values):
+    def _rows(self, values):
         triples = [self._triple(p) for p in values]
-        return self._rows_of(*np.asarray(triples, dtype=float).reshape(-1, 3).T)
-
-    def _json_rows(self, objs):
-        points = [self._json_point(v) for v in objs]
-        rows, checks = self._checked_rows([p or TreePoint(vertex=0) for p in points])
-        bad = np.array([p is None for p in points], dtype=bool)
+        bad = np.array([t is None for t in triples], dtype=bool)
+        # a value of neither form is checked as vertex 0
+        T = np.array([t or (0, -1, 0.0) for t in triples], dtype=float).reshape(-1, 3)
+        rows, checks = self._rows_of(*T.T)
         return rows, [(bad, 'a tree point must be {"vertex": v} or {"edge": e, "t": offset}'),
                       *checks]
 
     def _rows_to_json(self, rows):
         return [{"vertex": int(u)} if e < 0 else {"edge": int(e), "t": t}
                 for u, e, t in rows[:, [0, 4, 5]].tolist()]
-
-    def _point(self, row):
-        return TreePoint(**self._rows_to_json(row[None])[0])
 
     def _rows_of(self, vertex, edge, t):
         """Canonical rows of points and the checks of their validity.
@@ -704,7 +671,8 @@ class HyperbolicTarget(_CoordinateTarget):
 
 
 class ProductTarget(GeodesicTarget):
-    """2-norm product of component targets; points are tuples.
+    """2-norm product of component targets; a point's JSON value is the
+    list of its components' values.
 
     A point packs as its components' rows side by side.
     """
@@ -724,27 +692,20 @@ class ProductTarget(GeodesicTarget):
         self._residual_slices = _slices([c._residual_width for c in self.components])
 
     def _split(self, p):
-        """The component values of a point tuple or a packed row, else None."""
-        if p is not None and len(p) == len(self.components):
-            return p
-        if p is not None and len(p) == self.width:
+        """The component values of a packed row of the product's width (by
+        columns) or of a list or tuple of one value per component, else None."""
+        if _is_row(p) and p.size == self.width:
             return [p[cols] for cols in self._slices]
+        if isinstance(p, (list, tuple)) and len(p) == len(self.components):
+            return p
         return None
 
-    def _checked_rows(self, values):
-        return self._read(values, lambda c, parts: c._checked_rows(parts))
-
-    def _json_rows(self, objs):
-        m = len(self.components)
-        lists = [v if isinstance(v, list) and len(v) == m else None for v in objs]
-        return self._read(lists, lambda c, parts: c._json_rows(parts))
-
-    def _read(self, values, read):
-        """Rows and checks of values whose components ``read(component, values)``
-        reads; a value ``_split`` cannot split is bad, read as the zero row."""
+    def _rows(self, values):
+        # each component reads its part of every value; a value that does
+        # not split is bad, read as the zero row
         split = [self._split(p) for p in values]
         blank = self._split(np.zeros(self.width))
-        results = [read(c, [blank[k] if q is None else q[k] for q in split])
+        results = [c._rows([blank[k] if q is None else q[k] for q in split])
                    for k, c in enumerate(self.components)]
         bad = np.array([q is None for q in split], dtype=bool)
         reason = f"a product point needs a value for each of its {len(self.components)} components"
@@ -754,9 +715,6 @@ class ProductTarget(GeodesicTarget):
     def _rows_to_json(self, rows):
         parts = [c._rows_to_json(rows[:, cols]) for c, cols in zip(self.components, self._slices)]
         return [list(p) for p in zip(*parts)]
-
-    def _point(self, row):
-        return tuple(c._point(row[cols]) for c, cols in zip(self.components, self._slices))
 
     def _draw(self, rng):
         return [x for c in self.components for x in c._draw(rng)]
@@ -856,17 +814,38 @@ class SphereTarget(_CoordinateTarget):
         return D / _norm(D)
 
 
+def _spec_field(spec, name, ok, what):
+    """Field ``name`` of a spec, rejected by name if missing or unless ``ok(value)``."""
+    if name not in spec:
+        raise ValidationError(f"missing field {name!r}", detail=name)
+    value = spec[name]
+    if not ok(value):
+        raise ValidationError(f"field {name!r} must be {what}", detail=name)
+    return value
+
+
 def build_target(spec):
-    """Construct a target from its plain-dict description."""
+    """Construct a target from its plain-dict description; a field of the
+    wrong type (an integer must be integral, and not a bool) or a bad edge
+    is rejected by name."""
     kind = spec.get("kind")
     if kind == "euclidean":
-        return EuclideanTarget(spec["dim"])
+        return EuclideanTarget(_spec_field(spec, "dim", _is_integer, "an integer"))
     if kind == "tree":
-        return TreeTarget(spec["vertices"], spec["edges"])
+        n = _spec_field(spec, "vertices", _is_integer, "an integer")
+        edges = _spec_field(spec, "edges", lambda v: isinstance(v, (list, tuple)), "a list")
+        for e, edge in enumerate(edges):
+            if not (isinstance(edge, (list, tuple)) and len(edge) == 3 and _is_integer(edge[0])
+                    and _is_integer(edge[1]) and _is_number(edge[2])):
+                raise ValidationError(f"field 'edges': edge {e} must be [u, v, length] with "
+                                      f"integer ends, not {edge!r}", detail=e)
+        return TreeTarget(n, edges)
     if kind == "hyperbolic":
         return HyperbolicTarget()
     if kind == "product":
-        return ProductTarget([build_target(c) for c in spec["components"]])
+        components = _spec_field(spec, "components", lambda v: isinstance(v, list) and all(
+            isinstance(c, dict) for c in v), "a list of target objects")
+        return ProductTarget([build_target(c) for c in components])
     if kind == "sphere":
         return SphereTarget()
     raise ValidationError(f"unknown target kind {kind!r}")
@@ -957,7 +936,7 @@ def cat0_audit(target, n_samples, seed=0, s_steps=9):
 def barycenter(target, pts, weights, tol=1e-9, max_passes=10_000):
     """Weighted barycenter of points: the minimizer of the squared-distance sum.
 
-    The one group of the target's ``barycenters``, as a point object.
+    The one group of the target's ``barycenters``, as a JSON value.
     A target that is not CAT(0) has no barycenter here.
     """
     if not target.is_cat0:

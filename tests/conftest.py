@@ -8,7 +8,6 @@ from kscalc import (
     FitError,
     MetricMap,
     Seminorm,
-    TreePoint,
     TreeTarget,
     build_space,
 )
@@ -43,17 +42,17 @@ def tripod():
 
 @pytest.fixture
 def leafA():
-    return TreePoint(vertex=1)
+    return {"vertex": 1}
 
 
 @pytest.fixture
 def leafB():
-    return TreePoint(vertex=2)
+    return {"vertex": 2}
 
 
 @pytest.fixture
 def leafC():
-    return TreePoint(vertex=3)
+    return {"vertex": 3}
 
 
 def random_map(space, target, seed):

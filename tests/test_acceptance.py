@@ -20,7 +20,6 @@ from kscalc import (
     ProductTarget,
     Seminorm,
     SphereTarget,
-    TreePoint,
     TreeTarget,
     alignment_defect,
     build_space,
@@ -319,7 +318,7 @@ def test_criterion_6_dirichlet_solver():
     tree = TreeTarget(4, [(0, 1, 1.0), (0, 2, 1.0), (0, 3, 1.0)])
     prob_tree = DirichletProblem(
         sp, tree, list(range(1, 10)),
-        {0: TreePoint(vertex=1), 10: TreePoint(vertex=2)}, 0.15,
+        {0: {"vertex": 1}, 10: {"vertex": 2}}, 0.15,
     )
     tol_tree = 1e-7
     sol_t, rep_t = solve(prob_tree, tol=tol_tree)
@@ -329,7 +328,7 @@ def test_criterion_6_dirichlet_solver():
     oracle_pos = _tripod_brute_force(prob_tree)
     gap_t = 0.0
     for k in range(1, 10):
-        a = tree.dist(sol_t[k], TreePoint(vertex=1))
+        a = tree.dist(sol_t[k], {"vertex": 1})
         gap_t = max(gap_t, abs(a - oracle_pos[k]))
     assert gap_t <= 1e-4
     details.append(f"tripod {gap_t:.1e}")

@@ -10,7 +10,6 @@ from kscalc import (
     EuclideanTarget,
     FitError,
     MetricMap,
-    TreePoint,
     ValidationError,
     alignment_defect,
     aplip_estimate,
@@ -200,11 +199,11 @@ class TestFitPolyhedral:
         vals = []
         for s in xs:
             if s == 0.0:
-                vals.append(TreePoint(vertex=0))
+                vals.append({"vertex": 0})
             elif s < 0:
-                vals.append(tripod.canonical(TreePoint(edge=0, t=min(-s, 1.0))))
+                vals.append(tripod.canonical({"edge": 0, "t": min(-s, 1.0)}))
             else:
-                vals.append(tripod.canonical(TreePoint(edge=1, t=min(s, 1.0))))
+                vals.append(tripod.canonical({"edge": 1, "t": min(s, 1.0)}))
         u = MetricMap(sp, tripod, vals)
         chart = Chart(indices=np.arange(sp.n), phi=xs[:, None], epsilon=0.0)
         i0 = 100  # s = 0
@@ -404,7 +403,7 @@ class TestBatchedFits:
         sp = build_space({"kind": "euclidean", "points": pts.tolist()})
         chart = Chart(indices=np.arange(sp.n), phi=pts, epsilon=0.0)
         vals = [
-            tripod.canonical(TreePoint(edge=int(e), t=float(t)))
+            tripod.canonical({"edge": int(e), "t": float(t)})
             for e, t in zip(rng.integers(0, 3, sp.n), np.hypot(*(pts - 0.5).T))
         ]
         u = MetricMap(sp, tripod, vals)
@@ -436,8 +435,8 @@ class TestBatchedFits:
         xs = np.linspace(-1.0, 1.0, 81)
         sp = build_space({"kind": "euclidean", "points": xs[:, None].tolist()})
         vals = [
-            TreePoint(vertex=0) if s == 0.0
-            else tripod.canonical(TreePoint(edge=0 if s < 0 else 1, t=abs(s)))
+            {"vertex": 0} if s == 0.0
+            else tripod.canonical({"edge": 0 if s < 0 else 1, "t": abs(s)})
             for s in xs
         ]
         u = MetricMap(sp, tripod, vals)

@@ -14,7 +14,6 @@ from kscalc import (
     EuclideanTarget,
     FixtureSpec,
     MetricMap,
-    TreePoint,
     build_space,
     make_fixture,
 )
@@ -242,6 +241,69 @@ class TestExitCodes:
         assert code == 2
         assert out == ""
         assert "at least one edge" in err
+
+    @pytest.mark.parametrize(
+        "spec, says",
+        [
+            ({"kind": "euclidean", "dim": 1.5}, "field 'dim' must be an integer"),
+            ({"kind": "euclidean", "dim": True}, "field 'dim' must be an integer"),
+            ({"kind": "euclidean", "dim": "1"}, "field 'dim' must be an integer"),
+            ({"kind": "euclidean"}, "missing field 'dim'"),
+            ({"kind": "tree", "vertices": 2.9, "edges": [[0, 1, 1.0]]},
+             "field 'vertices' must be an integer"),
+            ({"kind": "tree", "vertices": 3, "edges": [[0, 1, 1.0], [1.7, 2, 1.0]]},
+             "field 'edges': edge 1 must be [u, v, length] with integer ends, not [1.7, 2, 1.0]"),
+            ({"kind": "tree", "vertices": 2, "edges": [[0, 1, "1"]]},
+             "field 'edges': edge 0 must be [u, v, length] with integer ends, not [0, 1, '1']"),
+            ({"kind": "tree", "vertices": 2, "edges": 5}, "field 'edges' must be a list"),
+            ({"kind": "tree", "vertices": 2, "edges": [[0, 5, 1.0]]},
+             "edge 0: endpoint out of range"),
+            ({"kind": "tree", "vertices": 2, "edges": [[0, 1]]},
+             "field 'edges': edge 0 must be [u, v, length]"),
+            ({"kind": "product", "components": 3}, "field 'components' must be a list"),
+            ({"kind": "product", "components": [3]}, "field 'components' must be a list"),
+        ],
+        ids=["dim-float", "dim-bool", "dim-string", "dim-missing", "vertices-float", "endpoint-float",
+             "length-string", "edges-number", "endpoint-out-of-range", "edge-pair",
+             "components-number",
+             "component-number"],
+    )
+    def test_verify_cat0_bad_target_field_exit_2(self, capsys, tmp_path, spec, says):
+        write_json(tmp_path / "t.json", spec)
+        code, out, err = run_main(
+            capsys, "verify", "--which", "cat0", "--target", tmp_path / "t.json", "--samples", "5"
+        )
+        assert (code, out) == (2, "")
+        assert says in err
+
+    @pytest.mark.parametrize(
+        "spec, says",
+        [
+            ({"kind": "euclidean", "points": {"a": 1}}, "field 'points' must be a list"),
+            ({"kind": "euclidean", "points": [[True], [False]]},
+             "field 'points' entry 0 must be a list of numbers"),
+            ({"kind": "euclidean", "points": [[0.0], [1.0]], "weights": ["1", "1"]},
+             "field 'weights' entry 0 must be a number"),
+            ({"kind": "euclidean", "points": [[0.0], [1.0]], "weights": [1, True]},
+             "field 'weights' entry 1 must be a number"),
+            ({"kind": "torus", "points": [[0.0], [0.5]], "period": "1"},
+             "field 'period' must be a list"),
+            ({"kind": "torus", "points": [[0.0], [0.5]]}, "missing field 'period'"),
+            ({"kind": "matrix", "matrix": [[0.0, 1.0], [1.0, 0.0]], "seed": 1.5},
+             "field 'seed' must be an integer"),
+            ({"kind": "matrix", "matrix": [[0.0, 1.0], [1.0, 0.0]], "seed": "a"},
+             "field 'seed' must be an integer"),
+        ],
+        ids=["points-object", "points-bools", "weights-strings", "weights-bool",
+             "period-string", "period-missing", "seed-float", "seed-string"],
+    )
+    def test_space_check_bad_space_field_exit_2(self, capsys, tmp_path, spec, says):
+        write_json(tmp_path / "s.json", spec)
+        code, out, err = run_main(
+            capsys, "space-check", "--space", tmp_path / "s.json", "--radius", "0.5"
+        )
+        assert (code, out) == (2, "")
+        assert says in err
 
     def test_energy_infinite_scale_exit_2(self, workdir):
         code, _, err = run_cli(
@@ -724,8 +786,8 @@ class TestLoadNamesMalformedValue:
         values = [{"vertex": 1.0}] * 10 + [{"edge": 2.0, "t": 0.25}]
         write_json(path, {"space": "space.json", "target": "tripod.json", "values": values})
         u = load_map(path)
-        assert u.target.point_to_json(u.packed[0]) == {"vertex": 1}
-        assert u.target.point_to_json(u.packed[10]) == {"edge": 2, "t": 0.25}
+        assert u.target.canonical(u.packed[0]) == {"vertex": 1}
+        assert u.target.canonical(u.packed[10]) == {"edge": 2, "t": 0.25}
 
 
 class TestLoadNamesBadField:
@@ -882,8 +944,9 @@ class TestProblemIndicesAndOptions:
 
 # Runs one CLI command with every ``cli.load_*`` wrapped (as the benchmark's
 # launcher wraps them) and writes, as JSON to argv[1], the exit code and the
-# numpy/scipy modules loaded after the last load returned and the scipy
-# modules loaded in all.  The CLI's arguments follow.
+# numpy/scipy modules loaded after the last load returned, the scipy
+# modules loaded in all and whether numpy.ma was loaded at the end.  The
+# CLI's arguments follow.
 _IMPORT_PROBE = """
 import json, sys
 
@@ -912,7 +975,7 @@ code = cli.main(sys.argv[2:])
 late = None if state["loaded"] is None else sorted(heavy() - state["loaded"])
 scipy = sorted(m for m in heavy() if m.startswith("scipy"))
 with open(sys.argv[1], "w") as fh:
-    json.dump({"code": code, "late": late, "scipy": scipy}, fh)
+    json.dump({"code": code, "late": late, "scipy": scipy, "ma": "numpy.ma" in sys.modules}, fh)
 """
 
 
@@ -931,7 +994,7 @@ def probe_imports(tmp_path, *args):
 class TestStartupImports:
     """``import kscalc`` loads numpy only; each subcommand imports the
     modules it uses before its inputs load (``cli.SUBCOMMAND_IMPORTS``),
-    and none loads scipy."""
+    and none loads scipy or numpy.ma."""
 
     def test_import_loads_no_scipy(self):
         proc = subprocess.run(
@@ -995,6 +1058,8 @@ class TestStartupImports:
         assert report["code"] == 0
         assert report["late"] == []
         assert report["scipy"] == []
+        # numpy.ma costs about 10 ms to import, and no command needs it
+        assert not report["ma"]
 
 
 _THREAD_PROBE = """

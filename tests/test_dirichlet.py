@@ -13,7 +13,6 @@ from kscalc import (
     HyperbolicTarget,
     MetricMap,
     ProductTarget,
-    TreePoint,
     SphereTarget,
     ValidationError,
     barycenter,
@@ -61,7 +60,7 @@ def tripod_path_problem(tripod):
         sp,
         tripod,
         interior=list(range(1, 10)),
-        boundary_data={0: TreePoint(vertex=1), 10: TreePoint(vertex=2)},
+        boundary_data={0: {"vertex": 1}, 10: {"vertex": 2}},
         scale=0.15,
     )
 
@@ -125,12 +124,12 @@ class TestProblemValidation:
 
     def test_bad_values_name_their_index(self, path_problem, tripod):
         sp, prob = tripod_path_problem(tripod)
-        vals = [TreePoint(vertex=0)] * 9
-        vals[3] = TreePoint(vertex=7)
+        vals = [{"vertex": 0}] * 9
+        vals[3] = {"vertex": 7}
         with pytest.raises(ValidationError, match="index 4") as exc:
             prob.assemble(vals)
         assert exc.value.detail == 4
-        bad = {0: TreePoint(vertex=1), 10: TreePoint(edge=5, t=0.1)}
+        bad = {0: {"vertex": 1}, 10: {"edge": 5, "t": 0.1}}
         with pytest.raises(ValidationError, match="index 10") as exc:
             DirichletProblem(sp, tripod, list(range(1, 10)), bad, 0.15)
         assert exc.value.detail == 10
@@ -253,7 +252,7 @@ def product_grid_problem(tripod):
     target = ProductTarget([EuclideanTarget(1), tripod, HyperbolicTarget()])
     rng = np.random.default_rng(12)
     data = {
-        k: (rng.normal(0.0, 1.0, 1), TreePoint(edge=int(rng.integers(0, 2)), t=rng.random()), v)
+        k: (rng.normal(0.0, 1.0, 1), {"edge": int(rng.integers(0, 2)), "t": rng.random()}, v)
         for k, v in hyp.boundary_data.items()
     }
     return sp, DirichletProblem(sp, target, hyp.interior, data, hyp.scale)
@@ -542,7 +541,7 @@ class TestSolve:
         sp, prob = tripod_path_problem(tripod)
         sol, report = solve(prob, tol=1e-7)
         assert report.converged
-        A = TreePoint(vertex=1)
+        A = {"vertex": 1}
         for k in range(1, 10):
             assert tripod.dist(sol[k], A) == pytest.approx(2 * k / 10, abs=1e-4)
 
@@ -554,9 +553,9 @@ class TestSolve:
         # positions, using only leg/offset arithmetic for distances
         def leg_of(p):
             p = tripod.canonical(p)
-            if p.is_vertex():
-                return (0, 0.0) if p.vertex == 0 else (p.vertex, 1.0)
-            return (p.edge + 1, p.t)
+            if "vertex" in p:
+                return (0, 0.0) if p["vertex"] == 0 else (p["vertex"], 1.0)
+            return (p["edge"] + 1, p["t"])
 
         def d_oracle(a, b):
             (la, ta), (lb, tb) = a, b
@@ -626,7 +625,7 @@ def on_three_legs(p):
     the leg, and p's distance from the center the offset."""
     phi = math.atan2(p[1] - 0.5, p[0] - 0.5) % (2 * math.pi)
     radius = math.hypot(p[0] - 0.5, p[1] - 0.5)
-    return TreePoint(edge=int(3 * phi / (2 * math.pi)) % 3, t=min(0.9, 1.2 * radius))
+    return {"edge": int(3 * phi / (2 * math.pi)) % 3, "t": min(0.9, 1.2 * radius)}
 
 
 class TestExactBarycenters:
@@ -641,7 +640,7 @@ class TestExactBarycenters:
         sol, report = solve(prob, mode=mode)
         assert report.converged and report.uniqueness_gap <= 10 * 1e-6
         # the solution reaches the hub region: its values span all three legs
-        legs = {tripod.canonical(sol[x]).edge for x in prob.interior}
+        legs = {tripod.canonical(sol[x]).get("edge") for x in prob.interior}
         assert {0, 1, 2} <= legs
 
     @pytest.mark.parametrize("mode", ["jacobi", "gauss-seidel"])
@@ -1030,15 +1029,15 @@ class TestMidpointTest:
     def test_tripod_three_leg_strict_slack(self, tripod):
         xs = np.linspace(0.0, 1.0, 11)
         sp = build_space({"kind": "euclidean", "points": xs[:, None].tolist()})
-        hub = TreePoint(vertex=0)
+        hub = {"vertex": 0}
         prob = DirichletProblem(
             sp, tripod, list(range(1, 10)), {0: hub, 10: hub}, 0.15
         )
         u = prob.assemble(
-            [tripod.canonical(TreePoint(edge=k % 2, t=0.5)) for k in range(1, 10)]
+            [tripod.canonical({"edge": k % 2, "t": 0.5}) for k in range(1, 10)]
         )
         v = prob.assemble(
-            [tripod.canonical(TreePoint(edge=2, t=0.5)) for _ in range(1, 10)]
+            [tripod.canonical({"edge": 2, "t": 0.5}) for _ in range(1, 10)]
         )
         rep = midpoint_test(prob, u, v)
         assert rep.slack > 1.0
@@ -1047,20 +1046,20 @@ class TestMidpointTest:
         # maps living on two legs only see a flat subtree: exact equality
         xs = np.linspace(0.0, 1.0, 11)
         sp = build_space({"kind": "euclidean", "points": xs[:, None].tolist()})
-        hub = TreePoint(vertex=0)
+        hub = {"vertex": 0}
         prob = DirichletProblem(
             sp, tripod, list(range(1, 10)), {0: hub, 10: hub}, 0.15
         )
         u = prob.assemble(
             [
-                tripod.canonical(TreePoint(edge=0, t=0.6 * math.sin(math.pi * k / 10)))
+                tripod.canonical({"edge": 0, "t": 0.6 * math.sin(math.pi * k / 10)})
                 for k in range(1, 10)
             ]
         )
         v = prob.assemble(
             [
                 tripod.canonical(
-                    TreePoint(edge=1, t=0.9 * math.sin(math.pi * k / 10) ** 2)
+                    {"edge": 1, "t": 0.9 * math.sin(math.pi * k / 10) ** 2}
                 )
                 for k in range(1, 10)
             ]

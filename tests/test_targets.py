@@ -14,7 +14,6 @@ from kscalc import (
     MetricMap,
     ProductTarget,
     SphereTarget,
-    TreePoint,
     TreeTarget,
     ValidationError,
     barycenter,
@@ -37,10 +36,10 @@ class TestDist:
         assert tripod.dist(leafA, leafB) == pytest.approx(1.0 + 1.0)
 
     def test_tree_edge_points(self, tripod):
-        p = TreePoint(edge=0, t=0.25)  # on hub-A leg, 0.25 from hub
-        q = TreePoint(edge=1, t=0.5)
+        p = {"edge": 0, "t": 0.25}  # on hub-A leg, 0.25 from hub
+        q = {"edge": 1, "t": 0.5}
         assert tripod.dist(p, q) == pytest.approx(0.75)
-        same = TreePoint(edge=0, t=0.8)
+        same = {"edge": 0, "t": 0.8}
         assert tripod.dist(p, same) == pytest.approx(0.55)
 
     def test_hyperbolic_closed_form(self):
@@ -82,8 +81,7 @@ class TestGeodesicPoint:
         assert np.allclose(t.geodesic_point([0, 0], [2, 0], 0.25), [0.5, 0])
 
     def test_tripod_midpoint_is_hub(self, tripod, leafA, leafB):
-        m = tripod.geodesic_point(leafA, leafB, 0.5)
-        assert m.is_vertex() and m.vertex == 0
+        assert tripod.geodesic_point(leafA, leafB, 0.5) == {"vertex": 0}
 
     def test_endpoint_contract(self, tripod, leafA, leafB):
         for t, a, b in (
@@ -187,7 +185,7 @@ class TestBarycenter:
             max_passes=200_000,
         )
         # oracle: exhaustive minimization over a fine grid of tree positions
-        zs = [TreePoint(edge=e, t=tt) for e in range(3) for tt in np.linspace(0.0, 1.0, 2001)]
+        zs = [{"edge": e, "t": tt} for e in range(3) for tt in np.linspace(0.0, 1.0, 2001)]
         vals = _objective(tripod, zs, [leafA, leafB, leafC], np.ones(3))
         assert tripod.dist(b, zs[int(np.argmin(vals))]) <= 5e-4
 
@@ -226,11 +224,11 @@ class TestBarycenter:
 
     def test_tripod_three_legs_meet_at_the_hub(self, tripod):
         # the inductive mean never settled here; the exact minimizer is the hub
-        legs = [TreePoint(edge=k, t=0.5) for k in range(3)]
-        assert barycenter(tripod, legs, [1, 1, 1]) == TreePoint(vertex=0)
-        rows = tripod.pack([TreePoint(vertex=1), *legs, TreePoint(vertex=2)])
+        legs = [{"edge": k, "t": 0.5} for k in range(3)]
+        assert barycenter(tripod, legs, [1, 1, 1]) == {"vertex": 0}
+        rows = tripod.pack([{"vertex": 1}, *legs, {"vertex": 2}])
         got = tripod.barycenters(rows, [0, 1, 4, 5], np.ones(5), tol=1e-9, max_passes=50)
-        assert np.array_equal(got, tripod.pack([TreePoint(vertex=v) for v in (1, 0, 2)]))
+        assert np.array_equal(got, tripod.pack([{"vertex": v} for v in (1, 0, 2)]))
 
     def test_sphere_has_no_barycenter(self):
         t = SphereTarget()
@@ -276,10 +274,10 @@ def _tree_brute_force(t, pts, w):
         # each pass narrows the bracket twentyfold
         for _ in range(14):
             grid = np.linspace(lo, hi, 41)
-            f = _objective(t, [TreePoint(edge=e, t=s) for s in grid], pts, w)
+            f = _objective(t, [{"edge": e, "t": s} for s in grid], pts, w)
             k = int(np.argmin(f))
             lo, hi = grid[max(k - 1, 0)], grid[min(k + 1, 40)]
-        z = t.canonical(TreePoint(edge=e, t=grid[k]))
+        z = t.canonical({"edge": e, "t": grid[k]})
         best = min(best, (float(f[k]), z), key=lambda b: b[0])
     return best
 
@@ -319,7 +317,7 @@ class TestBarycenters:
         if t.kind == "tree":
             legs = np.repeat(np.arange(len(self.SIZES)) % 3, self.SIZES)
             edge = np.where(rng.random(n) < 0.5, legs, (legs + 1) % 3)
-            return t.pack([TreePoint(edge=int(e), t=x) for e, x in zip(edge, rng.random(n))])
+            return t.pack([{"edge": int(e), "t": x} for e, x in zip(edge, rng.random(n))])
         return t.random_points(rng, n)
 
     def groups(self, t, seed):
@@ -441,15 +439,12 @@ class TestSerialKinds:
             assert t2.kind == t.kind
             rng = np.random.default_rng(0)
             p = t.random_point(rng)
-            q = t2.point_from_json(t.point_to_json(p))
-            assert t.dist(p, q) <= 1e-12
+            assert t.dist(p, t2.canonical(p)) <= 1e-12
 
     def test_tree_point_canonicalization(self, tripod):
         # edge endpoint aliases resolve to the vertex form
-        p = tripod.canonical(TreePoint(edge=0, t=0.0))
-        assert p.is_vertex() and p.vertex == 0
-        q = tripod.canonical(TreePoint(edge=0, t=1.0))
-        assert q.is_vertex() and q.vertex == 1
+        assert tripod.canonical({"edge": 0, "t": 0.0}) == {"vertex": 0}
+        assert tripod.canonical({"edge": 0, "t": 1.0}) == {"vertex": 1}
 
     def test_hyperbolic_point_validation(self):
         t = HyperbolicTarget()
@@ -474,10 +469,10 @@ def kernel_case(kind, tripod, seed, n):
     rng = np.random.default_rng(seed)
     pts = [target.random_point(rng) for _ in range(n)]
     if kind == "tree":
-        pts[:4] = [TreePoint(vertex=v) for v in range(4)]
+        pts[:4] = [{"vertex": v} for v in range(4)]
     if kind == "product":
         for k in range(2):
-            pts[k] = (pts[k][0], TreePoint(vertex=k), pts[k][2])
+            pts[k] = (pts[k][0], {"vertex": k}, pts[k][2])
     return target, pts
 
 
@@ -490,8 +485,8 @@ def _tree_reference(t, points):
     pts = [t.canonical(p) for p in points]
     cuts = {}
     for p in pts:
-        if not p.is_vertex():
-            cuts.setdefault(p.edge, set()).add(p.t)
+        if "edge" in p:
+            cuts.setdefault(p["edge"], set()).add(p["t"])
     node, n = {}, t.n_vertices
     for e, offsets in cuts.items():
         for x in offsets:
@@ -504,7 +499,7 @@ def _tree_reference(t, points):
             j.append(b)
             w.append(x1 - x0)
     D = shortest_path(coo_matrix((w, (i, j)), shape=(n, n)), method="D", directed=False)
-    idx = [p.vertex if p.is_vertex() else node[p.edge, p.t] for p in pts]
+    idx = [p["vertex"] if "vertex" in p else node[p["edge"], p["t"]] for p in pts]
     return D[np.ix_(idx, idx)]
 
 
@@ -577,7 +572,7 @@ def test_tree_dists_match_shortest_paths_on_random_trees():
         # each vertex hangs from an earlier one
         edges = [(int(rng.integers(0, v)), v, rng.uniform(0.1, 2.0)) for v in range(1, n)]
         t = TreeTarget(n, edges)
-        pts = [TreePoint(vertex=int(v)) for v in rng.integers(0, n, 3)]
+        pts = [{"vertex": int(v)} for v in rng.integers(0, n, 3)]
         pts += [t.random_point(rng) for _ in range(12)]
         P = t.pack(pts)
         _assert_matches_reference("tree", t.dists(P[:, None], P[None, :]), _tree_reference(t, pts))
@@ -670,7 +665,7 @@ SPIDER = TreeTarget(
 
 
 def _tree_point(e, frac):
-    return SPIDER.canonical(TreePoint(edge=e, t=frac * SPIDER.edges[e][2]))
+    return SPIDER.canonical({"edge": e, "t": frac * SPIDER.edges[e][2]})
 
 
 _coord = st.floats(-3.0, 3.0)
@@ -678,7 +673,7 @@ _unit = st.floats(0.0, 1.0)
 _points = {
     "euclidean": st.lists(_coord, min_size=3, max_size=3).map(np.array),
     "tree": st.one_of(
-        st.integers(0, 6).map(lambda v: TreePoint(vertex=v)),
+        st.integers(0, 6).map(lambda v: {"vertex": v}),
         st.builds(_tree_point, st.integers(0, 5), _unit),
     ),
     "hyperbolic": st.lists(st.floats(-2.0, 2.0), min_size=2, max_size=2).map(
@@ -850,21 +845,23 @@ def _oracle_row(t, p):
         return np.concatenate([_oracle_row(c, q) for c, q in zip(t.components, p)])
     if t.kind == "tree":
         if isinstance(p, np.ndarray):
-            p = TreePoint(vertex=int(p[0])) if p[4] < 0 else TreePoint(edge=int(p[4]), t=p[5])
-        if p.is_vertex():
-            if not 0 <= p.vertex < t.n_vertices or p.vertex != int(p.vertex):
+            p = {"vertex": int(p[0])} if p[4] < 0 else {"edge": int(p[4]), "t": p[5]}
+        if "vertex" in p:
+            x = p["vertex"]
+            if not 0 <= x < t.n_vertices or x != int(x):
                 raise ValidationError("vertex index out of range or not an integer")
-            return np.array([p.vertex, p.vertex, 0.0, 0.0, -1.0, 0.0])
-        if not 0 <= p.edge < len(t.edges) or p.edge != int(p.edge):
+            return np.array([x, x, 0.0, 0.0, -1.0, 0.0])
+        e, x = p["edge"], p["t"]
+        if not 0 <= e < len(t.edges) or e != int(e):
             raise ValidationError("edge index out of range or not an integer")
-        u, v, length = t.edges[int(p.edge)]
-        if not -1e-12 <= p.t <= length + 1e-12:
+        u, v, length = t.edges[int(e)]
+        if not -1e-12 <= x <= length + 1e-12:
             raise ValidationError("edge offset outside the edge length")
-        s = min(max(p.t, 0.0), length)
+        s = min(max(x, 0.0), length)
         if s == 0.0 or s == length:
             w = u if s == 0.0 else v
             return np.array([w, w, 0.0, 0.0, -1.0, 0.0])
-        return np.array([u, v, s, length - s, p.edge, s])
+        return np.array([u, v, s, length - s, e, s])
     p = np.asarray(p, dtype=float).reshape(-1)
     if not np.all(np.isfinite(p)):
         raise ValidationError("point coordinates must be finite")
@@ -894,7 +891,7 @@ def _spoiled(points):
 def _edge_point(e, at_end, past):
     """A point ``past`` beyond one end of edge e (negative: inside)."""
     length = SPIDER.edges[e][2]
-    return TreePoint(edge=e, t=length + past if at_end else -past)
+    return {"edge": e, "t": length + past if at_end else -past}
 
 
 _pack_values = {
@@ -903,18 +900,18 @@ _pack_values = {
         _points["tree"],
         # edge ends, which become vertices
         st.builds(
-            lambda e, end: TreePoint(edge=e, t=SPIDER.edges[e][2] if end else 0.0),
+            lambda e, end: {"edge": e, "t": SPIDER.edges[e][2] if end else 0.0},
             st.integers(0, 5),
             st.booleans(),
         ),
         # offsets up to 1e-12 outside an edge are clamped onto it, farther are bad
         st.builds(_edge_point, st.integers(0, 5), st.booleans(), st.floats(-1e-12, 3e-12)),
-        st.integers(-2, 9).map(lambda v: TreePoint(vertex=v)),
+        st.integers(-2, 9).map(lambda v: {"vertex": v}),
         # a non-integral index is bad, an integral float is its integer
-        st.sampled_from([0.5, 1.7, 2.0, 3.0 + 1e-9]).map(lambda v: TreePoint(vertex=v)),
-        st.sampled_from([0.9, 2.0, 4.5]).map(lambda e: TreePoint(edge=e, t=0.2)),
+        st.sampled_from([0.5, 1.7, 2.0, 3.0 + 1e-9]).map(lambda v: {"vertex": v}),
+        st.sampled_from([0.9, 2.0, 4.5]).map(lambda e: {"edge": e, "t": 0.2}),
         st.builds(
-            lambda e, t: TreePoint(edge=e, t=t),
+            lambda e, t: {"edge": e, "t": t},
             st.integers(-2, 8),
             st.sampled_from([0.3, math.nan, math.inf, -math.inf]),
         ),
@@ -965,13 +962,17 @@ def test_pack_matches_per_value_canonical(kind, data):
         rows = t.pack(values)
         assert rows.shape == (len(values), t.width)
         assert rows.tobytes() == np.asarray(oracle, dtype=float).tobytes()
-        # packed rows pack to themselves, and the scalar API reads them
+        # packed rows pack to themselves, the scalar API reads them, and
+        # canonical reads each value as pack does
         assert t.pack(rows).tobytes() == rows.tobytes()
         assert all(t.dist(row, v) == 0.0 for row, v in zip(rows, values))
+        assert t.pack([t.canonical(v) for v in values]).tobytes() == rows.tobytes()
     else:
         with pytest.raises(ValidationError, match=f"index {first_bad}:") as exc:
             t.pack(values)
         assert exc.value.detail == first_bad
+        with pytest.raises(ValidationError, match="^(?!value at)"):
+            t.canonical(values[first_bad])
 
 
 @pytest.mark.parametrize(
@@ -979,8 +980,8 @@ def test_pack_matches_per_value_canonical(kind, data):
     [
         ("euclidean", [[0.0, 0.0, 0.0], [1.0, 2.0], [math.nan] * 3], 1, "point dimension 2 != 3"),
         ("hyperbolic", [[1.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0]], 1, "point dimension 4 != 3"),
-        ("product", [(np.zeros(2), TreePoint(vertex=0), np.array([1.0, 0.0, 0.0])),
-                     (np.zeros(2), TreePoint(vertex=0))], 1, "a value for each of its 3"),
+        ("product", [(np.zeros(2), {"vertex": 0}, np.array([1.0, 0.0, 0.0])),
+                     (np.zeros(2), {"vertex": 0})], 1, "a value for each of its 3"),
     ],
 )
 def test_pack_names_a_value_of_the_wrong_size(kind, values, k, says):
@@ -1008,19 +1009,62 @@ def _valid_value(t, v):
     return True
 
 
+_SPOILS = ["bool", "string", "scalar", "size", "row-list"]
+
+
+def _spoiled_value(t, v, row, how, pick):
+    """The JSON value ``v`` of a point of ``t``, whose packed row is
+    ``row``, made bad: a bool or a string in place of one of its numbers
+    (``pick`` chooses which, and in a product which component's), a bare
+    number, one coordinate or component too many (a tree: a packed row
+    one column short), or the packed row as a list (a coordinate kind,
+    whose value that list is: a bare number)."""
+    if how in ("bool", "string"):
+        leaf = True if how == "bool" else "1"
+        if t.kind == "product":
+            j = pick % len(t.components)
+            part = _spoiled_value(t.components[j], v[j], row[t._slices[j]], how, pick)
+            return [*v[:j], part, *v[j + 1:]]
+        if t.kind == "tree":
+            key = sorted(v)[pick % len(v)]
+            return {**v, key: leaf}
+        return [*v[: pick % len(v)], leaf, *v[pick % len(v) + 1:]]
+    if how == "size":
+        return row[:-1] if t.kind == "tree" else [*v, v[0]]
+    if how == "row-list" and t.kind in ("tree", "product"):
+        return row.tolist()
+    return 0.5
+
+
 @pytest.mark.parametrize("kind", sorted(_JSON_CASES))
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_json_round_trip(kind, data):
+    """Valid packed rows pack to themselves, and so do their canonical JSON
+    values, before and after a trip through JSON text; canonical is
+    idempotent; and values spoiled at some indices name the first."""
     t, values = _JSON_CASES[kind]
     values = [v for v in data.draw(st.lists(values, min_size=1, max_size=8)) if _valid_value(t, v)]
     assume(values)
     rows = t.pack(values)
-    text = canonical_json(t._rows_to_json(rows))
-    assert t._rows_from_json(json.loads(text), range(len(rows))).tobytes() == rows.tobytes()
-    for v, row in zip(values, rows):
-        q = t.point_from_json(json.loads(canonical_json(t.point_to_json(v))))
-        assert t.pack([q]).tobytes() == row.tobytes()
+    assert t.pack(rows).tobytes() == rows.tobytes()
+    assert t.pack(list(rows)).tobytes() == rows.tobytes()
+    canon = [t.canonical(row) for row in rows]
+    assert canon == t._rows_to_json(rows)
+    assert t.pack(canon).tobytes() == rows.tobytes()
+    assert t.pack(json.loads(canonical_json(canon))).tobytes() == rows.tobytes()
+    assert [t.canonical(v) for v in canon] == canon
+    spoilt = data.draw(st.sets(st.integers(0, len(rows) - 1), min_size=1))
+    bad = list(canon)
+    for k in spoilt:
+        how = data.draw(st.sampled_from(_SPOILS))
+        bad[k] = _spoiled_value(t, canon[k], rows[k], how, data.draw(st.integers(0, 7)))
+    first = min(spoilt)
+    with pytest.raises(ValidationError, match=f"^value at index {first}: ") as exc:
+        t.pack(bad)
+    assert exc.value.detail == first
+    with pytest.raises(ValidationError, match="^(?!value at)"):
+        t.canonical(bad[first])
 
 
 # -- exact barycenters ------------------------------------------------------
