@@ -131,13 +131,7 @@ def chart_audit(space, chart, cells_per_axis=None):
             n_members=m,
             degenerate=True,
         )
-    lo, hi = np.inf, 0.0
-    for part, d in space.pair_blocks(chart.indices, chart.indices):
-        img = np.linalg.norm(chart.phi - chart.phi[part, None], axis=2)
-        mask = d > 0
-        ratios = img[mask] / d[mask]
-        lo = float(ratios.min(initial=lo))
-        hi = float(ratios.max(initial=hi))
+    lo, hi = space.quotient_range(chart.indices, chart.phi)
     d_ = chart.chart_dim
     if cells_per_axis is None:
         cells_per_axis = max(int(round((m / 2.0) ** (1.0 / d_))), 1)
@@ -171,12 +165,7 @@ def alignment_defect(space, c1, c2):
     if shared.shape[0] < 2:
         return 0.0
     g = c1.phi[[c1.position(i) for i in shared]] - c2.phi[[c2.position(i) for i in shared]]
-    worst = 0.0
-    for part, d in space.pair_blocks(shared, shared):
-        mask = d > 0
-        num = np.linalg.norm(g - g[part, None], axis=2)
-        worst = float((num[mask] / d[mask]).max(initial=worst))
-    return worst
+    return space.quotient_range(shared, g)[1]
 
 
 def default_fit_radius(space, chart, i):

@@ -383,25 +383,24 @@ def _error_bound(prob, disp, residual):
 
 def _sweep(prob, starts, mode, bary_tol):
     """One sweep of each value array of ``starts``: the swept arrays and the
-    largest bound of a class's barycenters in each.  Each class of the mode
-    moves at once, reading the values swept so far, in one barycenters call
-    over the groups of every start; a group's row and residual do not
-    depend on the other groups of the call, so each start sweeps as it
-    would alone."""
-    t, k = prob.target, len(starts)
-    outs, bounds = [v.copy() for v in starts], [0.0] * k
+    largest barycenter residual of each.  Each class of the mode moves at
+    once, reading the values swept so far, in one barycenters call over the
+    groups of every start; a group's row and residual do not depend on the
+    other groups of the call, so each start sweeps as it would alone."""
+    k = len(starts)
+    outs, residuals = [v.copy() for v in starts], np.zeros(k)
     for points, nbr, ptr, w in prob._classes(mode):
         g = ptr.shape[0] - 1
         # start i's groups follow start i - 1's, their pointers shifted
         ptrs = np.append((ptr[:-1] + ptr[-1] * np.arange(k)[:, None]).ravel(), k * ptr[-1])
-        rows, res = t._barycenters(
+        rows, res = prob.target._barycenters(
             np.concatenate([out[nbr] for out in outs]), ptrs, np.tile(w, k), bary_tol,
             _BARY_PASSES,
         )
         for i, out in enumerate(outs):
             out[points] = rows[i * g : (i + 1) * g]
-            bounds[i] = max(bounds[i], t._bound(res[i * g : (i + 1) * g]))
-    return outs, bounds
+        residuals = np.maximum(residuals, res.reshape(k, g).max(axis=1))
+    return outs, residuals.tolist()
 
 
 def _direct_step(prob, starts):
@@ -467,16 +466,11 @@ def default_tolerance(target):
 
 class _Start:
     """One start of ``solve``: its values, its relaxation-energy trajectory,
-    the largest displacement and the certified bound of its last step, and
-    the error that stopped it, if one did."""
+    and the largest displacement and the certified bound of its last step."""
 
     def __init__(self, prob, values):
         self.values, self.trajectory = values, [relaxation_energy(prob, values)]
-        self.disp, self.bound, self.converged, self.error = math.inf, None, False, None
-
-    @property
-    def live(self):
-        return not self.converged and self.error is None
+        self.disp, self.bound, self.converged = math.inf, None, False
 
     def advance(self, prob, values, residual, tol):
         """Take one step's values; only a sweep (``residual`` not None) is
@@ -488,14 +482,6 @@ class _Start:
         if residual is not None:
             self.bound = _error_bound(prob, self.disp, residual)
             self.converged = self.bound < tol
-
-
-def _step(prob, starts, direct, mode, bary_tol):
-    """The new values of each value array of ``starts`` after one step, with
-    the barycenters' bound: the direct solve (bound None) or a sweep."""
-    if direct:
-        return [(v, None) for v in _direct_step(prob, starts)]
-    return list(zip(*_sweep(prob, starts, mode, bary_tol)))
 
 
 def solve(
@@ -518,19 +504,22 @@ def solve(
     sweep satisfies e <= P(d + e) + r.  The solver stops once
     this bound is below ``tol`` and reports it.  Max h is itself a
     certified upper bound, from the residual of the conjugate-gradient
-    solve for h.  For Euclidean targets the first step solves the
-    averaging system by conjugate gradients to rounding; the sweeps after
-    it certify the solution.
+    solve for h.  The barycenters' own tolerance is
+    ``max(min(tol / 100, tol / (4 max h)), 1e-12)``: a hyperbolic residual
+    can stay near twice it, and the residual term then stays within half
+    of ``tol``.  For Euclidean targets the first step solves the averaging
+    system by conjugate gradients to rounding; the sweeps after it certify
+    the solution.
 
     Returns the final values and a report.  Exhausting ``max_sweeps``
     yields a non-converged report, not an exception.  On convergence a
     second start, ``prob.seeded_init(seed + 1)``, must reach a map within
-    ten tolerances of the first in sup target-distance.  That start steps
-    alongside the first, in the same barycenter and conjugate-gradient
-    calls, and stops on its own bound or at ``max_sweeps``; every start's
-    values are those it reaches alone.  The second start's errors (an
-    energy rise, a barycenter that does not converge) are raised only if
-    the first converges, as if it were solved after the first.
+    ten tolerances of the first in sup target-distance.  Each step moves
+    every unconverged start in the same barycenter or conjugate-gradient
+    calls, and a start stops on its own bound or at ``max_sweeps``; every
+    start's values are those it reaches alone.  An error of either start
+    (an energy rise, a barycenter or conjugate-gradient solve that does
+    not converge) raises in the step where it happens.
     """
     if tol is None:
         tol = default_tolerance(prob.target)
@@ -542,35 +531,25 @@ def solve(
         )
     prob._classes(mode)  # an unknown mode is rejected before any step
     max_sweeps = int(max_sweeps)
-    bary_tol = max(tol * 1e-2, 1e-12)  # the barycenters' own tolerance
-    prob._averaging  # an ill-posed problem is rejected before any step
+    # an ill-posed problem is rejected here, before any step
+    h_max = prob._averaging[1]
+    bary_tol = max(min(tol * 1e-2, tol / (4 * h_max)), 1e-12)
     values = prob.default_init() if init is None else init
     prob.check_feasible(values)
     first = _Start(prob, values)
     runs = [first, _Start(prob, prob.seeded_init(seed + 1))] if uniqueness_audit else [first]
     direct = isinstance(prob.target, EuclideanTarget)
     for step in range(1, max_sweeps + 1):
-        live = [run for run in runs if run.live]
-        if not live:
+        todo = [run for run in runs if not run.converged]
+        if not todo:
             break
-        direct_now = direct and step == 1
-        try:
-            moved = _step(prob, [run.values for run in live], direct_now, mode, bary_tol)
-        except ConvergenceError:
-            if len(live) == 1:
-                raise
-            # a shared call failed: each start steps alone, to own its error
-            moved = None
-        for k, run in enumerate(live):
-            try:
-                new_values, residual = (
-                    moved[k] if moved else _step(prob, [run.values], direct_now, mode, bary_tol)[0]
-                )
-                run.advance(prob, new_values, residual, tol)
-            except (AuditError, ConvergenceError) as err:
-                if run is first:
-                    raise
-                run.error = err
+        starts = [run.values for run in todo]
+        if direct and step == 1:
+            moved = [(v, None) for v in _direct_step(prob, starts)]
+        else:
+            moved = zip(*_sweep(prob, starts, mode, bary_tol))
+        for run, (new_values, residual) in zip(todo, moved):
+            run.advance(prob, new_values, residual, tol)
     report = SolveReport(
         iterations=len(first.trajectory) - 1,
         energy_trajectory=first.trajectory,
@@ -581,10 +560,7 @@ def solve(
         error_bound=first.bound,
     )
     if first.converged and uniqueness_audit:
-        seeded = runs[1]
-        if seeded.error is not None:
-            raise seeded.error
-        gap = _displacement(prob, first.values, seeded.values)
+        gap = _displacement(prob, first.values, runs[1].values)
         report.uniqueness_gap = gap
         if gap > 10.0 * tol:
             raise AuditError(

@@ -177,6 +177,19 @@ class PointCloudSpace:
             part = slice(k, k + step)
             yield part, self.pair_dist_block(rows[part], cols)
 
+    def quotient_range(self, idx, F):
+        """The least and largest ``|F[a] - F[b]| / d(idx[a], idx[b])`` over
+        the pairs of ``idx`` at positive distance, ``(inf, 0.0)`` if there
+        is none: one ``pair_blocks`` scan.  ``F`` holds a vector per point
+        of ``idx``, compared in the 2-norm."""
+        lo, hi = math.inf, 0.0
+        for part, d in self.pair_blocks(idx, idx):
+            mask = d > 0
+            ratios = np.linalg.norm(F - F[part, None], axis=2)[mask] / d[mask]
+            lo = float(ratios.min(initial=lo))
+            hi = float(ratios.max(initial=hi))
+        return lo, hi
+
     # -- neighbor structure --------------------------------------------
 
     def _cell_index(self, side):

@@ -251,13 +251,7 @@ def _curve_fixture(spec):
 
 def _curve_base_slack(space, arclen):
     """Audited chord-vs-arclength slack of the curve parameterization."""
-    worst = 0.0
-    arc = arclen[:, 0]
-    everyone = np.arange(space.n)
-    for part, d in space.pair_blocks(everyone, everyone):
-        mask = d > 0
-        ratios = np.abs(arc - arc[part, None])[mask] / d[mask]
-        worst = float(ratios.max(initial=worst))
+    worst = space.quotient_range(np.arange(space.n), arclen)[1]
     return max(worst - 1.0, 0.0) + 1e-12
 
 

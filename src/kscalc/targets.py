@@ -83,9 +83,6 @@ class GeodesicTarget:
 
     kind = "abstract"
     is_cat0 = True
-    # columns of a group's residuals from ``_barycenters``: one, or one per
-    # leaf of a product
-    _residual_width = 1
 
     def canonical(self, p):
         """The validated JSON value of a point or a packed row."""
@@ -165,18 +162,11 @@ class GeodesicTarget:
         return self._barycenters(rows, ptr, weights, tol, max_passes)[0]
 
     def _barycenters(self, rows, ptr, weights, tol, max_passes):
-        """``barycenters`` and each group's residual, from which ``_bound``
-        bounds the distance of the returned rows of any groups to their
-        exact barycenters: zeros for the exact kinds.  The residuals are one
-        value per group, or a row of ``_residual_width`` values for a
-        product, and like its row a group's residual does not depend on the
-        other groups of the call."""
+        """``barycenters`` and one residual per group: a bound on the
+        distance of the group's returned row to its exact barycenter, zero
+        for the exact kinds.  Like its row, a group's residual does not
+        depend on the other groups of the call."""
         raise NotImplementedError
-
-    def _bound(self, residuals):
-        """The bound that the residuals of some groups of ``_barycenters``
-        give: the largest of them."""
-        return float(residuals.max(initial=0.0))
 
 
 class _CoordinateTarget(GeodesicTarget):
@@ -688,8 +678,6 @@ class ProductTarget(GeodesicTarget):
         self._slices = _slices([c.width for c in self.components])
         self._draw_width = sum(c._draw_width for c in self.components)
         self._draw_slices = _slices([c._draw_width for c in self.components])
-        self._residual_width = sum(c._residual_width for c in self.components)
-        self._residual_slices = _slices([c._residual_width for c in self.components])
 
     def _split(self, p):
         """The component values of a packed row of the product's width (by
@@ -740,19 +728,16 @@ class ProductTarget(GeodesicTarget):
         )
 
     def _barycenters(self, rows, ptr, weights, tol, max_passes):
+        # a squared distance is the sum of the components' squared
+        # distances, so a group's residual is the 2-norm of its components'
         parts = [
             c._barycenters(rows[:, cols], ptr, weights, tol, max_passes)
             for c, cols in zip(self.components, self._slices)
         ]
         return (
             np.concatenate([p for p, _ in parts], axis=1),
-            np.column_stack([r for _, r in parts]),
+            np.hypot.reduce([r for _, r in parts]),
         )
-
-    def _bound(self, residuals):
-        # the 2-norm of the components' bounds bounds every group's distance
-        return math.hypot(*(c._bound(residuals[:, cols])
-                            for c, cols in zip(self.components, self._residual_slices)))
 
 
 class SphereTarget(_CoordinateTarget):

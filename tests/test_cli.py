@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import signal
 import subprocess
 import sys
 
@@ -840,6 +841,9 @@ _LOADED_FILES = {
               ["mdiff", "--space", "fixture/space.json", "--atlas", "{path}",
                "--map", "fixture/map_linear.json", "--points", "10,30"]),
 }
+# the wall-clock limit of one mutated file's command: a hang fails its
+# example instead of stalling the suite
+_EXAMPLE_SECONDS = 30
 _JSON_VALUES = st.sampled_from([7, 2.5, "x", [], [1, 2], {}, {"a": 1}, None, True])
 _NON_FINITE = st.sampled_from(["1e999", "-1e999", "NaN", "Infinity"])
 
@@ -883,8 +887,18 @@ def test_mutated_files_exit_0_or_2(workdir, kind, data):
     path.write_text(text)
     argv = [str(path) if a == "{path}" else str(workdir / a) if a.endswith(".json") else a
             for a in args]
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-        code = cli_main([*argv, "--out", str(workdir / f"mutated_{kind}_out")])
+
+    def over_time(signum, frame):
+        pytest.fail(f"{args[0]} ran longer than {_EXAMPLE_SECONDS} s")
+
+    previous = signal.signal(signal.SIGALRM, over_time)
+    signal.alarm(_EXAMPLE_SECONDS)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = cli_main([*argv, "--out", str(workdir / f"mutated_{kind}_out")])
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
     assert code in (0, 2)
 
 

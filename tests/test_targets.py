@@ -1136,27 +1136,31 @@ def test_barycenter_rows_do_not_depend_on_the_batch(kind, data):
         assert row.tobytes() == alone[k].tobytes()
 
 
-@pytest.mark.parametrize("kind", ["euclidean", "tree", "hyperbolic", "product"])
+_BARY_TARGETS = {
+    **_GEO_TARGETS,
+    "nested": ProductTarget([EuclideanTarget(1), ProductTarget([SPIDER, HyperbolicTarget()])]),
+    # two components that iterate: a group's residual is the 2-norm of theirs
+    "two-hyperbolic": ProductTarget([HyperbolicTarget(), HyperbolicTarget()]),
+}
+
+
+@pytest.mark.parametrize("kind", ["euclidean", "tree", "hyperbolic", "product", "nested",
+                                  "two-hyperbolic"])
 @pytest.mark.parametrize("tol", [0.5, 1e-2, 1e-4])
 def test_barycenter_residual_bounds_the_distance_to_exact(kind, tol):
     # the Dirichlet solver certifies its stop with this bound
-    t = _GEO_TARGETS[kind]
+    t = _BARY_TARGETS[kind]
     rng = np.random.default_rng(7)
     spreads = (0.01, 0.1, 0.5, 1.0, 3.0, 10.0)
     rows, ptr, w = _ragged([_group(t, rng, int(rng.integers(1, 10)), s) for s in spreads])
     got, residuals = t._barycenters(rows, ptr, w, tol, 10_000)
     assert got.tobytes() == t.barycenters(rows, ptr, w, tol).tobytes()
+    assert residuals.shape == (len(spreads),)
     exact = t.barycenters(rows, ptr, w, 1e-13)
-    gaps = t.dists(got, exact)
-    assert gaps.max() <= t._bound(residuals) + 1e-12
-    # each group's residual bounds its own row
-    for k, gap in enumerate(gaps):
-        assert gap <= t._bound(residuals[k : k + 1]) + 1e-12
+    # each group's residual bounds the distance of its own row
+    assert np.all(t.dists(got, exact) <= residuals + 1e-12)
     if kind in ("euclidean", "tree"):
         assert not residuals.any()
-
-
-_NESTED = ProductTarget([EuclideanTarget(1), ProductTarget([SPIDER, HyperbolicTarget()])])
 
 
 @pytest.mark.parametrize("kind", ["euclidean", "tree", "hyperbolic", "product", "nested"])
@@ -1165,16 +1169,15 @@ _NESTED = ProductTarget([EuclideanTarget(1), ProductTarget([SPIDER, HyperbolicTa
 def test_split_barycenters_calls_match_one_call(kind, data):
     # the Dirichlet solver sweeps several starts in one call and splits the
     # rows and residuals by start
-    t = _NESTED if kind == "nested" else _GEO_TARGETS[kind]
+    t = _BARY_TARGETS[kind]
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     spreads = data.draw(st.lists(st.sampled_from([0.01, 0.1, 1.0, 10.0, 50.0]),
                                  min_size=2, max_size=8))
     groups = [_group(t, rng, int(rng.integers(1, 10)), sigma) for sigma in spreads]
     cut = data.draw(st.integers(1, len(groups) - 1))
     rows, res = t._barycenters(*_ragged(groups), 1e-6, 10_000)
-    assert res.shape == (len(groups),) + ((t._residual_width,) if kind in ("product", "nested") else ())
+    assert res.shape == (len(groups),)
     for part, lo, hi in ((groups[:cut], 0, cut), (groups[cut:], cut, len(groups))):
         alone, alone_res = t._barycenters(*_ragged(part), 1e-6, 10_000)
         assert rows[lo:hi].tobytes() == alone.tobytes()
         assert res[lo:hi].tobytes() == alone_res.tobytes()
-        assert t._bound(res[lo:hi]) == t._bound(alone_res)
