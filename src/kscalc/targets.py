@@ -95,12 +95,14 @@ class GeodesicTarget:
     def random_points(self, rng, k):
         """``k`` random points as packed rows.
 
-        ``_draw`` takes each point's draws in turn and ``_from_draws`` maps
-        all of them to rows at once, so ``k`` calls of ``random_point``
+        Every kind draws each point from ``_draw_width`` standard normals,
+        all ``k`` points in one ``rng.normal`` block, and ``_from_draws``
+        maps the rows of draws to points (a tree takes an edge from the
+        angle of a normal pair and an offset from its radius).  A block
+        consumes the stream row by row, so ``k`` calls of ``random_point``
         consume ``rng`` as this call does and give the same points.
         """
-        draws = [self._draw(rng) for _ in range(k)]
-        return self._from_draws(np.asarray(draws, dtype=float).reshape(k, self._draw_width))
+        return self._from_draws(rng.normal(0.0, 1.0, (k, self._draw_width)))
 
     def pack(self, values, index=None):
         """Validated canonical values as one ``(n, width)`` float array.
@@ -170,10 +172,7 @@ class GeodesicTarget:
 
 
 class _CoordinateTarget(GeodesicTarget):
-    """A kind whose points are float coordinate vectors, their own rows.
-
-    Each point is drawn from ``_draw_width`` standard normals.
-    """
+    """A kind whose points are float coordinate vectors, their own rows."""
 
     # the reason a point of the right size is rejected
     _off_reason = "point coordinates must be finite"
@@ -199,12 +198,6 @@ class _CoordinateTarget(GeodesicTarget):
     def _off(self, P):
         """Whether finite rows lie off the kind's manifold."""
         return np.zeros(P.shape[:-1], dtype=bool)
-
-    def _draw(self, rng):
-        return rng.normal(0.0, 1.0, self._draw_width).tolist()
-
-    def random_points(self, rng, k):
-        return self._from_draws(rng.normal(0.0, 1.0, (k, self._draw_width)))
 
 
 class EuclideanTarget(_CoordinateTarget):
@@ -247,7 +240,7 @@ class TreeTarget(GeodesicTarget):
 
     kind = "tree"
     width = 6
-    # a point is drawn as an edge and an offset on it
+    # a point is drawn from the angle and the radius of a normal pair
     _draw_width = 2
 
     def __init__(self, n_vertices, edges):
@@ -356,13 +349,16 @@ class TreeTarget(GeodesicTarget):
         rows[~inside, 2:] = (0.0, 0.0, -1.0, 0.0)
         return rows, checks
 
-    def _draw(self, rng):
-        e = int(rng.integers(0, len(self.edges)))
-        # rng.uniform(0.0, l) draws 0.0 + l * rng.random(): the same number
-        return e, self.edges[e][2] * rng.random()
-
     def _from_draws(self, D):
-        return self._rows_of(-1, D[:, 0], D[:, 1])[0]
+        # the angle of a standard normal pair is uniform and independent of
+        # its radius r, and 1 - exp(-r^2 / 2) is uniform on [0, 1): a
+        # uniform edge and a uniform offset on it
+        z0, z1 = D[:, 0], D[:, 1]
+        n = len(self.edges)
+        e = np.floor(n * (np.arctan2(z1, z0) + np.pi) / (2.0 * np.pi))
+        e = np.minimum(e, n - 1).astype(np.intp)
+        t = self._len[e] * -np.expm1(-0.5 * (z0 * z0 + z1 * z1))
+        return self._rows_of(-1, e, t)[0]
 
     def dists(self, A, B, squared=False):
         D = self._vdist
@@ -548,9 +544,11 @@ class HyperbolicTarget(_CoordinateTarget):
         gradient and its Hessian at the iterate x in tangent coordinates
         (``_newton_sums``) and steps from x along the geodesic by the
         solution of the 2x2 Newton system.  A step that raises F beyond
-        rounding is halved instead.  A group stops, one step past its
-        iterate, once its Newton step is shorter than ``tol``; converged
-        groups leave the batch, so no group's row depends on the others.
+        rounding is halved instead.  A group stops once the Newton step at
+        the evaluated iterate is shorter than ``tol``, accepted or not (near
+        the minimum a rise of F can be rounding alone), and returns that
+        iterate advanced by its Newton step; converged groups leave the
+        batch, so no group's row depends on the others.
         The start is the group's normalized weighted Minkowski mean.
         Iterates are columns: x is (x0, x1, x2) by group.
 
@@ -584,12 +582,14 @@ class HyperbolicTarget(_CoordinateTarget):
             newton = np.empty((2, act.size))
             np.divide(h22 * g1 - h12 * g2, det, out=newton[0])
             np.divide(h11 * g2 - h12 * g1, det, out=newton[1])
-            base = np.where(ok, x, base)
-            f_old = np.where(ok, f, f_old)
-            step = np.where(ok, newton, 0.5 * step)
-            x = self._exp(base, step)
             length = np.hypot(*newton)
-            done = ok & (length < tol)
+            done = length < tol
+            # a group that stops takes its Newton step even where F rose
+            take = ok | done
+            base = np.where(take, x, base)
+            f_old = np.where(ok, f, f_old)
+            step = np.where(take, newton, 0.5 * step)
+            x = self._exp(base, step)
             if done.any():
                 out[act[done]] = x.T[done]
                 gap = length + np.hypot(g1, g2) / np.add.reduceat(w, start)
@@ -703,9 +703,6 @@ class ProductTarget(GeodesicTarget):
     def _rows_to_json(self, rows):
         parts = [c._rows_to_json(rows[:, cols]) for c, cols in zip(self.components, self._slices)]
         return [list(p) for p in zip(*parts)]
-
-    def _draw(self, rng):
-        return [x for c in self.components for x in c._draw(rng)]
 
     def _from_draws(self, D):
         return np.concatenate(

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from kscalc import (
     EuclideanTarget,
@@ -12,6 +13,15 @@ from kscalc import (
     build_space,
 )
 from kscalc.charts import FitResult, _direction_dictionary, _quad_monomials
+
+# for CI (``--hypothesis-profile explore``): on CI Hypothesis loads its own
+# ``ci`` profile, which derandomizes, so every push would replay the same
+# examples and a rare failing draw could never show there.  This profile
+# draws fresh examples each run and prints the blob that reproduces a
+# failure; no example database is kept between runs.
+settings.register_profile(
+    "explore", derandomize=False, print_blob=True, database=None, deadline=None
+)
 
 
 @pytest.fixture(scope="session")

@@ -522,6 +522,66 @@ class TestNeighborEngine:
                     for q in block:
                         assert np.all(np.isin(oracle[q][0], cand))
 
+    @staticmethod
+    def _doubling_blocks(sp, r):
+        """The side and the blocks of ``cell_partition`` found by doubling
+        the side one step at a time, as the partition once did."""
+        side = max(0.5 * r, sp._least_side)
+        while True:
+            index = spaces_module._CellIndex._build(sp, side)
+            starts = np.flatnonzero(np.diff(index.ids)) + 1
+            if starts.size == 0 or (starts.size + 1) * spaces_module._CELL_ROWS <= sp.n:
+                return side, np.split(index.order, starts)
+            side *= 2.0
+
+    def _builds(self, monkeypatch):
+        """A list that grows by one for each cell index built."""
+        built = []
+        build = spaces_module._CellIndex._build.__func__
+        monkeypatch.setattr(spaces_module._CellIndex, "_build", classmethod(
+            lambda cls, space, side: built.append(side) or build(cls, space, side)))
+        return built
+
+    @pytest.mark.parametrize("n, dim, low, r", [(300, 3, 0.0, 1e-300), (10, 2, -1.0, 0.1),
+                                                (40, 2, -1.0, 0.1)],
+                             ids=["tiny-radius", "ten-quadrants", "forty-quadrants"])
+    def test_block_side_found_in_few_builds(self, monkeypatch, n, dim, low, r):
+        # doubling one step at a time took about a thousand builds here: a
+        # side of 1e-300 has far to grow, and points in every quadrant of
+        # (-1, 1)^2 stay in four cells at every finite side
+        pts = np.random.default_rng(n).uniform(low, 1.0, (n, dim))
+        sp = build_space({"kind": "euclidean", "points": pts.tolist()})
+        built = self._builds(monkeypatch)
+        blocks = [b for b, _ in sp.cell_partition(r)]
+        assert len(built) <= 25
+        monkeypatch.undo()
+        side, expect = self._doubling_blocks(sp, r)
+        assert built[-1] == side
+        assert all(np.array_equal(b, e) for b, e in zip(blocks, expect, strict=True))
+
+    def test_one_build_when_the_first_side_qualifies(self, monkeypatch):
+        # 441 grid points in 3 x 3 cells of side 0.4
+        g = np.linspace(0.0, 1.0, 21)
+        sp = build_space({"kind": "euclidean", "points": [[x, y] for x in g for y in g]})
+        built = self._builds(monkeypatch)
+        list(sp.cell_partition(0.8))
+        assert built == [0.4]
+
+    @pytest.mark.parametrize("kind", ["euclidean", "torus"])
+    def test_blocks_match_doubling_over_radii(self, kind):
+        rng = np.random.default_rng(8)
+        for pts in (rng.uniform(-1.0, 1.0, (40, 2)), rng.uniform(0.0, 1.0, (120, 3)),
+                    rng.uniform(0.0, 1.0, (30, 1))):
+            spec = {"kind": kind, "points": (pts % 1.0 if kind == "torus" else pts).tolist()}
+            if kind == "torus":
+                spec["period"] = [1.0] * pts.shape[1]
+            sp = build_space(spec)
+            for r in [5e-324, 1e-300, 1e-30, *np.geomspace(1e-4, 4.0, 12)]:
+                blocks = [b for b, _ in sp._cells(float(r))]
+                side, expect = self._doubling_blocks(sp, float(r))
+                assert sp._index.side == side
+                assert all(np.array_equal(b, e) for b, e in zip(blocks, expect, strict=True))
+
     def test_torus_coordinates_beyond_one_and_a_half_periods(self):
         sp = build_space({"kind": "torus", "points": [[0.0], [2.2], [0.5]], "period": [1.0]})
         assert sp.dist(0, 1) == pytest.approx(0.2)

@@ -776,6 +776,110 @@ def test_random_points_reproduce_sequential_draws(kind, tripod):
     assert r1.random() == r2.random()
 
 
+@st.composite
+def _random_trees(draw):
+    """Trees of 2 to 12 vertices, each vertex after the first hung from an
+    earlier one under shuffled labels (paths, stars and everything between),
+    with edge lengths over six decades."""
+    n = draw(st.integers(2, 12))
+    parents = [draw(st.integers(0, v - 1)) for v in range(1, n)]
+    label = draw(st.permutations(range(n)))
+    lengths = draw(st.lists(st.floats(1e-3, 1e3), min_size=n - 1, max_size=n - 1))
+    return TreeTarget(n, [(label[p], label[v], l)
+                          for v, p, l in zip(range(1, n), parents, lengths)])
+
+
+_leaf_targets = st.one_of(st.integers(1, 4).map(EuclideanTarget), _random_trees(),
+                          st.just(HyperbolicTarget()), st.just(SphereTarget()))
+# products of every kind in a drawn order, and at times more components
+_sampled_targets = st.one_of(
+    _leaf_targets,
+    st.builds(lambda four, more: ProductTarget(four + more),
+              st.tuples(st.integers(1, 4).map(EuclideanTarget), _random_trees(),
+                        st.just(HyperbolicTarget()), st.just(SphereTarget()))
+              .map(list).flatmap(st.permutations),
+              st.lists(_leaf_targets, max_size=2)),
+)
+
+
+def _tree_parts(t, rows):
+    """(tree, its columns of rows) for every tree of a target, a product's included."""
+    if t.kind == "tree":
+        return [(t, rows)]
+    if t.kind == "product":
+        return [p for c, cols in zip(t.components, t._slices) for p in _tree_parts(c, rows[:, cols])]
+    return []
+
+
+@settings(max_examples=60, deadline=None)
+@given(t=_sampled_targets, k=st.integers(1, 40), seed=st.integers(0, 2**32 - 1))
+def test_random_points_are_canonical_rows_drawn_as_one_block(t, k, seed):
+    r1, r2 = np.random.default_rng(seed), np.random.default_rng(seed)
+    rows = t.random_points(r1, k)
+    assert rows.shape == (k, t.width)
+    assert np.array_equal(t.pack(rows), rows)
+    for tree, part in _tree_parts(t, rows):
+        on = part[:, 4] >= 0
+        offsets = part[on, 5]
+        assert np.all((offsets >= 0.0) & (offsets <= tree._len[part[on, 4].astype(int)]))
+    seq = t.pack([t.random_point(r2) for _ in range(k)])
+    assert np.array_equal(rows, seq)
+    assert r1.bit_generator.state == r2.bit_generator.state
+
+
+def test_tree_draws_are_uniform_over_edges_and_offsets():
+    # SPIDER's six edges have lengths 0.3 to 2: draws pick an edge
+    # uniformly, not by length, and a uniform offset on it.  Each share
+    # lies within 0.01 of 1/6 and each mean offset within 0.01 l of l / 2:
+    # 8 and 4 standard deviations of 10^5 draws
+    rows = SPIDER.random_points(np.random.default_rng(0), 100_000)
+    edge = rows[:, 4].astype(int)
+    assert np.all(edge >= 0)
+    share = np.bincount(edge, minlength=6) / rows.shape[0]
+    assert np.all(np.abs(share - 1.0 / 6.0) <= 0.01)
+    for e, l in enumerate(SPIDER._len):
+        assert abs(rows[edge == e, 5].mean() / l - 0.5) <= 0.01
+
+
+@pytest.mark.parametrize("t", [EuclideanTarget(3), HyperbolicTarget(), SphereTarget()],
+                         ids=["euclidean", "hyperbolic", "sphere"])
+def test_coordinate_draws_map_one_normal_block(t):
+    # a pin on these kinds' stream: their seeded audits keep their outputs
+    for seed in (0, 5, 21):
+        rows = t.random_points(np.random.default_rng(seed), 50)
+        D = np.random.default_rng(seed).normal(0.0, 1.0, (50, t._draw_width))
+        assert rows.tobytes() == t._from_draws(D).tobytes()
+
+
+class _CountingRng:
+    """A generator that counts the calls of each of its methods by name."""
+
+    def __init__(self, rng):
+        self._rng, self.calls = rng, {}
+
+    def __getattr__(self, name):
+        method = getattr(self._rng, name)
+
+        def counted(*args, **kwargs):
+            self.calls[name] = self.calls.get(name, 0) + 1
+            return method(*args, **kwargs)
+
+        return counted
+
+
+@pytest.mark.parametrize("kind", KERNEL_KINDS)
+def test_cat0_audit_draws_one_normal_block_per_chunk(kind, tripod, monkeypatch):
+    t, _ = kernel_case(kind, tripod, 0, 2)
+    expected = cat0_audit(t, 2100, seed=9, s_steps=1)
+    made = []
+    default_rng = np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng",
+                        lambda seed: made.append(_CountingRng(default_rng(seed))) or made[-1])
+    assert cat0_audit(t, 2100, seed=9, s_steps=1) == expected
+    # 2,100 samples are blocks of 1,024, 1,024 and 52
+    assert [rng.calls for rng in made] == [{"normal": 3}]
+
+
 def _cat0_oracle(target, n_samples, seed, s_steps):
     """The audit as one scalar loop over samples."""
     rng = np.random.default_rng(seed)
@@ -1104,6 +1208,22 @@ def test_hyperbolic_barycenters_are_karcher_means(specs):
     for row, (pts, w) in zip(got, groups):
         assert not t._off(row)
         assert _karcher_residual(row, pts, w) <= 1e-11
+
+
+@pytest.mark.parametrize("tol", [1e-9, 1e-10])
+def test_hyperbolic_barycenter_stops_on_a_rejected_newton_step(tol):
+    # near this group's minimum F rises by rounding alone, so the descent
+    # test rejects its Newton steps; the group still stops, where it once
+    # alternated rejected and halved steps until ConvergenceError
+    t = HyperbolicTarget()
+    rows = np.array([[100.54080519356158, 7.081200127068975, -100.2861411847624],
+                     [84.83977540053696, -19.71458019904704, -82.51134962893832],
+                     [53.67736418764892, -16.929548433544056, -50.92788839103562]])
+    w = np.array([0.6203594292177672, 0.5239688052943917, 0.6969408057880961])
+    got, residual = t._barycenters(rows, np.array([0, 3]), w, tol, 10_000)
+    assert not t._off(got[0])
+    assert residual[0] <= tol
+    assert _karcher_residual(got[0], rows, w) <= 1e-11
 
 
 @settings(max_examples=20, deadline=None)
