@@ -51,8 +51,11 @@ from .seminorms import (
 )
 from .spaces import (
     Ball,
+    EuclideanSpace,
+    MatrixSpace,
     PartitionOfUnity,
     PointCloudSpace,
+    TorusSpace,
     ball,
     build_space,
     density_theta,

@@ -17,7 +17,7 @@ from .dirichlet import DirichletProblem
 from .energy import MetricMap
 from .errors import ValidationError
 from .spaces import build_space, domain_indices
-from .targets import build_target, target_to_json
+from .targets import build_target
 
 
 def canonical_json(obj):
@@ -49,17 +49,6 @@ def read_json(path):
         raise ValidationError(f"{path}: non-finite JSON token {token}", detail=token)
 
     return json.loads(Path(path).read_text(), parse_constant=reject, parse_int=_json_int)
-
-
-def space_to_json(space):
-    out = {"kind": space.kind, "weights": [float(w) for w in space.weights]}
-    if space.kind == "matrix":
-        out["matrix"] = space.matrix.tolist()
-    else:
-        out["points"] = space.coords.tolist()
-        if space.kind == "torus":
-            out["period"] = space.period.tolist()
-    return out
 
 
 _JSON_TYPES = {str: "a string", list: "a list", dict: "an object", float: "a number"}
@@ -193,7 +182,7 @@ def save_fixture(fixture, directory):
     """Write a fixture as standard files plus a reference manifest."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    write_json(directory / "space.json", space_to_json(fixture.space))
+    write_json(directory / "space.json", fixture.space.to_json())
     write_json(directory / "atlas.json", atlas_to_json(fixture.atlas))
     manifest = {
         "family": fixture.spec.family,
@@ -208,7 +197,7 @@ def save_fixture(fixture, directory):
     for ref in fixture.maps:
         tname = f"target_{ref.name}.json"
         mname = f"map_{ref.name}.json"
-        write_json(directory / tname, target_to_json(ref.map.target))
+        write_json(directory / tname, ref.map.target.to_json())
         write_json(
             directory / mname,
             map_to_json(ref.map, space_ref="space.json", target_ref=tname),

@@ -18,10 +18,6 @@ import numpy as np
 from .errors import ValidationError
 from .targets import _is_integer, _is_number, _spec_field
 
-EUCLIDEAN = "euclidean"
-TORUS = "torus"
-MATRIX = "matrix"
-
 _TRIANGLE_TOL = 1e-9
 _TRIANGLE_SAMPLES = 10_000
 _EXHAUSTIVE_LIMIT = 200
@@ -55,98 +51,44 @@ class Ball:
 
 
 class PointCloudSpace:
-    """Immutable weighted point cloud with one of three metric kinds.
+    """Immutable weighted point cloud: the base class of the metric kinds.
 
-    Parameters
-    ----------
-    kind : str
-        ``"euclidean"`` (coordinates in R^d), ``"torus"`` (coordinates with
-        a period vector, distance minimized over translates) or
-        ``"matrix"`` (explicit symmetric distance table).
-    coords : array or None
-        Per-point coordinates for the coordinate kinds; torus coordinates
-        are wrapped into ``[0, period)``.
-    weights : array
-        Strictly positive point masses.
-    period : array or None
-        Period vector for the torus kind.
-    matrix : array or None
-        Full distance table for the matrix kind.
+    Each kind (:class:`EuclideanSpace`, :class:`TorusSpace`,
+    :class:`MatrixSpace`) holds its own fields and gives its distances
+    (``_dists``), nearest distances (``_nearest``), cell blocks
+    (``_cells``), balls (``_balls``) and spec (``to_json``).  ``weights``
+    are the ``n`` point masses, uniform ``1/n`` by default; the first that
+    is not finite and positive is named, and so is a total that overflows.
     """
 
-    def __init__(self, kind, coords=None, weights=None, period=None, matrix=None):
-        if kind not in (EUCLIDEAN, TORUS, MATRIX):
-            raise ValidationError(f"unknown metric kind {kind!r}")
-        self.kind = kind
-        if kind == MATRIX:
-            self.matrix = np.asarray(matrix, dtype=float)
-            if self.matrix.ndim != 2 or self.matrix.shape[0] != self.matrix.shape[1]:
-                raise ValidationError("distance matrix must be square")
-            self.coords = None
-            self.period = None
-            self.n = self.matrix.shape[0]
-            self.ambient_dim = None
-        else:
-            coords = np.atleast_2d(np.asarray(coords, dtype=float))
-            if coords.ndim != 2 or coords.shape[1] == 0:
-                raise ValidationError("coordinates must form an (n, d) array, d >= 1")
-            bad = np.flatnonzero(~np.isfinite(coords).all(axis=1))
-            if bad.size:
-                raise ValidationError(
-                    f"non-finite coordinates at index {bad[0]}", detail=int(bad[0])
-                )
-            self.matrix = None
-            self.n = coords.shape[0]
-            self.ambient_dim = coords.shape[1]
-            if kind == TORUS:
-                self.period = np.asarray(period, dtype=float).reshape(-1)
-                if self.period.shape[0] != self.ambient_dim:
-                    raise ValidationError("period vector length must match dimension")
-                if not np.all(np.isfinite(self.period) & (self.period > 0)):
-                    raise ValidationError("torus periods must be finite and positive")
-                coords = np.mod(coords, self.period)
-                coords[coords == self.period] = 0.0  # mod rounds tiny negatives up
-            else:
-                self.period = None
-            self.coords = coords
-            _reject_overflow(self)
-            # the least cell side of the neighbor index: coordinates over it
-            # stay below 2**1000 (a cell wider than a radius needs is never
-            # wrong, only coarser)
-            magnitude = self.period.max() if kind == TORUS else np.abs(coords).max()
-            self._least_side = math.ldexp(1.0, math.frexp(float(magnitude))[1] - 1000)
+    def __init__(self, n, weights=None):
+        self.n = n
         if weights is None:
-            w = np.full(self.n, 1.0 / self.n)
+            w = np.full(n, 1.0 / n)
         else:
             w = np.asarray(weights, dtype=float).reshape(-1)
-        if w.shape[0] != self.n:
+        if w.shape[0] != n:
             raise ValidationError("weights length must match point count")
-        if not np.all(np.isfinite(w)) or np.any(w <= 0):
-            bad = int(np.argmin(w))
-            raise ValidationError(f"non-positive weight at index {bad}", detail=bad)
+        bad = ~np.isfinite(w) | (w <= 0)
+        if bad.any():
+            i = int(np.argmax(bad))
+            reason = "non-positive" if np.isfinite(w[i]) else "non-finite"
+            raise ValidationError(f"{reason} weight at index {i}", detail=i)
+        with np.errstate(over="ignore"):
+            total = float(w.sum())
+        if not math.isfinite(total):
+            raise ValidationError("weights: the total mass is not finite", detail="weights")
         self.weights = w
-        self.total_mass = float(w.sum())
+        self.total_mass = total
         self._nn = None
         self._index = None  # the cell index built last
+        self._blocks = None  # the radius of the last ``cell_partition`` and its cells
+
+    def to_json(self):
+        """The space as a spec that :func:`build_space` reads back."""
+        return {"kind": self.kind, "weights": self.weights.tolist()}
 
     # -- metric oracle -------------------------------------------------
-
-    def _dists(self, i, idx, squared=False):
-        """Distances from ``i`` to ``idx``; index arrays broadcast."""
-        if self.kind == MATRIX:
-            d = self.matrix[i, idx]
-            return d * d if squared else d
-        # ``take`` gathers rows faster than fancy indexing
-        rows = self.coords[idx] if isinstance(idx, slice) else np.take(self.coords, idx, axis=0)
-        return self._length(rows - np.take(self.coords, i, axis=0), squared)
-
-    def _length(self, delta, squared=False):
-        """Lengths of coordinate differences, each below the period on a torus."""
-        if self.kind == TORUS:
-            delta = np.abs(delta)
-            delta = np.minimum(delta, self.period - delta)
-        d2 = np.einsum("...k,...k->...", delta, delta)
-        return d2 if squared else np.sqrt(d2)
 
     def dist_row(self, i):
         """Distances from point ``i`` to every point (including itself)."""
@@ -200,41 +142,10 @@ class PointCloudSpace:
         return self._index
 
     def nn_distances(self):
-        """Distance from every point to its nearest other point (inf alone).
-
-        A coordinate space reads the balls of radius 1.5 mean spacings
-        (taken from the bounding box of the first min(d, 3) coordinates):
-        a ball that holds another point holds the nearest one.  The
-        points whose ball holds only themselves read it again with the
-        radius doubled.
-        """
-        if self._nn is not None:
-            return self._nn
-        n = self.n
-        if self.kind == MATRIX:
-            self._nn = (self.matrix + np.diag(np.full(n, np.inf))).min(axis=1)
-            return self._nn
-        x = self.coords[:, : min(self.ambient_dim, 3)]
-        extent = self.period[: x.shape[1]] if self.kind == TORUS else np.ptp(x, axis=0)
-        extent = extent[extent > 0]
-        r = 1.0  # every point shares the box's corner
-        if extent.size:
-            # 1.5 mean spacings, or the widest extent over n if larger
-            top = float(extent.max())
-            r = 1.5 * math.exp(float(np.log(extent).mean()) - math.log(n) / extent.size)
-            r = max(r, top / n) or top
-            r = min(r, float(np.finfo(float).max) / 4.0)  # r is inf if the extent overflows
-        nn = np.full(n, np.inf)
-        todo = np.arange(n if n > 1 else 0)
-        while todo.size:
-            ptr, members, d = self.all_balls(r, todo)
-            d[members == np.repeat(todo, np.diff(ptr))] = np.inf
-            best = np.minimum.reduceat(d, ptr[:-1])  # a ball holds its center
-            alone = best == np.inf
-            nn[todo[~alone]] = best[~alone]
-            todo, r = todo[alone], 2.0 * r
-        self._nn = nn
-        return nn
+        """Distance from every point to its nearest other point (inf alone)."""
+        if self._nn is None:
+            self._nn = self._nearest()
+        return self._nn
 
     def min_spacing(self):
         return float(self.nn_distances().min())
@@ -282,17 +193,124 @@ class PointCloudSpace:
         same index, and cells are cut into row chunks so that rows times
         candidates stays within ``CELL_PAIR_BUDGET`` (a block keeps one
         row at least).  The matrix kind has one cell with every point.
+        The space keeps the cells of the radius it was asked last.
         """
         r = check_radius(r)
-        for pts, cand in self._cells(r):
+        if self._blocks is None or self._blocks[0] != r:
+            self._blocks = (r, self._cells(r))
+        for pts, cand in self._blocks[1]:
             rows = max(1, CELL_PAIR_BUDGET // cand.shape[0])
             for k in range(0, pts.shape[0], rows):
                 yield pts[k:k + rows], cand
 
+    def ball_indices(self, i, r):
+        """Indices with ``d(x_i, x_j) < r`` (the center always included)."""
+        return self.all_balls(r, [i])[1]
+
+    def all_balls(self, r, centers=None):
+        """The open balls ``B_r(x)`` of ``centers`` (default: every point).
+
+        Returns CSR arrays ``(ptr, members, dists)``: the ball of
+        ``centers[k]`` is ``members[ptr[k]:ptr[k + 1]]``, ascending, and
+        ``dists`` holds its members' distances to the center.  A center
+        that is not an index of the space is rejected by name.
+        """
+        r = check_radius(r)
+        if centers is None:
+            centers = np.arange(self.n)
+        else:
+            centers = domain_indices(centers, self.n, "ball center")
+        return self._balls(r, centers)
+
+
+class EuclideanSpace(PointCloudSpace):
+    """Points with finite coordinates in R^d (``coords``, an ``(n, d)``
+    array, ``d >= 1``) and the Euclidean distance.  The first non-finite
+    point is named, and so is the first whose squared differences may
+    overflow (:func:`_reject_overflow`)."""
+
+    kind = "euclidean"
+    period = None
+
+    def __init__(self, coords, weights=None):
+        coords = np.atleast_2d(np.asarray(coords, dtype=float))
+        if coords.ndim != 2 or coords.shape[1] == 0:
+            raise ValidationError("coordinates must form an (n, d) array, d >= 1")
+        bad = np.flatnonzero(~np.isfinite(coords).all(axis=1))
+        if bad.size:
+            raise ValidationError(f"non-finite coordinates at index {bad[0]}", detail=int(bad[0]))
+        self.coords = self._wrap(coords)
+        self.ambient_dim = coords.shape[1]
+        _reject_overflow(self)
+        # the least cell side of the neighbor index: coordinates over it
+        # stay below 2**1000 (a cell wider than a radius needs is never
+        # wrong, only coarser)
+        self.magnitude = self._magnitude()
+        self._least_side = math.ldexp(1.0, math.frexp(self.magnitude)[1] - 1000)
+        super().__init__(coords.shape[0], weights)
+
+    def to_json(self):
+        return {**super().to_json(), "points": self.coords.tolist()}
+
+    def _wrap(self, coords):
+        """The coordinates as the space keeps them."""
+        return coords
+
+    def _magnitude(self):
+        """The coordinates' magnitude, the scale of the cell index's rounding."""
+        return float(np.abs(self.coords).max())
+
+    def _extent(self, k):
+        """The extent of the first ``k`` coordinates, per axis."""
+        return np.ptp(self.coords[:, :k], axis=0)
+
+    def _far(self):
+        """Per point and axis, a bound on its differences: its distance to
+        the farther face of the points' bounding box."""
+        x = self.coords
+        return np.maximum(x - x.min(axis=0), x.max(axis=0) - x)
+
+    def _dists(self, i, idx, squared=False):
+        """Distances from ``i`` to ``idx``; index arrays broadcast."""
+        # ``take`` gathers rows faster than fancy indexing
+        rows = self.coords[idx] if isinstance(idx, slice) else np.take(self.coords, idx, axis=0)
+        return self._length(rows - np.take(self.coords, i, axis=0), squared)
+
+    def _length(self, delta, squared=False):
+        """Lengths of coordinate differences."""
+        d2 = np.einsum("...k,...k->...", delta, delta)
+        return d2 if squared else np.sqrt(d2)
+
+    def _nearest(self):
+        """The nearest distances, read from balls.
+
+        The first radius is 1.5 mean spacings (taken from the extent of the
+        first min(d, 3) coordinates): a ball that holds another point holds
+        the nearest one.  The points whose ball holds only themselves read
+        it again with the radius doubled.
+        """
+        n = self.n
+        extent = self._extent(min(self.ambient_dim, 3))
+        extent = extent[extent > 0]
+        r = 1.0  # every point shares the box's corner
+        if extent.size:
+            # 1.5 mean spacings, or the widest extent over n if larger
+            top = float(extent.max())
+            r = 1.5 * math.exp(float(np.log(extent).mean()) - math.log(n) / extent.size)
+            r = max(r, top / n) or top
+            r = min(r, float(np.finfo(float).max) / 4.0)  # r is inf if the extent overflows
+        nn = np.full(n, np.inf)
+        todo = np.arange(n if n > 1 else 0)
+        while todo.size:
+            ptr, members, d = self.all_balls(r, todo)
+            d[members == np.repeat(todo, np.diff(ptr))] = np.inf
+            best = np.minimum.reduceat(d, ptr[:-1])  # a ball holds its center
+            alone = best == np.inf
+            nn[todo[~alone]] = best[~alone]
+            todo, r = todo[alone], 2.0 * r
+        return nn
+
     def _cells(self, r):
-        if self.kind == MATRIX:
-            everyone = np.arange(self.n)
-            return [(everyone, everyone)]
         index = self._block_index(max(0.5 * r, self._least_side))
         starts = np.flatnonzero(np.diff(index.ids)) + 1
         box = self.coords[index.order]
@@ -342,27 +360,7 @@ class PointCloudSpace:
                 fails = mid
         return doubled(passes)
 
-    def ball_indices(self, i, r):
-        """Indices with ``d(x_i, x_j) < r`` (the center always included)."""
-        return self.all_balls(r, [i])[1]
-
-    def all_balls(self, r, centers=None):
-        """The open balls ``B_r(x)`` of ``centers`` (default: every point).
-
-        Returns CSR arrays ``(ptr, members, dists)``: the ball of
-        ``centers[k]`` is ``members[ptr[k]:ptr[k + 1]]``, ascending, and
-        ``dists`` holds its members' distances to the center.  A center
-        that is not an index of the space is rejected by name.
-        """
-        r = check_radius(r)
-        if centers is None:
-            centers = np.arange(self.n)
-        else:
-            centers = domain_indices(centers, self.n, "ball center")
-        if self.kind == MATRIX:
-            rows, members = np.nonzero(self.matrix[centers] < r)
-            ptr = np.searchsorted(rows, np.arange(centers.size + 1))
-            return ptr, members, self.matrix[centers[rows], members]
+    def _balls(self, r, centers):
         index = self._cell_index(max(_ball_side(r), self._least_side))
         owner, cand = index._near(self.coords[centers], np.full(centers.size, r))
         d = self._dists(centers[owner], cand)
@@ -371,6 +369,98 @@ class PointCloudSpace:
         order = np.argsort(owner * self.n + cand)  # by center, then index
         ptr = np.concatenate([[0], np.cumsum(np.bincount(owner, minlength=centers.size))])
         return ptr, cand[order], d[order]
+
+
+class TorusSpace(EuclideanSpace):
+    """A flat torus: coordinates as for :class:`EuclideanSpace`, wrapped
+    into ``[0, period)`` for ``d`` finite positive periods, and the
+    distance minimized over translates."""
+
+    kind = "torus"
+
+    def __init__(self, coords, period, weights=None):
+        self.period = np.asarray(period, dtype=float).reshape(-1)
+        super().__init__(coords, weights)
+
+    def to_json(self):
+        return {**super().to_json(), "period": self.period.tolist()}
+
+    def _wrap(self, coords):
+        if self.period.shape[0] != coords.shape[1]:
+            raise ValidationError("period vector length must match dimension")
+        if not np.all(np.isfinite(self.period) & (self.period > 0)):
+            raise ValidationError("torus periods must be finite and positive")
+        coords = np.mod(coords, self.period)
+        coords[coords == self.period] = 0.0  # mod rounds tiny negatives up
+        return coords
+
+    def _magnitude(self):
+        return float(self.period.max())
+
+    def _extent(self, k):
+        return self.period[:k]
+
+    def _far(self):
+        # a reduced difference is at most half the period
+        return np.minimum(super()._far(), 0.5 * self.period)
+
+    def _length(self, delta, squared=False):
+        """Lengths of coordinate differences, each reduced below the period."""
+        delta = np.abs(delta)
+        return super()._length(np.minimum(delta, self.period - delta), squared)
+
+
+class MatrixSpace(PointCloudSpace):
+    """Points with an explicit ``(n, n)`` distance table: finite, symmetric,
+    zero on the diagonal and positive off it, with the triangle inequality
+    on every triple (above 200 points, on triples drawn from ``seed``).
+    The first bad entry, or a violating triple, is named."""
+
+    kind = "matrix"
+
+    def __init__(self, matrix, weights=None, seed=0):
+        m = np.asarray(matrix, dtype=float)
+        if m.ndim != 2 or m.shape[0] != m.shape[1]:
+            raise ValidationError("distance matrix must be square")
+        for bad, message in (
+            (~np.isfinite(m), "non-finite distance at"),
+            (m != m.T, "non-symmetric matrix at"),
+        ):
+            if bad.any():
+                i, j = np.unravel_index(int(np.argmax(bad)), m.shape)
+                raise ValidationError(f"{message} ({i}, {j})", detail=(int(i), int(j)))
+        if np.any(np.diag(m) != 0):
+            i = int(np.nonzero(np.diag(m))[0][0])
+            raise ValidationError(f"nonzero diagonal at index {i}", detail=i)
+        off = m + np.diag(np.full(m.shape[0], np.inf))
+        if np.any(off <= 0):
+            i, j = np.unravel_index(int(np.argmin(off)), m.shape)
+            raise ValidationError(
+                f"non-positive distance between distinct points ({i}, {j})",
+                detail=(int(i), int(j)),
+            )
+        _audit_triangles(m, seed=seed)
+        self.matrix = m
+        super().__init__(m.shape[0], weights)
+
+    def to_json(self):
+        return {**super().to_json(), "matrix": self.matrix.tolist()}
+
+    def _dists(self, i, idx, squared=False):
+        d = self.matrix[i, idx]
+        return d * d if squared else d
+
+    def _nearest(self):
+        return (self.matrix + np.diag(np.full(self.n, np.inf))).min(axis=1)
+
+    def _cells(self, r):
+        everyone = np.arange(self.n)
+        return [(everyone, everyone)]
+
+    def _balls(self, r, centers):
+        rows, members = np.nonzero(self.matrix[centers] < r)
+        ptr = np.searchsorted(rows, np.arange(centers.size + 1))
+        return ptr, members, self.matrix[centers[rows], members]
 
 
 @dataclass(frozen=True, eq=False)
@@ -387,12 +477,11 @@ class _CellIndex:
     their time belongs to the neighbor question that calls them.
     """
 
-    space: PointCloudSpace
+    space: EuclideanSpace
     side: float
     order: np.ndarray  # the points by cell, lexicographically, then by index
     axes: list  # the occupied cell keys of each axis, ascending
     ids: np.ndarray  # the cell id of each point of ``order``, ascending
-    scale: float  # the coordinates' magnitude (the largest period on a torus)
 
     @classmethod
     def _build(cls, space, side):
@@ -406,15 +495,12 @@ class _CellIndex:
         cells = math.prod(a.size for a in axes)
         if cells >= 2**62:
             raise ValidationError("too many distinct cells for the neighbor index")
-        if space.kind == TORUS:
-            scale = float(space.period.max())
-        else:
-            scale = float(np.abs(space.coords).max())
-        return cls(space, side, order, axes, ids[order], scale)
+        return cls(space, side, order, axes, ids[order])
 
     def _inflate(self, radii):
-        """``radii`` with the conservative margins ``_CELL_MARGIN`` and ``_CELL_ULPS``."""
-        return radii * (1.0 + _CELL_MARGIN) + _CELL_ULPS * self.scale
+        """``radii`` with the conservative margins ``_CELL_MARGIN`` and
+        ``_CELL_ULPS`` (of the space's magnitude)."""
+        return radii * (1.0 + _CELL_MARGIN) + _CELL_ULPS * self.space.magnitude
 
     def _near(self, points, radii):
         """Candidates within ``radii`` of coordinate rows ``points``.
@@ -428,7 +514,7 @@ class _CellIndex:
         """
         q = np.asarray(points, dtype=float)
         reach = self._inflate(np.asarray(radii, dtype=float))
-        torus = self.space.kind == TORUS
+        torus = self.space.period is not None
         firsts, counts = [], []  # per axis: the first rank and the run length
         for a, occupied in enumerate(self.axes):
             lo, hi = q[:, a] - reach, q[:, a] + reach
@@ -527,7 +613,8 @@ def check_scale(r, name, power=1.0):
 
 def _reals(spec, name, depth):
     """Field ``name`` of a space spec: a numeric array or a list of ``depth``
-    levels ending in real numbers, else the field or its first bad entry is named."""
+    levels ending in real numbers, the lists of the second level of one
+    length, else the field or its first bad entry is named."""
     value = _spec_field(spec, name, lambda v: isinstance(v, (list, tuple, np.ndarray)), "a list")
     if isinstance(value, np.ndarray) and value.dtype.kind in "iuf":
         return value
@@ -537,59 +624,39 @@ def _reals(spec, name, depth):
     if bad:
         entry = "a number" if depth == 1 else "a list of numbers"
         raise ValidationError(f"field {name!r} entry {bad[0]} must be {entry}", detail=bad[0])
+    sizes = [len(x) for x in value] if depth == 2 else []
+    ragged = [k for k, size in enumerate(sizes) if size != sizes[0]]
+    if ragged:
+        k = ragged[0]
+        raise ValidationError(f"field {name!r} entry {k} has length {sizes[k]}, entry 0 "
+                              f"has length {sizes[0]}", detail=k)
     return value
 
 
 def build_space(spec):
-    """Construct and validate a :class:`PointCloudSpace` from a plain dict.
+    """Construct and validate a space of the spec's kind from a plain dict.
 
     Points, weights, periods and the matrix hold real numbers (``True``
-    and ``False`` are not) and the seed is an integer, else the field is
-    rejected by name.  The matrix kind is audited: finite entries,
-    symmetry, zero diagonal, positive off-diagonal entries, and the
-    triangle inequality on every triple (sampled above 200 points).
-    Violations reject the space and name the offending entry.
+    and ``False`` are not) and the seed is an integer >= 0, else
+    the field is rejected by name.  Each kind's class checks its fields
+    (:class:`EuclideanSpace`, :class:`TorusSpace`, :class:`MatrixSpace`),
+    and the coordinate kinds reject points at distance 0.
     """
     kind = spec.get("kind")
     weights = None if spec.get("weights") is None else _reals(spec, "weights", 1)
-    if kind in (EUCLIDEAN, TORUS):
-        space = PointCloudSpace(
-            kind,
-            coords=_reals(spec, "points", 2),
-            weights=weights,
-            period=_reals(spec, "period", 1) if kind == TORUS else None,
-        )
-        _reject_duplicates(space)
-        return space
-    if kind == MATRIX:
-        m = np.asarray(_reals(spec, "matrix", 2), dtype=float)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValidationError("distance matrix must be square")
-        if not np.isfinite(m).all():
-            i, j = np.unravel_index(int(np.argmax(~np.isfinite(m))), m.shape)
-            raise ValidationError(
-                f"non-finite distance at ({i}, {j})", detail=(int(i), int(j))
-            )
-        asym = np.abs(m - m.T).max() if m.size else 0.0
-        if asym > 0:
-            i, j = np.unravel_index(np.argmax(np.abs(m - m.T)), m.shape)
-            raise ValidationError(
-                f"non-symmetric matrix at ({i}, {j})", detail=(int(i), int(j))
-            )
-        if np.any(np.diag(m) != 0):
-            i = int(np.nonzero(np.diag(m))[0][0])
-            raise ValidationError(f"nonzero diagonal at index {i}", detail=i)
-        off = m + np.diag(np.full(m.shape[0], np.inf))
-        if np.any(off <= 0):
-            i, j = np.unravel_index(int(np.argmin(off)), m.shape)
-            raise ValidationError(
-                f"non-positive distance between distinct points ({i}, {j})",
-                detail=(int(i), int(j)),
-            )
-        seed = _spec_field({"seed": 0, **spec}, "seed", _is_integer, "an integer")
-        _audit_triangles(m, seed=int(seed))
-        return PointCloudSpace(MATRIX, matrix=m, weights=weights)
-    raise ValidationError(f"unknown metric kind {kind!r}")
+    if kind == "euclidean":
+        space = EuclideanSpace(_reals(spec, "points", 2), weights)
+    elif kind == "torus":
+        space = TorusSpace(_reals(spec, "points", 2), _reals(spec, "period", 1), weights)
+    elif kind == "matrix":
+        m = _reals(spec, "matrix", 2)
+        seed = _spec_field({"seed": 0, **spec}, "seed", lambda s: _is_integer(s) and s >= 0,
+                           "an integer >= 0")
+        return MatrixSpace(m, weights, seed=int(seed))
+    else:
+        raise ValidationError(f"unknown metric kind {kind!r}")
+    _reject_duplicates(space)
+    return space
 
 
 def _reject_overflow(space):
@@ -603,11 +670,8 @@ def _reject_overflow(space):
     need not be a point, so it may exceed every pairwise squared distance
     by up to a factor d and reject a cloud whose distances are finite.
     """
-    x = space.coords
     with np.errstate(over="ignore", invalid="ignore"):
-        far = np.maximum(x - x.min(axis=0), x.max(axis=0) - x)
-        if space.kind == TORUS:
-            far = np.minimum(far, 0.5 * space.period)
+        far = space._far()
         bad = np.flatnonzero(~np.isfinite(np.einsum("ik,ik->i", far, far)))
     if bad.size:
         i = int(bad[0])
@@ -640,10 +704,12 @@ def _audit_triangles(m, seed=0):
     n = m.shape[0]
     if n < 3:
         return
+    # a sum that overflows to inf exceeds every entry, so its triangle holds
     if n <= _EXHAUSTIVE_LIMIT:
         # d(a, c) <= d(a, b) + d(b, c) for every triple, vectorized over b
         for b in range(n):
-            slack = m - (m[:, b][:, None] + m[b][None, :])
+            with np.errstate(over="ignore"):
+                slack = m - (m[:, b][:, None] + m[b][None, :])
             if slack.max() > _TRIANGLE_TOL:
                 a, c = np.unravel_index(int(np.argmax(slack)), slack.shape)
                 raise ValidationError(
@@ -654,7 +720,8 @@ def _audit_triangles(m, seed=0):
     rng = np.random.default_rng(seed)
     triples = rng.integers(0, n, size=(_TRIANGLE_SAMPLES, 3))
     a, b, c = triples[:, 0], triples[:, 1], triples[:, 2]
-    slack = m[a, c] - (m[a, b] + m[b, c])
+    with np.errstate(over="ignore"):
+        slack = m[a, c] - (m[a, b] + m[b, c])
     worst = int(np.argmax(slack))
     if slack[worst] > _TRIANGLE_TOL:
         bad = (int(a[worst]), int(b[worst]), int(c[worst]))

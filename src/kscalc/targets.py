@@ -84,6 +84,10 @@ class GeodesicTarget:
     kind = "abstract"
     is_cat0 = True
 
+    def to_json(self):
+        """The target as a spec that :func:`build_target` reads back."""
+        return {"kind": self.kind}
+
     def canonical(self, p):
         """The validated JSON value of a point or a packed row."""
         return self._rows_to_json(_valid(*self._rows([p])))[0]
@@ -209,6 +213,9 @@ class EuclideanTarget(_CoordinateTarget):
         self.dim = int(dim)
         self.width = self._draw_width = self.dim
 
+    def to_json(self):
+        return {"kind": self.kind, "dim": self.dim}
+
     def dists(self, A, B, squared=False):
         delta = A - B
         d2 = np.einsum("...k,...k->...", delta, delta)
@@ -270,6 +277,10 @@ class TreeTarget(GeodesicTarget):
         self._edge_index[self._eu, self._ev] = np.arange(len(self.edges))
         self._edge_index[self._ev, self._eu] = np.arange(len(self.edges))
         self._vdist, self._next_hop = self._vertex_tables()
+
+    def to_json(self):
+        return {"kind": self.kind, "vertices": self.n_vertices,
+                "edges": [[u, v, l] for u, v, l in self.edges]}
 
     def _vertex_tables(self):
         n = self.n_vertices
@@ -679,6 +690,9 @@ class ProductTarget(GeodesicTarget):
         self._draw_width = sum(c._draw_width for c in self.components)
         self._draw_slices = _slices([c._draw_width for c in self.components])
 
+    def to_json(self):
+        return {"kind": self.kind, "components": [c.to_json() for c in self.components]}
+
     def _split(self, p):
         """The component values of a packed row of the product's width (by
         columns) or of a list or tuple of one value per component, else None."""
@@ -831,24 +845,6 @@ def build_target(spec):
     if kind == "sphere":
         return SphereTarget()
     raise ValidationError(f"unknown target kind {kind!r}")
-
-
-def target_to_json(t):
-    if t.kind == "euclidean":
-        return {"kind": "euclidean", "dim": t.dim}
-    if t.kind == "tree":
-        return {
-            "kind": "tree",
-            "vertices": t.n_vertices,
-            "edges": [[u, v, l] for u, v, l in t.edges],
-        }
-    if t.kind == "hyperbolic":
-        return {"kind": "hyperbolic"}
-    if t.kind == "product":
-        return {"kind": "product", "components": [target_to_json(c) for c in t.components]}
-    if t.kind == "sphere":
-        return {"kind": "sphere"}
-    raise ValidationError(f"unknown target kind {t.kind!r}")
 
 
 # -- audits and constructions -----------------------------------------------

@@ -67,7 +67,7 @@ def leafC():
 
 def random_map(space, target, seed):
     rng = np.random.default_rng(seed)
-    return MetricMap(space, target, [target.random_point(rng) for _ in range(space.n)])
+    return MetricMap(space, target, target.random_points(rng, space.n))
 
 
 def interior_balls(prob):

@@ -45,7 +45,6 @@ from kscalc.serialize import (
     map_to_json,
     problem_to_json,
     save_fixture,
-    space_to_json,
     write_json,
 )
 
@@ -474,7 +473,7 @@ def test_criterion_8_cli_determinism(tmp_path):
     t0 = time.monotonic()
     xs = np.linspace(0.0, 1.0, 11)
     sp = build_space({"kind": "euclidean", "points": xs[:, None].tolist()})
-    write_json(tmp_path / "space.json", space_to_json(sp))
+    write_json(tmp_path / "space.json", sp.to_json())
     write_json(tmp_path / "target.json", {"kind": "euclidean", "dim": 1})
     u = MetricMap(sp, EuclideanTarget(1), (2.0 * xs)[:, None])
     write_json(tmp_path / "map.json", map_to_json(u, "space.json", "target.json"))

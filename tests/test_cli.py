@@ -29,11 +29,9 @@ from kscalc.serialize import (
     map_to_json,
     problem_to_json,
     save_fixture,
-    space_to_json,
     atlas_to_json,
     write_json,
 )
-from kscalc.targets import target_to_json
 
 
 def run_cli(*args):
@@ -58,7 +56,7 @@ def workdir(tmp_path_factory):
     tmp = tmp_path_factory.mktemp("cli")
     xs = np.linspace(0.0, 1.0, 11)
     sp = build_space({"kind": "euclidean", "points": xs[:, None].tolist()})
-    write_json(tmp / "space.json", space_to_json(sp))
+    write_json(tmp / "space.json", sp.to_json())
     write_json(tmp / "target.json", {"kind": "euclidean", "dim": 1})
     u = MetricMap(sp, EuclideanTarget(1), (2.0 * xs)[:, None])
     write_json(tmp / "map.json", map_to_json(u, "space.json", "target.json"))
@@ -96,10 +94,10 @@ class TestSerializationRoundTrips:
     def test_tree_map_round_trip(self, workdir, tripod):
         xs = np.linspace(0.0, 1.0, 16)
         sp = build_space({"kind": "euclidean", "points": xs[:, None].tolist()})
-        write_json(workdir / "tree_space.json", space_to_json(sp))
-        write_json(workdir / "tree_target.json", target_to_json(tripod))
+        write_json(workdir / "tree_space.json", sp.to_json())
+        write_json(workdir / "tree_target.json", tripod.to_json())
         rng = np.random.default_rng(0)
-        u = MetricMap(sp, tripod, [tripod.random_point(rng) for _ in range(16)])
+        u = MetricMap(sp, tripod, tripod.random_points(rng, 16))
         write_json(
             workdir / "tree_map.json",
             map_to_json(u, "tree_space.json", "tree_target.json"),
@@ -190,7 +188,7 @@ class TestExitCodes:
         # in this process a RuntimeWarning raises, and an OverflowError
         # would escape ``main`` with a traceback
         sp = build_space({"kind": "euclidean", "points": [[0.0], [1.0]]})
-        write_json(tmp_path / "space.json", space_to_json(sp))
+        write_json(tmp_path / "space.json", sp.to_json())
         write_json(tmp_path / "target.json", {"kind": "euclidean", "dim": 1})
         u = MetricMap(sp, EuclideanTarget(1), [[0.0], [2.0]])
         write_json(tmp_path / "map.json", map_to_json(u, "space.json", "target.json"))
@@ -294,9 +292,16 @@ class TestExitCodes:
              "field 'seed' must be an integer"),
             ({"kind": "matrix", "matrix": [[0.0, 1.0], [1.0, 0.0]], "seed": "a"},
              "field 'seed' must be an integer"),
+            ({"kind": "matrix", "matrix": [[0.0, 1.0], [1.0, 0.0]], "seed": -1},
+             "field 'seed' must be an integer >= 0"),
+            ({"kind": "euclidean", "points": [[0.0, 1.0], [1.0]]},
+             "field 'points' entry 1 has length 1, entry 0 has length 2"),
+            ({"kind": "matrix", "matrix": [[0.0, 1.0], [1.0]]},
+             "field 'matrix' entry 1 has length 1, entry 0 has length 2"),
         ],
         ids=["points-object", "points-bools", "weights-strings", "weights-bool",
-             "period-string", "period-missing", "seed-float", "seed-string"],
+             "period-string", "period-missing", "seed-float", "seed-string", "seed-negative",
+             "points-ragged", "matrix-ragged"],
     )
     def test_space_check_bad_space_field_exit_2(self, capsys, tmp_path, spec, says):
         write_json(tmp_path / "s.json", spec)
@@ -305,6 +310,30 @@ class TestExitCodes:
         )
         assert (code, out) == (2, "")
         assert says in err
+
+    @pytest.mark.parametrize(
+        "weights, says",
+        [
+            ("[1.0, 1e999, 2.0]", "non-finite weight at index 1"),
+            ("[1.0, -0.5, 2.0]", "non-positive weight at index 1"),
+            ("[1e308, 1e308, 1e308]", "weights: the total mass is not finite"),
+        ],
+        ids=["inf", "negative", "overflowing-total"],
+    )
+    def test_bad_weights_named_exit_2(self, capsys, tmp_path, weights, says):
+        # a weight that reads as inf was named by the index of the least
+        # weight, and a total that overflows gave every ks 0 with exit 0
+        (tmp_path / "s.json").write_text(
+            '{"kind": "euclidean", "points": [[0.0], [0.5], [1.0]], "weights": %s}' % weights
+        )
+        write_json(tmp_path / "t.json", {"kind": "euclidean", "dim": 1})
+        write_json(tmp_path / "m.json",
+                   {"space": "s.json", "target": "t.json", "values": [[0.0], [1.0], [2.0]]})
+        for args in (("space-check", "--space", tmp_path / "s.json"),
+                     ("energy", "--map", tmp_path / "m.json", "--scales", "0.8,0.6")):
+            code, out, err = run_main(capsys, *args)
+            assert (code, out) == (2, "")
+            assert says in err
 
     def test_energy_infinite_scale_exit_2(self, workdir):
         code, _, err = run_cli(
@@ -745,7 +774,7 @@ class TestLoadNamesMalformedValue:
 
     @pytest.fixture
     def tripod_file(self, workdir, tripod):
-        write_json(workdir / "tripod.json", target_to_json(tripod))
+        write_json(workdir / "tripod.json", tripod.to_json())
 
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_load_map(self, workdir, tripod_file, case):
@@ -1021,7 +1050,7 @@ class TestStartupImports:
         assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr
 
     def test_verify_cat0_loads_no_scipy(self, workdir, tmp_path, tripod):
-        write_json(workdir / "startup_tripod.json", target_to_json(tripod))
+        write_json(workdir / "startup_tripod.json", tripod.to_json())
         for target in ("hyperbolic.json", "startup_tripod.json"):
             report = probe_imports(
                 tmp_path, "verify", "--which", "cat0",

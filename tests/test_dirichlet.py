@@ -291,9 +291,7 @@ class TestEnergiesAgainstScalarDist:
         else:
             _, prob = hyperbolic_grid_problem()
         rng = np.random.default_rng(5)
-        values = prob.assemble(
-            [prob.target.random_point(rng) for _ in range(prob.interior.shape[0])]
-        )
+        values = prob.assemble(prob.target.random_points(rng, prob.interior.shape[0]))
         scale_sum, pair_sum = self.oracles(prob, values)
         assert scale_sum > 0 and pair_sum > 0
         assert discrete_energy(prob, values) == pytest.approx(scale_sum, rel=1e-12)

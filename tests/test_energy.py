@@ -393,7 +393,7 @@ class TestHsEnergy:
         sp, pts, atlas = smooth_grid
         sphere = SphereTarget()
         rng = np.random.default_rng(0)
-        u = MetricMap(sp, sphere, [sphere.random_point(rng) for _ in range(sp.n)])
+        u = MetricMap(sp, sphere, sphere.random_points(rng, sp.n))
         with pytest.raises(ValidationError, match="CAT"):
             hs_energy(u, atlas)
 

@@ -22,7 +22,7 @@ from kscalc import (
     partition_of_unity,
 )
 import kscalc.spaces as spaces_module
-from kscalc.spaces import CELL_PAIR_BUDGET, PointCloudSpace, _ball_side
+from kscalc.spaces import CELL_PAIR_BUDGET, EuclideanSpace, _ball_side
 
 from conftest import grid_points, random_map
 
@@ -137,6 +137,92 @@ class TestBuildSpace:
             build_space(
                 {"kind": "euclidean", "points": [[0.0], [1.0]], "weights": [1.0, 0.0]}
             )
+
+    @pytest.mark.parametrize(
+        "weights, says, detail",
+        [
+            ([1.0, 0.0, 2.0], "non-positive weight at index 1", 1),
+            ([1.0, -2.0, math.inf], "non-positive weight at index 1", 1),
+            ([1.0, math.inf, 2.0], "non-finite weight at index 1", 1),
+            ([1.0, 2.0, math.nan], "non-finite weight at index 2", 2),
+            ([1e308, 1e308, 1e308], "weights: the total mass is not finite", "weights"),
+        ],
+    )
+    def test_bad_weights_named(self, weights, says, detail):
+        for spec in ({"kind": "euclidean", "points": [[0.0], [1.0], [2.0]]},
+                     {"kind": "torus", "points": [[0.0], [1.0], [2.0]], "period": [3.0]},
+                     {"kind": "matrix", "matrix": [[0, 1, 2], [1, 0, 1], [2, 1, 0]]}):
+            with pytest.raises(ValidationError, match=re.escape(says)) as exc:
+                build_space({**spec, "weights": weights})
+            assert exc.value.detail == detail
+
+
+# values that a mutated number takes: non-finite, zero, negative, huge,
+# subnormal and tiny
+_ODD_NUMBERS = [math.nan, math.inf, -math.inf, 0.0, -1.0, 1e308, 1e200, 5e-324, 1e-300]
+
+
+@st.composite
+def space_specs(draw):
+    """Specs of every kind (n from 1), valid or with one field mutated:
+    odd weights, huge weights, a weights list of the wrong length, odd or
+    mismatched periods, odd or repeated coordinates, and asymmetric,
+    non-square, nonzero-diagonal, zero or odd matrix entries."""
+    kind = draw(st.sampled_from(["euclidean", "torus", "matrix"]))
+    n, dim = draw(st.integers(1, 6)), draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pts = rng.uniform(-1.0, 1.0, (n, dim))
+    spec = {"kind": kind}
+    if kind == "matrix":
+        spec["matrix"] = _euclidean_matrix(pts).tolist()
+    else:
+        spec["points"] = pts.tolist()
+    if kind == "torus":
+        spec["period"] = rng.uniform(2.0, 3.0, dim).tolist()
+    if draw(st.booleans()):
+        spec["weights"] = rng.uniform(0.1, 2.0, n).tolist()
+    field = {"euclidean": "points", "torus": "period", "matrix": "matrix"}[kind]
+    how = draw(st.sampled_from(["none", "weight", "huge-weights", "weights-length",
+                                "number", "length", "row"]))
+    odd = draw(st.sampled_from(_ODD_NUMBERS))
+    i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+    if how == "weight":
+        spec["weights"] = [1.0] * n
+        spec["weights"][i] = odd
+    elif how == "huge-weights":
+        spec["weights"] = [1e308] * n
+    elif how == "weights-length":
+        spec["weights"] = [1.0] * (n + draw(st.sampled_from([-1, 1])))
+    elif how == "number" and field == "period":
+        spec["period"][i % dim] = odd
+    elif how == "number":  # one entry (i, j), or (i, j) and (j, i) alike
+        spec[field][i][j % len(spec[field][i])] = odd
+        if kind == "matrix" and draw(st.booleans()):
+            spec[field][j][i] = odd
+    elif how == "length":  # one number short: ragged rows or a short period
+        (spec[field] if field == "period" else spec[field][i]).pop()
+    elif how == "row" and kind == "matrix":  # non-square
+        spec["matrix"] = [row[:-1] for row in spec["matrix"]]
+    elif how == "row":  # a repeated point
+        spec["points"][i] = list(spec["points"][j])
+    return spec
+
+
+class TestSpecProperty:
+    @given(space_specs())
+    @settings(max_examples=300, deadline=None)
+    def test_builds_or_names_the_fault_and_round_trips(self, spec):
+        # a warning is an error here (``filterwarnings`` in pyproject.toml)
+        try:
+            sp = build_space(spec)
+        except ValidationError:
+            return
+        back = build_space(sp.to_json())
+        assert type(back) is type(sp) and back.to_json() == sp.to_json()
+        fields = {"euclidean": ["coords"], "torus": ["coords", "period"], "matrix": ["matrix"]}
+        for name in ["weights", *fields[sp.kind]]:
+            assert getattr(back, name).tobytes() == getattr(sp, name).tobytes(), name
+        assert back.dist_row(0).tobytes() == sp.dist_row(0).tobytes()
 
 
 class TestBall:
@@ -567,6 +653,21 @@ class TestNeighborEngine:
         list(sp.cell_partition(0.8))
         assert built == [0.4]
 
+    def test_repeated_partition_builds_no_index(self, monkeypatch):
+        # the first side (0.05) holds one point per cell, so a partition
+        # searches the doublings and ends on an index it built before the
+        # last; the space keeps the cells of the last radius instead
+        g = np.linspace(0.0, 1.0, 21)
+        sp = build_space({"kind": "euclidean", "points": [[x, y] for x in g for y in g]})
+        built = self._builds(monkeypatch)
+        first = list(sp.cell_partition(0.1))
+        assert len(built) > 1
+        del built[:]
+        second = list(sp.cell_partition(0.1))
+        assert built == []
+        for (p, c), (q, d) in zip(first, second, strict=True):
+            assert np.array_equal(p, q) and np.array_equal(c, d)
+
     @pytest.mark.parametrize("kind", ["euclidean", "torus"])
     def test_blocks_match_doubling_over_radii(self, kind):
         rng = np.random.default_rng(8)
@@ -607,7 +708,7 @@ class TestNeighborEngine:
         assert exc.value.detail == (0, 1)
 
     def test_radius_grid_rejects_zero_spacing(self):
-        sp = PointCloudSpace("euclidean", coords=[[0.0], [1e-170], [1.0]])
+        sp = EuclideanSpace([[0.0], [1e-170], [1.0]])
         assert sp.min_spacing() == 0.0
         with pytest.raises(ValidationError, match="smallest spacing is 0"):
             sp.radius_grid(0.5)

@@ -426,17 +426,23 @@ class TestKuratowski:
 
 class TestSerialKinds:
     def test_build_target_round_trip(self, tripod):
-        from kscalc.targets import target_to_json
-
-        for t in (
-            EuclideanTarget(3),
-            tripod,
-            HyperbolicTarget(),
-            ProductTarget([EuclideanTarget(2), tripod]),
-            SphereTarget(),
+        tripod_json = {"kind": "tree", "vertices": 4,
+                       "edges": [[0, 1, 1.0], [0, 2, 1.0], [0, 3, 1.0]]}
+        for t, spec in (
+            (EuclideanTarget(3), {"kind": "euclidean", "dim": 3}),
+            (tripod, tripod_json),
+            (HyperbolicTarget(), {"kind": "hyperbolic"}),
+            (ProductTarget([EuclideanTarget(2), tripod]),
+             {"kind": "product", "components": [{"kind": "euclidean", "dim": 2}, tripod_json]}),
+            (ProductTarget([ProductTarget([HyperbolicTarget()]), SphereTarget()]),
+             {"kind": "product", "components": [
+                 {"kind": "product", "components": [{"kind": "hyperbolic"}]},
+                 {"kind": "sphere"}]}),
+            (SphereTarget(), {"kind": "sphere"}),
         ):
-            t2 = build_target(target_to_json(t))
-            assert t2.kind == t.kind
+            assert t.to_json() == spec
+            t2 = build_target(t.to_json())
+            assert type(t2) is type(t) and t2.to_json() == spec
             rng = np.random.default_rng(0)
             p = t.random_point(rng)
             assert t.dist(p, t2.canonical(p)) <= 1e-12
